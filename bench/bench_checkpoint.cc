@@ -1,9 +1,8 @@
 // Durability overhead bench: snapshot write/restore latency and size for a
-// warmed-up WFIT state, delta-snapshot size reduction, write-ahead journal
-// append/fsync throughput, journal compaction reclaim, group-commit fsync
-// coalescing, cold-tenant archival throughput, and end-to-end recovery
-// (snapshot load + journal suffix replay). Merges the machine-readable
-// numbers into BENCH_service.json.
+// warmed-up WFIT state, write-ahead journal append/fsync throughput,
+// journal compaction reclaim, group-commit fsync coalescing, and
+// end-to-end recovery (snapshot load + journal suffix replay). Merges the
+// machine-readable numbers into BENCH_service.json.
 //
 // WFIT_BENCH_FAST=1 runs the scaled-down trace for CI smoke.
 #include <fcntl.h>
@@ -21,11 +20,8 @@
 #include "bench/bench_common.h"
 #include "core/wfit.h"
 #include "harness/reporting.h"
-#include "persist/archive.h"
-#include "persist/delta.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
-#include "persist/tenant_tree.h"
 #include "service/fsync_batcher.h"
 #include "service/tuner_service.h"
 
@@ -98,47 +94,6 @@ int main() {
   }
   std::cout << "snapshot restore: " << read_ms << " ms\n";
 
-  // --- delta snapshots --------------------------------------------------
-  // Full checkpoint, then one delta per analyzed statement: the steady
-  // state of a tenant checkpointing on cadence. The reduction is the
-  // headline — per-statement churn touches a handful of selector windows
-  // and one work-function column, not the whole state.
-  const fs::path delta_dir = dir / "delta";
-  fs::create_directories(delta_dir);
-  uint64_t delta_full_bytes = 0;
-  uint64_t delta_bytes = 0;  // smallest steady-state delta observed
-  size_t extra_analyzed = 0;
-  {
-    persist::DeltaCheckpointer cp;
-    persist::SnapshotMeta dmeta;
-    dmeta.analyzed = warmup;
-    auto full = cp.Write(delta_dir.string(), tuner, env.pool(), dmeta);
-    WFIT_CHECK(full.ok(), full.status().ToString());
-    WFIT_CHECK(full->wrote_full, "first checkpoint must be full");
-    delta_full_bytes = full->bytes;
-    const size_t kDeltaReps = 16;
-    for (size_t k = 0; k < kDeltaReps; ++k) {
-      const size_t seq = warmup + extra_analyzed;
-      if (seq >= w.size()) break;
-      tuner.AnalyzeQuery(w[seq]);
-      ++extra_analyzed;
-      dmeta.analyzed = warmup + extra_analyzed;
-      auto r = cp.Write(delta_dir.string(), tuner, env.pool(), dmeta);
-      WFIT_CHECK(r.ok(), r.status().ToString());
-      if (!r->wrote_full &&
-          (delta_bytes == 0 || r->bytes < delta_bytes)) {
-        delta_bytes = r->bytes;
-      }
-    }
-  }
-  const double delta_reduction =
-      delta_bytes > 0
-          ? static_cast<double>(delta_full_bytes) /
-                static_cast<double>(delta_bytes)
-          : 0.0;
-  std::cout << "delta snapshot: full " << delta_full_bytes << " B, delta "
-            << delta_bytes << " B = " << delta_reduction << "x reduction\n";
-
   // --- journal append + fsync throughput --------------------------------
   const size_t kJournalRecords = fast ? 2000 : 20000;
   const size_t kSyncBatch = 32;
@@ -166,7 +121,7 @@ int main() {
 
   // --- journal compaction -----------------------------------------------
   // Drop the half already covered by checkpoints: the steady-state rewrite
-  // a cadenced full checkpoint triggers.
+  // a cadenced checkpoint triggers.
   double compact_ms = 0.0;
   uint64_t journal_compacted_bytes = 0;
   {
@@ -238,41 +193,6 @@ int main() {
               << " fsyncs/kstmt\n";
   }
 
-  // --- cold-tenant archival ---------------------------------------------
-  // Pack + stage + segment-flush a checkpoint tree per tenant — the cost
-  // ArchiveColdTenants pays per cold tenant. Tenant count is capped by a
-  // disk budget so the full trace stays bounded.
-  double archive_pack_ms = 0.0;
-  {
-    auto probe = persist::PackCheckpointDir(delta_dir.string());
-    WFIT_CHECK(probe.ok(), probe.status().ToString());
-    const uint64_t kDiskBudget = 256ull * 1024 * 1024;
-    const size_t target = fast ? 300 : 2000;
-    const size_t tenants = std::max<size_t>(
-        1, std::min<size_t>(target, kDiskBudget / probe->size()));
-    const fs::path archive_root = dir / "archive_bench";
-    fs::create_directories(archive_root);
-    auto opened = persist::ArchiveStore::Open(archive_root.string());
-    WFIT_CHECK(opened.ok(), opened.status().ToString());
-    persist::ArchiveStore store = std::move(opened).value();
-    Clock::time_point start = Clock::now();
-    for (size_t t = 0; t < tenants; ++t) {
-      auto pack = persist::PackCheckpointDir(delta_dir.string());
-      WFIT_CHECK(pack.ok(), pack.status().ToString());
-      WFIT_CHECK(
-          store.Stage("tenant-" + std::to_string(t), std::move(*pack)).ok(),
-          "archive stage");
-    }
-    WFIT_CHECK(store.Flush().ok(), "archive flush");
-    archive_pack_ms = MillisSince(start) / static_cast<double>(tenants);
-    persist::ArchiveStats stats = store.GetStats();
-    std::cout << "archival: " << tenants << " tenants ("
-              << probe->size() / 1024 << " KiB packs) into "
-              << stats.segments << " segments = " << archive_pack_ms
-              << " ms/tenant\n";
-    fs::remove_all(archive_root);
-  }
-
   // --- end-to-end recovery (snapshot + journal suffix replay) -----------
   double recover_ms = 0.0;
   uint64_t replayed = 0;
@@ -319,15 +239,12 @@ int main() {
           {"checkpoint_write_ms", write_ms},
           {"checkpoint_restore_ms", read_ms},
           {"checkpoint_snapshot_bytes", static_cast<double>(snapshot_bytes)},
-          {"checkpoint_delta_bytes", static_cast<double>(delta_bytes)},
-          {"checkpoint_delta_reduction", delta_reduction},
           {"journal_append_records_per_s", journal_recs_per_s},
           {"journal_compacted_bytes",
            static_cast<double>(journal_compacted_bytes)},
           {"journal_compact_ms", compact_ms},
           {"group_commit_fsyncs_per_kstmt", group_commit_fsyncs_per_kstmt},
           {"group_commit_fsync_reduction", group_commit_fsync_reduction},
-          {"archive_pack_ms", archive_pack_ms},
           {"recovery_open_ms", recover_ms},
           {"recovery_replayed_statements", static_cast<double>(replayed)},
       });

@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "persist/archive.h"
 #include "persist/tenant_tree.h"
 
 namespace wfit::cluster {
@@ -326,44 +325,14 @@ void Membership::FailOverDeadNode(const std::string& dead_id) {
       recovered_trees = true;
       const std::string dead_root = options_.fleet_root + "/" + dead_id;
       auto listed = persist::ListTenantIds(dead_root);
-      // The dead node may hold cold tenants only in its archive tier —
-      // no per-tenant directory. Fetch() returns the same pack bytes
-      // PackCheckpointDir would, so archived tenants fail over too. A
-      // live directory wins over an archive entry (archival packs
-      // durably before removing the directory, so the directory is
-      // never the stale copy).
-      std::unique_ptr<persist::ArchiveStore> dead_archive;
-      {
-        auto opened = persist::ArchiveStore::Open(dead_root);
-        if (opened.ok()) {
-          dead_archive = std::make_unique<persist::ArchiveStore>(
-              std::move(opened).value());
-        } else {
-          ++errors;
-        }
-      }
       if (!listed.ok()) {
         ++errors;
       } else {
-        std::vector<std::string> tenants = *listed;
-        if (dead_archive != nullptr) {
-          std::vector<std::string> archived = dead_archive->Tenants();
-          tenants.insert(tenants.end(), archived.begin(), archived.end());
-          std::sort(tenants.begin(), tenants.end());
-          tenants.erase(std::unique(tenants.begin(), tenants.end()),
-                        tenants.end());
-        }
-        for (const std::string& tenant : tenants) {
+        for (const std::string& tenant : *listed) {
           const NodeInfo* owner = OwnerOf(next, tenant);
           const std::string src =
               persist::TenantCheckpointDir(dead_root, tenant);
-          std::error_code exists_ec;
-          auto pack = std::filesystem::exists(src, exists_ec)
-                          ? persist::PackCheckpointDir(src)
-                          : (dead_archive != nullptr
-                                 ? dead_archive->Fetch(tenant)
-                                 : StatusOr<std::string>(Status::NotFound(
-                                       "tenant tree lost with node")));
+          auto pack = persist::PackCheckpointDir(src);
           if (!pack.ok()) {
             ++errors;
             continue;

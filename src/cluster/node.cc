@@ -590,14 +590,6 @@ Status TunerNode::MigrateTenant(const std::string& tenant,
     return Status::FailedPrecondition(
         "migration source has no checkpoint root");
   }
-  // A cold-archived tenant has no directory; bring the tree back out of
-  // the archive tier before packing it for the wire.
-  Status materialized = router_->EnsureTenantMaterialized(tenant);
-  if (!materialized.ok()) {
-    reseed();
-    revert();
-    return materialized;
-  }
   const std::string dir = persist::TenantCheckpointDir(
       options_.router.checkpoint_root, tenant);
   StatusOr<std::string> pack = [&] {

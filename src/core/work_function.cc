@@ -25,7 +25,7 @@ WfaInstance::WfaInstance(std::vector<IndexId> members,
   WFIT_CHECK(initial_config < n, "initial config outside the part");
   w_.resize(n);
   for (Mask s = 0; s < n; ++s) {
-    w_[s] = Delta(initial_config, s);
+    w_[s] = TransitionCost(initial_config, s);
   }
   curr_rec_ = initial_config;
 }
@@ -56,7 +56,7 @@ WfaInstance::WfaInstance(std::vector<IndexId> members,
   WFIT_CHECK(initial_config < n, "initial config outside the part");
   w_.resize(n);
   for (Mask s = 0; s < n; ++s) {
-    w_[s] = Delta(initial_config, s);
+    w_[s] = TransitionCost(initial_config, s);
   }
   curr_rec_ = initial_config;
 }
@@ -88,7 +88,7 @@ void WfaInstance::InitCosts(const CostModel& cost_model) {
   }
 }
 
-double WfaInstance::Delta(Mask from, Mask to) const {
+double WfaInstance::TransitionCost(Mask from, Mask to) const {
   double cost = 0.0;
   Mask created = to & ~from;
   Mask dropped = from & ~to;
@@ -151,7 +151,7 @@ void WfaInstance::AnalyzeQuery(const PartCostFn& cost) {
   double best_score = 0.0;
   for (Mask s = 0; s < n; ++s) {
     if (!NearlyEqual(relaxed[s], v_scratch_[s])) continue;  // S ∉ p[S]
-    double score = relaxed[s] + Delta(s, curr_rec_);
+    double score = relaxed[s] + TransitionCost(s, curr_rec_);
     if (!have_best || score + 1e-12 < best_score ||
         (NearlyEqual(score, best_score) && LexPrefers(s, best))) {
       have_best = true;
@@ -176,8 +176,9 @@ void WfaInstance::ApplyFeedback(Mask f_plus, Mask f_minus) {
   const double w_rec = w_[curr_rec_];
   for (Mask s = 0; s < n; ++s) {
     const Mask s_cons = (s & ~f_minus) | f_plus;
-    const double min_diff = Delta(s, s_cons) + Delta(s_cons, s);
-    const double diff = w_[s] + Delta(s, curr_rec_) - w_rec;
+    const double min_diff =
+        TransitionCost(s, s_cons) + TransitionCost(s_cons, s);
+    const double diff = w_[s] + TransitionCost(s, curr_rec_) - w_rec;
     if (diff < min_diff) {
       w_[s] += min_diff - diff;
     }

@@ -74,10 +74,10 @@ class WfaInstance {
   /// snapshots; restore via the explicit-work-function constructors).
   const std::vector<double>& work_values() const { return w_; }
   /// score(S) = w[S] + δ(S, currRec) (for tests).
-  double Score(Mask s) const { return w_[s] + Delta(s, curr_rec_); }
+  double Score(Mask s) const { return w_[s] + TransitionCost(s, curr_rec_); }
 
   /// δ within the part: per-member create/drop cost sums.
-  double Delta(Mask from, Mask to) const;
+  double TransitionCost(Mask from, Mask to) const;
 
   /// Mask of `set` members present in this part.
   Mask ToMask(const IndexSet& set) const;

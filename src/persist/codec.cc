@@ -44,8 +44,9 @@ void Encoder::PutDoubleVector(const std::vector<double>& v) {
   for (double x : v) PutDouble(x);
 }
 
-Status Decoder::NeedElements(uint32_t count, size_t elem_size) const {
-  if (static_cast<uint64_t>(count) * elem_size > remaining()) {
+Status Decoder::GetCount(uint32_t* count, size_t min_elem_bytes) {
+  WFIT_RETURN_IF_ERROR(GetU32(count));
+  if (static_cast<uint64_t>(*count) * min_elem_bytes > remaining()) {
     return Status::InvalidArgument("decode: element count exceeds buffer");
   }
   return Status::Ok();
@@ -90,8 +91,7 @@ Status Decoder::GetDouble(double* out) {
 
 Status Decoder::GetString(std::string* out) {
   uint32_t len = 0;
-  WFIT_RETURN_IF_ERROR(GetU32(&len));
-  WFIT_RETURN_IF_ERROR(NeedElements(len, 1));
+  WFIT_RETURN_IF_ERROR(GetCount(&len, 1));
   out->assign(data_.data() + pos_, len);
   pos_ += len;
   return Status::Ok();
@@ -106,8 +106,7 @@ Status Decoder::GetIndexSet(IndexSet* out) {
 
 Status Decoder::GetU32Vector(std::vector<uint32_t>* out) {
   uint32_t count = 0;
-  WFIT_RETURN_IF_ERROR(GetU32(&count));
-  WFIT_RETURN_IF_ERROR(NeedElements(count, 4));
+  WFIT_RETURN_IF_ERROR(GetCount(&count, 4));
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -120,8 +119,7 @@ Status Decoder::GetU32Vector(std::vector<uint32_t>* out) {
 
 Status Decoder::GetU64Vector(std::vector<uint64_t>* out) {
   uint32_t count = 0;
-  WFIT_RETURN_IF_ERROR(GetU32(&count));
-  WFIT_RETURN_IF_ERROR(NeedElements(count, 8));
+  WFIT_RETURN_IF_ERROR(GetCount(&count, 8));
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -134,8 +132,7 @@ Status Decoder::GetU64Vector(std::vector<uint64_t>* out) {
 
 Status Decoder::GetDoubleVector(std::vector<double>* out) {
   uint32_t count = 0;
-  WFIT_RETURN_IF_ERROR(GetU32(&count));
-  WFIT_RETURN_IF_ERROR(NeedElements(count, 8));
+  WFIT_RETURN_IF_ERROR(GetCount(&count, 8));
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

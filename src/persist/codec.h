@@ -54,6 +54,10 @@ class Decoder {
   Status GetU32Vector(std::vector<uint32_t>* out);
   Status GetU64Vector(std::vector<uint64_t>* out);
   Status GetDoubleVector(std::vector<double>* out);
+  /// Reads a u32 element count and rejects it unless `count *
+  /// min_elem_bytes` bytes remain: a corrupt count must not drive a huge
+  /// allocation.
+  Status GetCount(uint32_t* count, size_t min_elem_bytes);
 
   size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
@@ -64,9 +68,6 @@ class Decoder {
                ? Status::Ok()
                : Status::InvalidArgument("decode: truncated buffer");
   }
-  /// Element-count prefix check: a corrupt count must not drive a huge
-  /// allocation — `count * elem_size` bytes must actually be present.
-  Status NeedElements(uint32_t count, size_t elem_size) const;
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -66,15 +66,17 @@ Status DecodeStatement(Decoder* d, Statement* out) {
     return Status::InvalidArgument("statement: bad kind");
   }
   out->kind = static_cast<StatementKind>(kind);
+  // Minimum encoded sizes bound every count: a table is 12 bytes, a
+  // predicate 18, a join 16 and a column reference 8.
   uint32_t num_tables = 0;
-  WFIT_RETURN_IF_ERROR(d->GetU32(&num_tables));
+  WFIT_RETURN_IF_ERROR(d->GetCount(&num_tables, 12));
   out->tables.clear();
   out->tables.reserve(num_tables);
   for (uint32_t i = 0; i < num_tables; ++i) {
     StatementTable t;
     WFIT_RETURN_IF_ERROR(d->GetU32(&t.table));
     uint32_t num_preds = 0;
-    WFIT_RETURN_IF_ERROR(d->GetU32(&num_preds));
+    WFIT_RETURN_IF_ERROR(d->GetCount(&num_preds, 18));
     t.predicates.reserve(num_preds);
     for (uint32_t j = 0; j < num_preds; ++j) {
       ScanPredicate p;
@@ -91,7 +93,7 @@ Status DecodeStatement(Decoder* d, Statement* out) {
     out->tables.push_back(std::move(t));
   }
   uint32_t num_joins = 0;
-  WFIT_RETURN_IF_ERROR(d->GetU32(&num_joins));
+  WFIT_RETURN_IF_ERROR(d->GetCount(&num_joins, 16));
   out->joins.clear();
   out->joins.reserve(num_joins);
   for (uint32_t i = 0; i < num_joins; ++i) {
@@ -101,7 +103,7 @@ Status DecodeStatement(Decoder* d, Statement* out) {
     out->joins.push_back(j);
   }
   uint32_t n = 0;
-  WFIT_RETURN_IF_ERROR(d->GetU32(&n));
+  WFIT_RETURN_IF_ERROR(d->GetCount(&n, 8));
   out->order_by.clear();
   out->order_by.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -109,7 +111,7 @@ Status DecodeStatement(Decoder* d, Statement* out) {
     WFIT_RETURN_IF_ERROR(DecodeColumnRef(d, &c));
     out->order_by.push_back(c);
   }
-  WFIT_RETURN_IF_ERROR(d->GetU32(&n));
+  WFIT_RETURN_IF_ERROR(d->GetCount(&n, 8));
   out->group_by.clear();
   out->group_by.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

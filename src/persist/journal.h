@@ -170,8 +170,9 @@ struct CompactionResult {
 /// Rewrites `path` without the records at absolute LSN <= cover_lsn,
 /// prefixed by a kCompactionBase marker carrying the new base. The caller
 /// must have closed any writer on `path`, and cover_lsn must be a
-/// checkpoint-covered horizon (DeltaCheckpointer::Result::cover_lsn) —
-/// compaction does not check that anything re-creates the dropped history.
+/// checkpoint-covered horizon (the journal_lsn of the older of two durable
+/// snapshots) — compaction does not check that anything re-creates the
+/// dropped history.
 /// Kept records are byte-copied, never re-encoded; the rewrite is durable
 /// (tmp + fsync + rename + directory fsync) before the old bytes are gone.
 /// A cover_lsn at or below the current base is a no-op. Any torn tail is

@@ -309,11 +309,10 @@ Status DecodeOverload(Decoder* d, OverloadPersist* out) {
   return Status::Ok();
 }
 
-std::string EncodeHeader(uint32_t magic, uint32_t version,
-                         std::string_view payload) {
+std::string EncodeHeader(const std::string& payload) {
   Encoder header;
-  header.PutU32(magic);
-  header.PutU32(version);
+  header.PutU32(kSnapshotMagic);
+  header.PutU32(kSnapshotVersion);
   header.PutU64(payload.size());
   header.PutU32(Crc32(payload));
   header.PutU32(Crc32(header.data()));
@@ -322,26 +321,97 @@ std::string EncodeHeader(uint32_t magic, uint32_t version,
 
 }  // namespace
 
-std::string SnapshotFileName(uint64_t analyzed) {
-  return SnapshotName(analyzed);
-}
-
-StatusOr<std::string> EncodeSnapshotPayload(const Tuner& tuner,
-                                            const IndexPool& pool,
-                                            const SnapshotMeta& meta) {
+Status WriteSnapshotFile(const std::string& path, const Tuner& tuner,
+                         const IndexPool& pool, const SnapshotMeta& meta) {
   Encoder payload;
   payload.PutU64(meta.analyzed);
   payload.PutU64(meta.journal_lsn);
   EncodePool(pool, &payload);
   WFIT_RETURN_IF_ERROR(EncodeTuner(tuner, &payload));
   EncodeOverload(meta.overload, &payload);
-  return payload.Release();
+
+  const std::string header = EncodeHeader(payload.data());
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return ErrnoStatus("open", path);
+  bool ok =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+      std::fwrite(payload.data().data(), 1, payload.size(), f) ==
+          payload.size() &&
+      std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+  std::fclose(f);
+  if (!ok) return Status::Internal("snapshot write failed: " + path);
+  return Status::Ok();
 }
 
-Status DecodeSnapshotPayload(std::string_view payload, Tuner* tuner,
-                             IndexPool* pool, SnapshotMeta* meta) {
+StatusOr<uint64_t> WriteSnapshot(const std::string& dir, const Tuner& tuner,
+                                 const IndexPool& pool,
+                                 const SnapshotMeta& meta, size_t keep) {
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) return Status::Internal("create_directories " + dir);
+  const std::string final_path =
+      (fs::path(dir) / SnapshotName(meta.analyzed)).string();
+  const std::string tmp_path = final_path + ".tmp";
+  WFIT_RETURN_IF_ERROR(WriteSnapshotFile(tmp_path, tuner, pool, meta));
+  uint64_t bytes = static_cast<uint64_t>(fs::file_size(tmp_path, ec));
+  fs::rename(tmp_path, final_path, ec);
+  if (ec) return Status::Internal("rename " + tmp_path);
+  WFIT_RETURN_IF_ERROR(SyncDir(dir));
+  // Prune: keep the newest `keep` (fallback depth), drop the rest.
+  std::vector<std::string> snapshots = ListSnapshots(dir);
+  for (size_t i = keep; i < snapshots.size(); ++i) {
+    fs::remove(snapshots[i], ec);
+  }
+  // Older builds also wrote delta-* files here. Nothing reads them, and
+  // pack/unpack would carry them to every new owner, so drop them too.
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().filename().string().rfind("delta-", 0) == 0) {
+      fs::remove(entry.path(), ec);
+    }
+  }
+  return bytes;
+}
+
+Status ReadSnapshot(const std::string& path, Tuner* tuner, IndexPool* pool,
+                    SnapshotMeta* meta) {
   WFIT_CHECK(tuner != nullptr && pool != nullptr && meta != nullptr,
-             "DecodeSnapshotPayload requires tuner, pool and meta");
+             "ReadSnapshot requires tuner, pool and meta");
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("snapshot not found: " + path);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  if (contents.size() < kHeaderBytes) {
+    return Status::InvalidArgument("snapshot: short header");
+  }
+  Decoder header(std::string_view(contents).substr(0, kHeaderBytes));
+  uint32_t magic = 0, version = 0, payload_crc = 0, header_crc = 0;
+  uint64_t payload_len = 0;
+  WFIT_CHECK(header.GetU32(&magic).ok() && header.GetU32(&version).ok() &&
+                 header.GetU64(&payload_len).ok() &&
+                 header.GetU32(&payload_crc).ok() &&
+                 header.GetU32(&header_crc).ok(),
+             "fixed-size header must decode");
+  if (Crc32(std::string_view(contents).substr(0, kHeaderBytes - 4)) !=
+      header_crc) {
+    return Status::InvalidArgument("snapshot: header checksum mismatch");
+  }
+  if (magic != kSnapshotMagic) {
+    return Status::InvalidArgument("snapshot: bad magic");
+  }
+  if (version != kSnapshotVersion) {
+    return Status::InvalidArgument("snapshot: version mismatch (file v" +
+                                   std::to_string(version) + ", reader v" +
+                                   std::to_string(kSnapshotVersion) + ")");
+  }
+  if (contents.size() - kHeaderBytes != payload_len) {
+    return Status::InvalidArgument("snapshot: payload length mismatch");
+  }
+  std::string_view payload =
+      std::string_view(contents).substr(kHeaderBytes, payload_len);
+  if (Crc32(payload) != payload_crc) {
+    return Status::InvalidArgument("snapshot: payload checksum mismatch");
+  }
+
   Decoder d(payload);
   SnapshotMeta decoded;
   WFIT_RETURN_IF_ERROR(d.GetU64(&decoded.analyzed));
@@ -356,117 +426,6 @@ Status DecodeSnapshotPayload(std::string_view payload, Tuner* tuner,
   }
   *meta = decoded;
   return Status::Ok();
-}
-
-Status WriteFramedFile(const std::string& path, uint32_t magic,
-                       uint32_t version, std::string_view payload) {
-  const std::string header = EncodeHeader(magic, version, payload);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return ErrnoStatus("open", path);
-  bool ok =
-      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
-      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size() &&
-      std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) return Status::Internal("framed write failed: " + path);
-  return Status::Ok();
-}
-
-StatusOr<uint64_t> WriteFramedFileDurable(const std::string& dir,
-                                          const std::string& filename,
-                                          uint32_t magic, uint32_t version,
-                                          std::string_view payload) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) return Status::Internal("create_directories " + dir);
-  const std::string final_path = (fs::path(dir) / filename).string();
-  const std::string tmp_path = final_path + ".tmp";
-  WFIT_RETURN_IF_ERROR(WriteFramedFile(tmp_path, magic, version, payload));
-  uint64_t bytes = static_cast<uint64_t>(fs::file_size(tmp_path, ec));
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) return Status::Internal("rename " + tmp_path);
-  WFIT_RETURN_IF_ERROR(SyncDir(dir));
-  return bytes;
-}
-
-StatusOr<uint64_t> WriteSnapshotPayload(const std::string& dir,
-                                        std::string_view payload,
-                                        uint64_t analyzed) {
-  return WriteFramedFileDurable(dir, SnapshotName(analyzed), kSnapshotMagic,
-                                kSnapshotVersion, payload);
-}
-
-StatusOr<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
-                                     uint32_t version) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("framed file not found: " + path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (contents.size() < kHeaderBytes) {
-    return Status::InvalidArgument("framed file: short header");
-  }
-  Decoder header(std::string_view(contents).substr(0, kHeaderBytes));
-  uint32_t file_magic = 0, file_version = 0, payload_crc = 0, header_crc = 0;
-  uint64_t payload_len = 0;
-  WFIT_CHECK(header.GetU32(&file_magic).ok() &&
-                 header.GetU32(&file_version).ok() &&
-                 header.GetU64(&payload_len).ok() &&
-                 header.GetU32(&payload_crc).ok() &&
-                 header.GetU32(&header_crc).ok(),
-             "fixed-size header must decode");
-  if (Crc32(std::string_view(contents).substr(0, kHeaderBytes - 4)) !=
-      header_crc) {
-    return Status::InvalidArgument("framed file: header checksum mismatch");
-  }
-  if (file_magic != magic) {
-    return Status::InvalidArgument("framed file: bad magic");
-  }
-  if (file_version != version) {
-    return Status::InvalidArgument("framed file: version mismatch (file v" +
-                                   std::to_string(file_version) +
-                                   ", reader v" + std::to_string(version) +
-                                   ")");
-  }
-  if (contents.size() - kHeaderBytes != payload_len) {
-    return Status::InvalidArgument("framed file: payload length mismatch");
-  }
-  std::string payload = contents.substr(kHeaderBytes, payload_len);
-  if (Crc32(payload) != payload_crc) {
-    return Status::InvalidArgument("framed file: payload checksum mismatch");
-  }
-  return payload;
-}
-
-Status WriteSnapshotFile(const std::string& path, const Tuner& tuner,
-                         const IndexPool& pool, const SnapshotMeta& meta) {
-  auto payload = EncodeSnapshotPayload(tuner, pool, meta);
-  WFIT_RETURN_IF_ERROR(payload.status());
-  return WriteFramedFile(path, kSnapshotMagic, kSnapshotVersion, *payload);
-}
-
-StatusOr<uint64_t> WriteSnapshot(const std::string& dir, const Tuner& tuner,
-                                 const IndexPool& pool,
-                                 const SnapshotMeta& meta, size_t keep) {
-  auto payload = EncodeSnapshotPayload(tuner, pool, meta);
-  WFIT_RETURN_IF_ERROR(payload.status());
-  auto bytes = WriteSnapshotPayload(dir, *payload, meta.analyzed);
-  WFIT_RETURN_IF_ERROR(bytes.status());
-  // Prune: keep the newest `keep` (fallback depth), drop the rest.
-  std::error_code ec;
-  std::vector<std::string> snapshots = ListSnapshots(dir);
-  for (size_t i = keep; i < snapshots.size(); ++i) {
-    fs::remove(snapshots[i], ec);
-  }
-  return *bytes;
-}
-
-Status ReadSnapshot(const std::string& path, Tuner* tuner, IndexPool* pool,
-                    SnapshotMeta* meta) {
-  WFIT_CHECK(tuner != nullptr && pool != nullptr && meta != nullptr,
-             "ReadSnapshot requires tuner, pool and meta");
-  auto payload = ReadFramedFile(path, kSnapshotMagic, kSnapshotVersion);
-  WFIT_RETURN_IF_ERROR(payload.status());
-  return DecodeSnapshotPayload(*payload, tuner, pool, meta);
 }
 
 std::vector<std::string> ListSnapshots(const std::string& dir) {

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "catalog/index.h"
@@ -61,46 +60,6 @@ struct SnapshotMeta {
 Status WriteSnapshotFile(const std::string& path, const Tuner& tuner,
                          const IndexPool& pool, const SnapshotMeta& meta);
 
-/// The canonical snapshot payload (the bytes a full snapshot file carries
-/// after its header). Deterministic: the same tuner state always encodes
-/// to the same bytes — the property delta snapshots (persist/delta.h)
-/// diff against.
-StatusOr<std::string> EncodeSnapshotPayload(const Tuner& tuner,
-                                            const IndexPool& pool,
-                                            const SnapshotMeta& meta);
-
-/// Inverse of EncodeSnapshotPayload: restores tuner + pool from a payload
-/// already stripped of its header and CRC-verified.
-Status DecodeSnapshotPayload(std::string_view payload, Tuner* tuner,
-                             IndexPool* pool, SnapshotMeta* meta);
-
-/// Header-verifies a framed file (magic, version, payload length + CRC)
-/// and returns its payload. InvalidArgument on any damage. Shared by
-/// snapshots (kSnapshotMagic) and deltas (kDeltaMagic).
-StatusOr<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
-                                     uint32_t version);
-
-/// Writes header + payload to `path` and fsyncs it. Non-atomic.
-Status WriteFramedFile(const std::string& path, uint32_t magic,
-                       uint32_t version, std::string_view payload);
-
-/// Durable framed write into `dir`: tmp file + fsync + rename + directory
-/// fsync. Returns the file size in bytes.
-StatusOr<uint64_t> WriteFramedFileDurable(const std::string& dir,
-                                          const std::string& filename,
-                                          uint32_t magic, uint32_t version,
-                                          std::string_view payload);
-
-/// Durable write of an already-encoded canonical payload under the
-/// managed name snapshot-<analyzed>.wfsnap. Does NOT prune — callers that
-/// maintain delta chains prune via PruneCheckpointDir (persist/delta.h).
-StatusOr<uint64_t> WriteSnapshotPayload(const std::string& dir,
-                                        std::string_view payload,
-                                        uint64_t analyzed);
-
-/// Canonical managed file name: snapshot-<analyzed, zero-padded>.wfsnap.
-std::string SnapshotFileName(uint64_t analyzed);
-
 /// Atomic managed write into `dir` under the canonical name
 /// snapshot-<analyzed>.wfsnap; keeps the newest `keep` snapshots and prunes
 /// the rest. Returns the snapshot size in bytes.
@@ -125,17 +84,12 @@ struct SnapshotLoadResult {
   std::string path;
   /// Corrupt / version-mismatched snapshots skipped before one restored.
   uint64_t skipped = 0;
-  /// Deltas applied on top of the full snapshot (LoadLatestCheckpoint;
-  /// always 0 for the plain full-snapshot loader).
-  uint64_t deltas_applied = 0;
 };
 
-/// Tries full snapshots newest-first until one restores cleanly; corrupt
-/// or mismatched files are skipped (fallback to the previous snapshot). Ok
+/// Tries snapshots newest-first until one restores cleanly; corrupt or
+/// mismatched files are skipped (fallback to the previous snapshot). Ok
 /// with loaded == false when the directory holds no usable snapshot (cold
-/// start — recovery then replays the journal from the beginning). Ignores
-/// delta files; chain-aware recovery is LoadLatestCheckpoint
-/// (persist/delta.h).
+/// start — recovery then replays the journal from the beginning).
 SnapshotLoadResult LoadLatestSnapshot(const std::string& dir, Tuner* tuner,
                                       IndexPool* pool);
 

@@ -60,8 +60,8 @@ std::string EncodeTenantDir(const std::string& tenant_id) {
   for (char c : tenant_id) {
     // A leading '_' is escaped even though '_' is safe elsewhere: names
     // starting with '_' are reserved for non-tenant subtrees of the
-    // checkpoint root (the "_archive" cold tier), so the encoder must
-    // never produce one. Decoding is unchanged ("%5F" was always an
+    // checkpoint root (e.g. "_archive" from older builds), so the encoder
+    // must never produce one. Decoding is unchanged ("%5F" was always an
     // escape for '_').
     if (SafeChar(c) && !(out.empty() && c == '_')) {
       out += c;
@@ -131,8 +131,8 @@ StatusOr<std::vector<std::string>> ListTenantIds(const std::string& root,
       const std::string name = it->path().filename().string();
       const std::string id = DecodeTenantDir(name);
       if (!name.empty() && name[0] == '_') {
-        // Reserved non-tenant subtree (the "_archive" cold tier): not a
-        // stray, not a tenant.
+        // Reserved non-tenant subtree (e.g. "_archive" from older
+        // builds): not a stray, not a tenant.
       } else if (EncodeTenantDir(id) == name) {
         ids.push_back(id);
       } else {
@@ -213,7 +213,7 @@ Status UnpackCheckpointDir(std::string_view pack, const std::string& dir) {
     return Status::InvalidArgument("unpack: unsupported pack version " +
                                    std::to_string(version));
   }
-  WFIT_RETURN_IF_ERROR(d.GetU32(&count));
+  WFIT_RETURN_IF_ERROR(d.GetCount(&count, 8));  // two length prefixes
   // Fully decode (and vet names) before touching the filesystem so a
   // corrupt pack rejects without side effects.
   std::vector<std::pair<std::string, std::string>> files;

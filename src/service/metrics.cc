@@ -204,10 +204,6 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
   }
   Gauge(os, "snapshot_bytes", s.last_snapshot_bytes,
         "Size of the last snapshot written");
-  Counter(os, "checkpoints_delta_total", s.checkpoints_delta,
-          "Checkpoints written as delta snapshots");
-  Gauge(os, "delta_bytes", s.last_delta_bytes,
-        "Size of the last delta snapshot written");
   Counter(os, "journal_records_total", s.journal_records,
           "Records in the write-ahead journal");
   Counter(os, "journal_bytes_total", s.journal_bytes,
@@ -217,7 +213,7 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
   Counter(os, "journal_failures_total", s.journal_failures,
           "Journal write/fsync failures (nonzero = journaling disabled)");
   Counter(os, "journal_compactions_total", s.journal_compactions,
-          "Journal prefix rewrites after a full checkpoint");
+          "Journal prefix rewrites after a checkpoint");
   Counter(os, "journal_compacted_bytes_total", s.journal_compacted_bytes,
           "Journal bytes reclaimed by compaction");
   Gauge(os, "recovery_snapshot_loaded", s.recovery_snapshot_loaded,
@@ -334,8 +330,6 @@ void AccumulateCounters(MetricsSnapshot* into, const MetricsSnapshot& from) {
   into->last_checkpoint_unix_seconds = std::max(
       into->last_checkpoint_unix_seconds, from.last_checkpoint_unix_seconds);
   into->last_snapshot_bytes += from.last_snapshot_bytes;
-  into->checkpoints_delta += from.checkpoints_delta;
-  into->last_delta_bytes += from.last_delta_bytes;
   into->journal_records += from.journal_records;
   into->journal_bytes += from.journal_bytes;
   into->journal_syncs += from.journal_syncs;
@@ -557,8 +551,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
           last_checkpoint_unix_ms_.load(std::memory_order_relaxed)) /
       1000.0;
   s.last_snapshot_bytes = last_snapshot_bytes_.load(std::memory_order_relaxed);
-  s.checkpoints_delta = checkpoints_delta_.load(std::memory_order_relaxed);
-  s.last_delta_bytes = last_delta_bytes_.load(std::memory_order_relaxed);
   s.journal_records = journal_records_.load(std::memory_order_relaxed);
   s.journal_bytes = journal_bytes_.load(std::memory_order_relaxed);
   s.journal_syncs = journal_syncs_.load(std::memory_order_relaxed);

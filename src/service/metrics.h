@@ -67,14 +67,10 @@ struct MetricsSnapshot {
   uint64_t last_checkpoint_seq = 0;       // analyzed count at last snapshot
   double last_checkpoint_unix_seconds = 0.0;  // wall time of last snapshot
   uint64_t last_snapshot_bytes = 0;
-  /// Delta snapshots: checkpoints that shipped only the state diff since
-  /// the previous checkpoint. checkpoints_written counts both kinds.
-  uint64_t checkpoints_delta = 0;
-  uint64_t last_delta_bytes = 0;
   uint64_t journal_records = 0;           // records in the journal file
   uint64_t journal_bytes = 0;
   uint64_t journal_syncs = 0;
-  /// Journal prefix rewrites after a full checkpoint, and the bytes they
+  /// Journal prefix rewrites after a checkpoint, and the bytes they
   /// reclaimed.
   uint64_t journal_compactions = 0;
   uint64_t journal_compacted_bytes = 0;
@@ -189,19 +185,11 @@ class ServiceMetrics : public obs::StageSink {
   void SetAnalysisThreads(uint64_t n) {
     analysis_threads_.store(n, std::memory_order_relaxed);
   }
-  /// `full` distinguishes a complete snapshot from a delta: snapshot_bytes
-  /// stays the size of the last FULL image (the recovery floor), while
-  /// delta writes only advance the delta gauges.
   void OnCheckpoint(uint64_t analyzed_seq, uint64_t bytes,
-                    double unix_seconds, bool full = true) {
+                    double unix_seconds) {
     checkpoints_.fetch_add(1, std::memory_order_relaxed);
     last_checkpoint_seq_.store(analyzed_seq, std::memory_order_relaxed);
-    if (full) {
-      last_snapshot_bytes_.store(bytes, std::memory_order_relaxed);
-    } else {
-      checkpoints_delta_.fetch_add(1, std::memory_order_relaxed);
-      last_delta_bytes_.store(bytes, std::memory_order_relaxed);
-    }
+    last_snapshot_bytes_.store(bytes, std::memory_order_relaxed);
     last_checkpoint_unix_ms_.store(
         static_cast<uint64_t>(unix_seconds * 1000.0),
         std::memory_order_relaxed);
@@ -266,8 +254,6 @@ class ServiceMetrics : public obs::StageSink {
   std::atomic<uint64_t> last_checkpoint_seq_{0};
   std::atomic<uint64_t> last_checkpoint_unix_ms_{0};
   std::atomic<uint64_t> last_snapshot_bytes_{0};
-  std::atomic<uint64_t> checkpoints_delta_{0};
-  std::atomic<uint64_t> last_delta_bytes_{0};
   std::atomic<uint64_t> journal_records_{0};
   std::atomic<uint64_t> journal_bytes_{0};
   std::atomic<uint64_t> journal_syncs_{0};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "common/check.h"
@@ -89,16 +88,6 @@ void ExportRouterText(const RouterMetricsSnapshot& s, std::ostream& os) {
   RouterCounter(os, "empty_turns_total", s.empty_turns,
                 "Scheduler turns that drained nothing (shard idled, not "
                 "re-queued)");
-  RouterCounter(os, "tenants_archived_total", s.tenants_archived,
-                "Cold tenant checkpoint trees packed into the archive");
-  RouterCounter(os, "tenants_unarchived_total", s.tenants_unarchived,
-                "Archived tenant trees restored on re-touch");
-  RouterGauge(os, "archive_segments", s.archive_segments,
-              "Segment files in the cold-tenant archive");
-  RouterGauge(os, "archive_live_bytes", s.archive_live_bytes,
-              "Bytes of live (reachable) entries in the archive");
-  RouterGauge(os, "archive_segment_bytes", s.archive_segment_bytes,
-              "Total bytes of archive segment files, dead entries included");
   RouterCounter(os, "group_commit_cycles_total", s.group_commit_cycles,
                 "Drain windows the shared fsync batcher completed");
   RouterCounter(os, "group_commit_sync_calls_total",
@@ -137,21 +126,6 @@ TenantRouter::TenantRouter(TunerFactory factory, TenantRouterOptions options)
              "set TenantRouterOptions::group_commit instead");
   if (options_.group_commit && !options_.checkpoint_root.empty()) {
     batcher_ = std::make_unique<FsyncBatcher>(options_.group_commit_options);
-  }
-  if (options_.archive_cold_tenants && !options_.checkpoint_root.empty()) {
-    persist::ArchiveStore::Options aopts;
-    aopts.max_segment_bytes = options_.archive_segment_bytes;
-    auto opened = persist::ArchiveStore::Open(options_.checkpoint_root,
-                                              aopts);
-    if (opened.ok()) {
-      archive_ = std::make_unique<persist::ArchiveStore>(
-          std::move(opened).value());
-    } else {
-      // A damaged archive must not take routing down: per-tenant trees
-      // still work, only the cold tier is unavailable.
-      obs::Log(obs::LogLevel::kError, "router.archive_open_failed")
-          .Str("error", opened.status().ToString());
-    }
   }
 }
 
@@ -261,18 +235,6 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
                "a checkpointing TenantRouter requires the factory to "
                "supply the tenant's index pool");
     shard_options.fsync_batcher = batcher_.get();
-    // An archived tenant's tree comes back out of the cold tier before
-    // recovery looks at the directory. Failing admission (rather than
-    // starting cold) keeps a damaged archive from silently forking the
-    // tenant's trajectory at sequence 0.
-    Status materialized =
-        MaterializeLocked(id, shard_options.checkpoint_dir);
-    if (!materialized.ok()) {
-      obs::Log(obs::LogLevel::kError, "router.unarchive_failed")
-          .Str("tenant", id)
-          .Str("error", materialized.ToString());
-      return nullptr;
-    }
   }
   RecoveryStats recovery;
   auto opened = TunerService::Open(std::move(made.tuner), made.pool,
@@ -799,77 +761,7 @@ std::vector<std::string> TenantRouter::ResidentTenants() const {
 std::vector<std::string> TenantRouter::PersistedTenants() const {
   if (options_.checkpoint_root.empty()) return {};
   auto ids = persist::ListTenantIds(options_.checkpoint_root);
-  std::vector<std::string> all = ids.ok() ? *ids : std::vector<std::string>{};
-  if (archive_ != nullptr) {
-    // Archived tenants are persisted too — just colder. A tenant both on
-    // disk and archived (crash between pack and directory removal)
-    // appears once.
-    std::vector<std::string> archived = archive_->Tenants();
-    all.insert(all.end(), archived.begin(), archived.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-  }
-  return all;
-}
-
-Status TenantRouter::MaterializeLocked(const std::string& id,
-                                       const std::string& dir) {
-  if (archive_ == nullptr || !archive_->Contains(id)) return Status::Ok();
-  std::error_code ec;
-  if (std::filesystem::exists(dir, ec)) {
-    // Crash between pack and directory removal: the directory is
-    // authoritative (archival makes packs durable first), so the archive
-    // entry is the stale copy.
-    return archive_->Drop(id);
-  }
-  StatusOr<std::string> pack = archive_->Fetch(id);
-  if (!pack.ok()) return pack.status();
-  WFIT_RETURN_IF_ERROR(persist::UnpackCheckpointDir(*pack, dir));
-  ++tenants_unarchived_;
-  return archive_->Drop(id);
-}
-
-Status TenantRouter::EnsureTenantMaterialized(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.checkpoint_root.empty()) return Status::Ok();
-  return MaterializeLocked(
-      tenant, persist::TenantCheckpointDir(options_.checkpoint_root, tenant));
-}
-
-StatusOr<size_t> TenantRouter::ArchiveColdTenants() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (archive_ == nullptr || options_.checkpoint_root.empty()) return 0;
-  auto listed = persist::ListTenantIds(options_.checkpoint_root);
-  if (!listed.ok()) return listed.status();
-  // Phase 1: pack + stage every cold tree, then one durable Flush.
-  std::vector<std::string> staged;
-  for (const std::string& id : *listed) {
-    auto it = tenants_.find(id);
-    if (it != tenants_.end() && it->second->service != nullptr) continue;
-    const std::string dir =
-        persist::TenantCheckpointDir(options_.checkpoint_root, id);
-    StatusOr<std::string> pack = persist::PackCheckpointDir(dir);
-    if (!pack.ok()) {
-      obs::Log(obs::LogLevel::kWarn, "router.archive_pack_failed")
-          .Str("tenant", id)
-          .Str("error", pack.status().ToString());
-      continue;  // directory stays; it is simply not cold-tiered
-    }
-    WFIT_RETURN_IF_ERROR(archive_->Stage(id, std::move(*pack)));
-    staged.push_back(id);
-  }
-  WFIT_RETURN_IF_ERROR(archive_->Flush());
-  // Phase 2: every staged pack is durable in a segment — only now do the
-  // directories go. A crash mid-removal leaves some directories behind;
-  // they win over their archive entries at the next touch (stale entry
-  // dropped), so nothing is lost either way.
-  for (const std::string& id : staged) {
-    std::error_code ec;
-    std::filesystem::remove_all(
-        persist::TenantCheckpointDir(options_.checkpoint_root, id), ec);
-    ++tenants_archived_;
-  }
-  return staged.size();
+  return ids.ok() ? *ids : std::vector<std::string>{};
 }
 
 RouterMetricsSnapshot TenantRouter::Metrics() const {
@@ -896,14 +788,6 @@ RouterMetricsSnapshot TenantRouter::Metrics() const {
   s.evictions = evictions_;
   s.resident_footprint_bytes = resident_bytes_;
   s.empty_turns = empty_turns_;
-  s.tenants_archived = tenants_archived_;
-  s.tenants_unarchived = tenants_unarchived_;
-  if (archive_ != nullptr) {
-    persist::ArchiveStats a = archive_->GetStats();
-    s.archive_segments = a.segments;
-    s.archive_live_bytes = a.live_bytes;
-    s.archive_segment_bytes = a.segment_bytes;
-  }
   if (batcher_ != nullptr) {
     FsyncBatcher::Stats b = batcher_->GetStats();
     s.group_commit_cycles = b.cycles;

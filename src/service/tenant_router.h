@@ -50,7 +50,6 @@
 #include "common/worker_pool.h"
 #include "core/index_set.h"
 #include "core/tuner.h"
-#include "persist/archive.h"
 #include "service/fsync_batcher.h"
 #include "service/metrics.h"
 #include "service/tuner_service.h"
@@ -150,14 +149,6 @@ struct TenantRouterOptions {
   /// see FsyncBatcher.
   bool group_commit = false;
   FsyncBatcher::Options group_commit_options;
-  /// Cold-tenant archival: ArchiveColdTenants() packs the checkpoint
-  /// trees of evicted tenants into append-only archive segments under
-  /// <checkpoint_root>/_archive/ and removes their directories; the next
-  /// touch (or migration) restores the tree transparently. Off keeps
-  /// every evicted tenant as a live directory.
-  bool archive_cold_tenants = false;
-  /// Segment size the archive batches staged packs into.
-  uint64_t archive_segment_bytes = 4 * 1024 * 1024;
   /// Optional crash-safe vote re-registration hook (see VoteRepinner).
   VoteRepinner repin;
   /// QoS class applied to tenants without an explicit entry below.
@@ -195,12 +186,6 @@ struct RouterMetricsSnapshot {
   /// work vanished between scheduling and the turn); such a shard is idled
   /// instead of being re-queued, so the ring never spins on it.
   uint64_t empty_turns = 0;
-  // Cold-tenant archival (zero when archival is off).
-  uint64_t tenants_archived = 0;    // counter: trees packed into segments
-  uint64_t tenants_unarchived = 0;  // counter: trees restored on re-touch
-  uint64_t archive_segments = 0;
-  uint64_t archive_live_bytes = 0;
-  uint64_t archive_segment_bytes = 0;
   // Group commit (zero when no shared batcher is configured).
   uint64_t group_commit_cycles = 0;
   uint64_t group_commit_sync_calls = 0;
@@ -349,30 +334,9 @@ class TenantRouter {
   /// Tenant ids with a live shard right now, sorted.
   std::vector<std::string> ResidentTenants() const;
 
-  /// Tenant ids found under checkpoint_root on disk OR in the archive
-  /// (what a restarted router can re-admit), sorted. Empty without a
-  /// checkpoint_root.
+  /// Tenant ids found under checkpoint_root on disk (what a restarted
+  /// router can re-admit), sorted. Empty without a checkpoint_root.
   std::vector<std::string> PersistedTenants() const;
-
-  // --- Cold-tenant archival ----------------------------------------------
-  /// Packs every cold tenant's checkpoint directory into the archive and
-  /// removes the directory. Cold = on disk under checkpoint_root but not
-  /// resident. Two-phase: every pack is durable in a segment BEFORE any
-  /// directory is removed, so a crash in between leaves the directory
-  /// authoritative (the stale archive entry is dropped at the next
-  /// touch). Returns how many tenants were archived; 0 when archival is
-  /// disabled.
-  StatusOr<size_t> ArchiveColdTenants();
-
-  /// Restores the tenant's checkpoint directory from the archive if (and
-  /// only if) it is archived and the directory is missing — the form a
-  /// migration source needs before packing the tree for handoff. Ok when
-  /// there is nothing to do.
-  Status EnsureTenantMaterialized(const std::string& tenant);
-
-  /// The archive tier, or nullptr when archival is disabled. Externally
-  /// synchronized: callers must not race routed operations.
-  persist::ArchiveStore* archive() { return archive_.get(); }
 
   RouterMetricsSnapshot Metrics() const;
   /// ExportRouterText(Metrics()) plus per-tenant eviction counters.
@@ -445,17 +409,12 @@ class TenantRouter {
   /// Pops the next ready shard, marking it running. Lock held.
   Tenant* NextReadyLocked();
 
-  /// Restores an archived tenant's directory ahead of admission (live
-  /// directory wins; the archive entry is then dropped). Lock held.
-  Status MaterializeLocked(const std::string& id, const std::string& dir);
-
   TunerFactory factory_;
   TenantRouterOptions options_;
   std::unique_ptr<WorkerPool> analysis_pool_;  // shared; null when serial
   /// Declared before tenants_: shards Forget() their journal fds into the
   /// batcher when they close, so it must outlive every shard.
   std::unique_ptr<FsyncBatcher> batcher_;
-  std::unique_ptr<persist::ArchiveStore> archive_;
 
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
@@ -470,8 +429,6 @@ class TenantRouter {
   uint64_t resident_count_ = 0;
   uint64_t resident_bytes_ = 0;
   uint64_t empty_turns_ = 0;
-  uint64_t tenants_archived_ = 0;
-  uint64_t tenants_unarchived_ = 0;
 };
 
 }  // namespace wfit::service

@@ -105,18 +105,12 @@ Status TunerService::Recover(RecoveryStats* stats) {
     return Status::Internal("cannot create checkpoint dir " + dir);
   }
 
-  {
-    persist::DeltaCheckpointer::Options copts;
-    copts.enable_deltas = options_.delta_snapshots;
-    copts.full_every = options_.full_snapshot_every;
-    checkpointer_ = persist::DeltaCheckpointer(copts);
-  }
-  persist::SnapshotLoadResult loaded = persist::LoadLatestCheckpoint(
-      dir, tuner_.get(), pool_, &checkpointer_);
+  persist::SnapshotLoadResult loaded =
+      persist::LoadLatestSnapshot(dir, tuner_.get(), pool_);
   stats->snapshot_loaded = loaded.loaded;
   stats->snapshot_analyzed = loaded.meta.analyzed;
   stats->snapshots_skipped = loaded.skipped;
-  stats->deltas_applied = loaded.deltas_applied;
+  newest_snapshot_lsn_ = loaded.meta.journal_lsn;  // 0 on a cold start
   if (loaded.loaded) {
     // Overload-controller state at the snapshot point; journaled epoch
     // records past the snapshot LSN override it below as replay reaches
@@ -315,7 +309,9 @@ Status TunerService::Recover(RecoveryStats* stats) {
         .U64("journal_records", total_records);
     // Overwrite the newest snapshot with one whose journal_lsn matches the
     // actual file, so the next recovery replays from a consistent base.
+    // The overwritten snapshot no longer counts toward compaction.
     have_checkpoint_ = false;
+    newest_snapshot_lsn_ = 0;
     MaybeCheckpoint(/*force=*/true);
   }
   metrics_.SetRecovery(stats->snapshot_loaded, stats->snapshots_skipped,
@@ -789,22 +785,23 @@ void TunerService::MaybeCheckpoint(bool force) {
   meta.overload.dup_window.assign(dup_window_.begin(), dup_window_.end());
   obs::SpanGuard span("checkpoint");
   obs::StageTimer timer(obs::Stage::kCheckpointWrite);
-  StatusOr<persist::DeltaCheckpointer::Result> result =
-      checkpointer_.Write(options_.checkpoint_dir, *tuner_, *pool_, meta);
-  if (!result.ok()) {
+  StatusOr<uint64_t> bytes =
+      persist::WriteSnapshot(options_.checkpoint_dir, *tuner_, *pool_, meta);
+  if (!bytes.ok()) {
     metrics_.OnCheckpointFailure();
     obs::Log(obs::LogLevel::kWarn, "checkpoint.failed")
         .U64("analyzed", analyzed)
-        .Str("error", result.status().ToString());
+        .Str("error", bytes.status().ToString());
     return;
   }
   last_checkpoint_analyzed_ = analyzed;
   have_checkpoint_ = true;
-  metrics_.OnCheckpoint(analyzed, result->bytes, UnixSeconds(),
-                        result->wrote_full);
-  if (result->wrote_full && result->cover_lsn > 0) {
-    MaybeCompactJournal(result->cover_lsn);
-  }
+  metrics_.OnCheckpoint(analyzed, *bytes, UnixSeconds());
+  // Compact only behind two durable snapshots: a lone snapshot that later
+  // proves corrupt must still have its journal prefix to replay.
+  const uint64_t cover_lsn = newest_snapshot_lsn_;
+  newest_snapshot_lsn_ = meta.journal_lsn;
+  if (cover_lsn > 0) MaybeCompactJournal(cover_lsn);
 }
 
 void TunerService::MaybeCompactJournal(uint64_t cover_lsn) {
@@ -814,7 +811,7 @@ void TunerService::MaybeCompactJournal(uint64_t cover_lsn) {
   const std::string path =
       (fs::path(options_.checkpoint_dir) / kJournalFile).string();
   // The rewrite needs the writer closed (and its fd forgotten from any
-  // batcher) — everything durable already, since a full checkpoint just
+  // batcher) — everything durable already, since a checkpoint just
   // synced.
   const uint64_t old_bytes = journal_->bytes();
   CloseJournal();

@@ -47,7 +47,6 @@
 #include "common/worker_pool.h"
 #include "core/index_set.h"
 #include "core/tuner.h"
-#include "persist/delta.h"
 #include "persist/journal.h"
 #include "service/ingest_queue.h"
 #include "service/metrics.h"
@@ -124,14 +123,7 @@ struct TunerServiceOptions {
   /// whenever applied feedback precedes further analysis. Disabling trades
   /// crash durability for throughput (the journal is still written).
   bool sync_journal = true;
-  /// Write most checkpoints as delta snapshots (the diff since the last
-  /// checkpoint, chained by CRC back to a full image). Recovery applies
-  /// the chain; any corruption falls back to the newest intact full.
-  bool delta_snapshots = true;
-  /// Force a full snapshot after this many consecutive deltas. Bounds both
-  /// recovery work and the blast radius of a corrupt delta.
-  uint64_t full_snapshot_every = 8;
-  /// After a full checkpoint covers a journal prefix (two durable fulls),
+  /// After a checkpoint covers a journal prefix (two durable snapshots),
   /// rewrite the journal without it. Keeps steady-state journal size
   /// proportional to the checkpoint interval, not total history.
   bool compact_journal = true;
@@ -172,8 +164,6 @@ struct RecoveryStats {
   uint64_t snapshot_analyzed = 0;
   /// Corrupt / version-mismatched snapshots skipped before one loaded.
   uint64_t snapshots_skipped = 0;
-  /// Delta snapshots applied on top of the restored full image.
-  uint64_t deltas_applied = 0;
   uint64_t replayed_statements = 0;
   uint64_t replayed_feedback = 0;
   /// Statements that were WAL-journaled but not yet durably analyzed at
@@ -427,7 +417,7 @@ class TunerService {
   /// Snapshot at a batch boundary once the cadence has elapsed (`force`
   /// for the shutdown checkpoint).
   void MaybeCheckpoint(bool force);
-  /// After a full checkpoint extended the covered horizon: rewrite the
+  /// After a checkpoint extended the covered horizon: rewrite the
   /// journal without the covered prefix and reopen the writer in the
   /// shifted LSN domain.
   void MaybeCompactJournal(uint64_t cover_lsn);
@@ -441,10 +431,10 @@ class TunerService {
   IndexPool* pool_ = nullptr;
   std::unique_ptr<persist::JournalWriter> journal_;
   bool journal_dirty_ = false;
-  /// Delta/full checkpoint state machine (diff base, chain position,
-  /// covered-LSN horizon). Lives even when delta_snapshots is off — it
-  /// then just writes fulls and tracks the compaction horizon.
-  persist::DeltaCheckpointer checkpointer_;
+  /// journal_lsn of the newest durable snapshot (0 while there is none).
+  /// The next checkpoint makes it the older of the two retained
+  /// snapshots, and so the compaction horizon.
+  uint64_t newest_snapshot_lsn_ = 0;
   /// Required syncs served through the shared batcher; added to the
   /// writer's own syncs() for the journal_syncs metric.
   uint64_t batched_syncs_ = 0;

@@ -1,4 +1,4 @@
-// Journal compaction under the service: once two full checkpoints make a
+// Journal compaction under the service: once two checkpoints make a
 // journal prefix redundant, the service rewrites the journal without it —
 // and a crash at ANY point afterwards (snapshots + a compacted journal
 // whose LSN domain no longer starts at zero) still recovers the exact
@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "core/wfit.h"
-#include "persist/delta.h"
 #include "persist/journal.h"
+#include "persist/snapshot.h"
 #include "service/tuner_service.h"
 #include "tests/test_util.h"
 
@@ -67,8 +67,7 @@ std::string FreshDir(const std::string& tag) {
 }
 
 /// Aggressive-compaction durability options: checkpoints every 20
-/// statements, a full every other checkpoint, journal rewritten as soon
-/// as a prefix is covered.
+/// statements, journal rewritten as soon as a prefix is covered.
 TunerServiceOptions CompactingOptions(const std::string& dir) {
   TunerServiceOptions options;
   options.queue_capacity = 64;
@@ -77,7 +76,6 @@ TunerServiceOptions CompactingOptions(const std::string& dir) {
   options.checkpoint_dir = dir;
   options.checkpoint_every_statements = 20;
   options.checkpoint_on_shutdown = false;  // crash-realistic
-  options.full_snapshot_every = 2;
   options.journal_compact_min_bytes = 1024;
   return options;
 }
@@ -116,8 +114,8 @@ TEST(CompactionTest, RecoveryFromACompactedJournalIsBitIdentical) {
     (*service)->Shutdown();
     MetricsSnapshot m = (*service)->Metrics();
     compactions = m.journal_compactions;
-    // 137 statements / 20 per checkpoint / full every 2nd = enough fulls
-    // for the covered horizon to advance repeatedly.
+    // 137 statements / 20 per checkpoint = enough snapshots for the
+    // covered horizon to advance repeatedly.
     EXPECT_GE(compactions, 1u) << "compaction never triggered";
     EXPECT_GT(m.journal_compacted_bytes, 0u);
   }
@@ -182,6 +180,58 @@ TEST(CompactionTest, RepeatedCompactionKeepsJournalBounded) {
   EXPECT_GT(read->base_lsn, 0u);
 }
 
+TEST(CompactionTest, CompactsOnlyBehindTwoDurableSnapshots) {
+  // The covered horizon is the older of two durable snapshots. A service
+  // with one snapshot never compacts; after a restart the loaded snapshot
+  // counts, so the first new checkpoint compacts up to its journal_lsn.
+  const std::string dir = FreshDir("two");
+  TunerServiceOptions options = CompactingOptions(dir);
+  options.journal_compact_min_bytes = 0;
+  {
+    TestDb db;
+    Workload w = BuildWorkload(db, 45);
+    auto tuner = std::make_unique<Wfit>(&db.pool(), &db.optimizer(),
+                                        IndexSet{}, FastOptions());
+    auto service = TunerService::Open(std::move(tuner), &db.pool(), options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    (*service)->Start();
+    for (size_t i = 0; i < 25; ++i) ASSERT_TRUE((*service)->SubmitAt(i, w[i]));
+    ASSERT_TRUE((*service)->WaitUntilAnalyzed(25));
+    (*service)->Shutdown();
+    MetricsSnapshot m = (*service)->Metrics();
+    EXPECT_EQ(m.checkpoints_written, 1u);
+    EXPECT_EQ(m.journal_compactions, 0u);
+  }
+  std::vector<std::string> snapshots = persist::ListSnapshots(dir);
+  ASSERT_EQ(snapshots.size(), 1u);
+  persist::SnapshotMeta first;
+  {
+    TestDb db;
+    Wfit reader(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
+    ASSERT_TRUE(
+        persist::ReadSnapshot(snapshots[0], &reader, &db.pool(), &first)
+            .ok());
+  }
+  ASSERT_GT(first.journal_lsn, 0u);
+
+  TestDb db;
+  Workload w = BuildWorkload(db, 45);
+  auto tuner = std::make_unique<Wfit>(&db.pool(), &db.optimizer(),
+                                      IndexSet{}, FastOptions());
+  auto service = TunerService::Open(std::move(tuner), &db.pool(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  (*service)->Start();
+  for (size_t i = 25; i < 45; ++i) ASSERT_TRUE((*service)->SubmitAt(i, w[i]));
+  ASSERT_TRUE((*service)->WaitUntilAnalyzed(45));
+  (*service)->Shutdown();
+  MetricsSnapshot m = (*service)->Metrics();
+  EXPECT_EQ(m.checkpoints_written, 1u);
+  EXPECT_EQ(m.journal_compactions, 1u);
+  auto read = persist::ReadJournal((fs::path(dir) / "journal.wfj").string());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->base_lsn, first.journal_lsn);
+}
+
 TEST(CompactionTest, CompactionRacesConcurrentCheckpointWrite) {
   // The service serializes checkpointing and compaction on the worker
   // thread, but the two touch DIFFERENT files (snapshot tmp+rename vs
@@ -197,12 +247,12 @@ TEST(CompactionTest, CompactionRacesConcurrentCheckpointWrite) {
   Workload w = BuildWorkload(db, 120);
   Wfit tuner(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
 
-  persist::DeltaCheckpointer::Options copts;
-  copts.full_every = 1;  // every checkpoint full: cover advances fastest
-  persist::DeltaCheckpointer cp(copts);
   persist::JournalWriter journal;
   ASSERT_TRUE(journal.Open(journal_path, 0, 0).ok());
+  // The service's compaction rule: the horizon is the journal_lsn of the
+  // older of the two newest snapshots.
   uint64_t cover = 0;
+  uint64_t newest_lsn = 0;
   for (size_t i = 0; i < 120; ++i) {
     ASSERT_TRUE(journal.AppendStatement(i, w[i]).ok());
     tuner.AnalyzeQuery(w[i]);
@@ -212,9 +262,10 @@ TEST(CompactionTest, CompactionRacesConcurrentCheckpointWrite) {
       persist::SnapshotMeta meta;
       meta.analyzed = i + 1;
       meta.journal_lsn = journal.lsn();
-      auto r = cp.Write(dir, tuner, db.pool(), meta);
+      auto r = persist::WriteSnapshot(dir, tuner, db.pool(), meta);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      if (r->cover_lsn > 0) cover = r->cover_lsn;
+      cover = newest_lsn;
+      newest_lsn = meta.journal_lsn;
     }
   }
   ASSERT_TRUE(journal.Sync().ok());
@@ -231,7 +282,7 @@ TEST(CompactionTest, CompactionRacesConcurrentCheckpointWrite) {
   Status compact_status = Status::Ok();
   persist::CompactionResult compaction;
   std::thread writer([&] {
-    auto r = cp.Write(dir, tuner, db.pool(), meta);
+    auto r = persist::WriteSnapshot(dir, tuner, db.pool(), meta);
     write_status = r.status();
   });
   std::thread compactor([&] {
@@ -251,9 +302,8 @@ TEST(CompactionTest, CompactionRacesConcurrentCheckpointWrite) {
   Workload w2 = BuildWorkload(db2, 120);
   (void)w2;
   Wfit fresh(&db2.pool(), &db2.optimizer(), IndexSet{}, FastOptions());
-  persist::DeltaCheckpointer cp2;
   persist::SnapshotLoadResult loaded =
-      persist::LoadLatestCheckpoint(dir, &fresh, &db2.pool(), &cp2);
+      persist::LoadLatestSnapshot(dir, &fresh, &db2.pool());
   ASSERT_TRUE(loaded.loaded);
   EXPECT_EQ(loaded.meta.analyzed, 120u);
   EXPECT_EQ(loaded.skipped, 0u);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -16,6 +17,8 @@
 #include "core/wfa_plus.h"
 #include "core/wfit.h"
 #include "persist/journal.h"
+#include "persist/snapshot.h"
+#include "persist/tenant_tree.h"
 #include "service/tuner_service.h"
 #include "tests/test_util.h"
 
@@ -362,6 +365,101 @@ TEST(RecoveryTest, WalAheadOfAnalysisRequeuesIntakeAndKeepsVoteBoundaries) {
     if (i == 7) ref->Feedback(IndexSet{ref_ids[0]}, IndexSet{ref_ids[1]});
     ASSERT_EQ(history[i], ref->Recommendation())
         << "diverged at statement " << i;
+  }
+}
+
+TEST(RecoveryTest, UpgradedTreeIgnoresStrayDeltaAndArchive) {
+  // A checkpoint root written by an older build can hold a delta-snapshot
+  // file next to the snapshots and an "_archive" directory next to the
+  // tenant directories. Neither is read: recovery loads the newest
+  // snapshot and replays the journal suffix, and the archive directory is
+  // not a tenant. The first new snapshot deletes the stray delta.
+  const std::string root =
+      (fs::path(::testing::TempDir()) /
+       ("wfit_recovery_upgraded_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(root);
+  const std::string dir = persist::TenantCheckpointDir(root, "tenant-a");
+  TunerServiceOptions options = BaseOptions(1);
+  options.checkpoint_dir = dir;
+  options.checkpoint_every_statements = 50;
+  options.checkpoint_on_shutdown = false;
+  {
+    TestDb db;
+    std::vector<IndexId> ids = SeedIds(db);
+    Workload w = BuildWorkload(db, kTotal);
+    auto service = TunerService::Open(MakeTuner(Kind::kWfit, db),
+                                      &db.pool(), options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    (*service)->Start();
+    for (const Vote& v : MakeVotes(ids)) {
+      if (v.after < kCrashAt) {
+        (*service)->FeedbackAfter(v.after, v.plus, v.minus);
+      }
+    }
+    Produce(**service, w, 0, kCrashAt);
+    ASSERT_TRUE((*service)->WaitUntilAnalyzed(kCrashAt));
+    (*service)->Shutdown();
+  }
+  std::vector<std::string> snapshots = persist::ListSnapshots(dir);
+  ASSERT_FALSE(snapshots.empty());
+  const std::string newest = fs::path(snapshots[0]).filename().string();
+  // snapshot-<analyzed:020d>.wfsnap
+  const uint64_t newest_analyzed = std::stoull(newest.substr(9, 20));
+  // A delta chained to the newest snapshot and newer than it, as an older
+  // build named them; its bytes are garbage.
+  char delta_name[96];
+  std::snprintf(delta_name, sizeof(delta_name), "delta-%020llu-%020llu.wfdelta",
+                static_cast<unsigned long long>(newest_analyzed),
+                static_cast<unsigned long long>(kCrashAt));
+  const fs::path delta_path = fs::path(dir) / delta_name;
+  {
+    std::FILE* f = std::fopen(delta_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a delta snapshot", f);
+    std::fclose(f);
+    fs::create_directories(fs::path(root) / "_archive");
+    f = std::fopen(
+        (fs::path(root) / "_archive" / "seg-00000000000000000001.wfseg")
+            .c_str(),
+        "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not an archive segment", f);
+    std::fclose(f);
+  }
+  auto listed = persist::ListTenantIds(root);
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  EXPECT_EQ(*listed, std::vector<std::string>{"tenant-a"});
+
+  TestDb db;
+  std::vector<IndexId> ids = SeedIds(db);
+  Workload w = BuildWorkload(db, kTotal);
+  RecoveryStats stats;
+  auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
+                                    options, &stats);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.snapshot_analyzed, newest_analyzed);
+  EXPECT_EQ(stats.snapshots_skipped, 0u);
+  EXPECT_EQ(stats.analyzed, kCrashAt);
+  EXPECT_EQ(stats.replayed_statements, kCrashAt - newest_analyzed);
+  (*service)->Start();
+  for (const Vote& v : MakeVotes(ids)) {
+    if (v.after >= kCrashAt) {
+      (*service)->FeedbackAfter(v.after, v.plus, v.minus);
+    }
+  }
+  Produce(**service, w, 0, kTotal);
+  ASSERT_TRUE((*service)->WaitUntilAnalyzed(kTotal));
+  (*service)->Shutdown();
+  EXPECT_NE(persist::ListSnapshots(dir).front(), snapshots.front());
+  EXPECT_FALSE(fs::exists(delta_path));
+  std::vector<IndexSet> recovered = (*service)->History();
+  std::vector<IndexSet> reference = ReferenceHistory(Kind::kWfit, 1);
+  ASSERT_EQ(recovered.size(), kTotal - newest_analyzed);
+  for (size_t i = 0; i < recovered.size(); ++i) {
+    ASSERT_EQ(recovered[i], reference[newest_analyzed + i])
+        << "trajectory diverged at statement " << (newest_analyzed + i);
   }
 }
 

@@ -191,7 +191,7 @@ TEST(WfaInvariantTest, WorkFunctionStaysDeltaConsistent) {
     for (Mask s = 0; s < n; ++s) {
       for (Mask x = 0; x < n; ++x) {
         EXPECT_LE(wfa.work_value(s),
-                  wfa.work_value(x) + wfa.Delta(x, s) + 1e-9);
+                  wfa.work_value(x) + wfa.TransitionCost(x, s) + 1e-9);
       }
     }
   }
@@ -258,7 +258,8 @@ TEST(WfaFeedbackTest, Inequality51HoldsAfterFeedback) {
   const Mask rec = wfa.recommendation();
   for (Mask s = 0; s < 8; ++s) {
     Mask s_cons = (s & ~f_minus) | f_plus;
-    double min_diff = wfa.Delta(s, s_cons) + wfa.Delta(s_cons, s);
+    double min_diff =
+        wfa.TransitionCost(s, s_cons) + wfa.TransitionCost(s_cons, s);
     double diff = wfa.Score(s) - wfa.Score(rec);
     EXPECT_GE(diff + 1e-9, min_diff) << "state " << s;
   }

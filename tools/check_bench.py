@@ -44,15 +44,10 @@ GATED_ABSOLUTE_MAX = {
     "tracing_overhead_pct": 5.0,
 }
 
-# Absolute floors, enforced against the fresh value alone. These pin the
-# two scale-out claims of the durability layer: a steady-state delta
-# snapshot must stay several times smaller than a full snapshot (the
-# ~6.4 KiB serialized RNG stream plus the touched selector windows are
-# the irreducible floor, so the ratio is bounded but deterministic), and
-# the shared fsync batcher must coalesce shard syncs by at least this
-# factor even on a loaded machine where some shards miss a drain window.
+# Absolute floors, enforced against the fresh value alone. The shared
+# fsync batcher must coalesce shard syncs by at least this factor even on
+# a loaded machine where some shards miss a drain window.
 GATED_ABSOLUTE_MIN = {
-    "checkpoint_delta_reduction": 3.0,
     "group_commit_fsync_reduction": 4.0,
 }
 

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Docs-coverage gate: every exported wfit_* metric family must be
-documented.
+documented, and every family the docs name must still be exported.
 
 Scans the metric emitters under src/ for the Prometheus families they
 export — both fully spelled literals ("# HELP wfit_node_config_version
 ...") and spliced ones (Counter(os, "statements_analyzed_total", ...)
 inside a helper whose body stamps the "wfit_service_" prefix) — and fails
 if any family name is absent from the operator docs (docs/*.md, README.md).
+It also fails if a family named under docs/ (wfit_service_*,
+wfit_router_*, wfit_tenant_*, wfit_node_*; a histogram's _bucket/_sum/
+_count series count as its family) is exported by no emitter.
 
 An alerting runbook that lags the code is worse than none: a family that
-ships undocumented is invisible to the operator reading OPERATIONS.md.
+ships undocumented is invisible to the operator reading OPERATIONS.md, and
+a documented family that no longer ships sends them after a dead series.
 
 Usage: check_docs.py [repo_root]
 """
@@ -33,6 +37,11 @@ FULL_NAME_RE = re.compile(r'"(?:# (?:HELP|TYPE) )?(wfit_[a-z0-9_]*[a-z0-9])[ "{]
 HELPER_DEF_RE = re.compile(r"^\s*(?:template.*\n)?\s*void (\w+)\(", re.M)
 LAMBDA_DEF_RE = re.compile(r"^\s*auto (\w+) = \[", re.M)
 CALL_RE_TMPL = r'\b%s\(\s*[^");]*?"([a-z][a-z0-9_]*)"'
+# Family names as the docs write them. A trailing "_" or "*" marks a
+# prefix or a wildcard, not a family.
+DOC_FAMILY_RE = re.compile(r"\b(wfit_(?:service|router|tenant|node)_"
+                           r"[a-z0-9_]*[a-z0-9])(?![a-z0-9_*])")
+HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 def body_after(text, start, lines=16):
@@ -84,9 +93,9 @@ def families_in(path):
     return found
 
 
-def doc_text(root):
+def doc_text(root, entries=DOC_FILES_GLOB):
     chunks = []
-    for entry in DOC_FILES_GLOB:
+    for entry in entries:
         path = os.path.join(root, entry)
         if os.path.isdir(path):
             for name in sorted(os.listdir(path)):
@@ -97,6 +106,19 @@ def doc_text(root):
             with open(path) as f:
                 chunks.append(f.read())
     return "\n".join(chunks)
+
+
+def stale_doc_families(families, docs):
+    """Families the docs name that no emitter exports."""
+    stale = set()
+    for name in DOC_FAMILY_RE.findall(docs):
+        if name in families:
+            continue
+        if any(name.endswith(suffix) and name[:-len(suffix)] in families
+               for suffix in HISTOGRAM_SUFFIXES):
+            continue
+        stale.add(name)
+    return sorted(stale)
 
 
 def main(argv):
@@ -112,14 +134,18 @@ def main(argv):
 
     docs = doc_text(root)
     missing = sorted(f for f in families if f not in docs)
+    stale = stale_doc_families(families, doc_text(root, ["docs"]))
     print(f"check_docs: {len(families)} exported metric families")
-    if missing:
-        for name in missing:
-            print(f"  UNDOCUMENTED  {name}")
-        print(f"\nFAILED: {len(missing)} families missing from docs/ — "
-              "add them to docs/OPERATIONS.md")
+    for name in missing:
+        print(f"  UNDOCUMENTED  {name}")
+    for name in stale:
+        print(f"  NOT EXPORTED  {name}")
+    if missing or stale:
+        print(f"\nFAILED: {len(missing)} families missing from docs/, "
+              f"{len(stale)} documented families no emitter exports — "
+              "update docs/OPERATIONS.md")
         return 1
-    print("PASS: every family documented")
+    print("PASS: every family documented, every documented family exported")
     return 0
 
 

@@ -112,7 +112,6 @@ struct Fleet {
       options.router.shard.checkpoint_every_statements = 200;
       options.router.checkpoint_root =
           TempRoot(tag + "_n" + std::to_string(i));
-      options.router.analysis_threads = 1;
       options.router.drain_threads = 2;
       options.router.repin = env->MakeRepinner();
       nodes.push_back(std::make_unique<TunerNode>(env->MakeTunerFactory(),
@@ -202,7 +201,6 @@ MigrationResult MeasureMigration(size_t statements, uint64_t migrate_after) {
     options.shard.queue_capacity = 64;
     options.shard.max_batch = 16;
     options.shard.record_history = true;
-    options.analysis_threads = 1;
     options.drain_threads = 2;
     options.repin = env.MakeRepinner();
     service::TenantRouter router(env.MakeTunerFactory(), options);
@@ -330,7 +328,6 @@ FailoverResult MeasureFailover(size_t statements, uint64_t kill_after) {
   router_options.shard.record_history = true;
   router_options.shard.checkpoint_every_statements = 100;
   router_options.shard.checkpoint_on_shutdown = false;  // crash realism
-  router_options.analysis_threads = 1;
   router_options.drain_threads = 1;
 
   // Reference: one router, never disturbed, votes registered up front.

@@ -1,5 +1,5 @@
 // Multi-tenant router throughput and fairness: N independent databases
-// behind one TenantRouter (shared drain + analysis pool), each streaming
+// behind one TenantRouter (shared drain threads), each streaming
 // the same volume of statements from its own producer. Measures
 //
 //   tenants_aggregate_stmts_per_min — fleet-wide sustained analysis rate;
@@ -81,8 +81,8 @@ RunResult RunRouter(Catalog* catalog, const Workload& workload,
   service::TenantRouterOptions options;
   options.shard.queue_capacity = 512;
   options.shard.max_batch = 32;
-  options.analysis_threads = 1;
-  options.drain_threads = std::min<size_t>(WorkerPool::DefaultThreads(), 4);
+  options.drain_threads = std::clamp<size_t>(
+      std::thread::hardware_concurrency(), 1, 4);
   service::TenantRouter router(
       [&](const std::string& id) {
         size_t t = std::strtoull(id.substr(3).c_str(), nullptr, 10);
@@ -165,7 +165,6 @@ SkewResult RunSkewed(Catalog* catalog, const Workload& workload,
   service::TenantRouterOptions options;
   options.shard.queue_capacity = 256;
   options.shard.max_batch = 16;
-  options.analysis_threads = 1;
   options.drain_threads = 2;  // fewer drains than tenants: contention real
   options.tenant_qos[TenantName(0)] = service::TenantQos{.weight = 4.0};
   service::TenantRouter router(
@@ -236,7 +235,6 @@ SpikeResult RunSpike(Catalog* catalog, const Workload& workload,
   options.shard.max_batch = 8;
   options.shard.overload.enabled = true;
   options.shard.overload.sample_floor = 0.25;
-  options.analysis_threads = 1;
   options.drain_threads = 1;
   service::TenantRouter router(
       [&](const std::string&) {
@@ -301,14 +299,13 @@ size_t RateOneDivergence(Catalog* catalog, const Workload& workload,
     // the armed controller never leaves Normal and the rate stays 1.0.
     options.queue_capacity = 8 * statements;
     options.max_batch = 16;
-    options.analysis_threads = 1;
     options.record_history = true;
     options.overload.enabled = enabled == 1;
     service::TunerService svc(
         std::make_unique<Wfit>(env.pool.get(), env.optimizer.get(),
                                IndexSet{}, LeanOptions()),
         options);
-    svc.StartDetached(nullptr);
+    svc.StartDetached();
     for (size_t i = 0; i < statements; ++i) {
       svc.SubmitAt(i, workload[i % workload.size()]);
     }

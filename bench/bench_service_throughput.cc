@@ -4,10 +4,7 @@
 //
 //   pipeline-only  — a no-op tuner isolates the queue + worker + snapshot
 //                    machinery (the service's intrinsic ceiling);
-//   WFIT serial    — end-to-end analysis on the benchmark workload with
-//                    analysis_threads = 1;
-//   WFIT parallel  — same tuner with the per-part analysis fanned out
-//                    across the service-owned worker pool.
+//   WFIT           — end-to-end analysis on the benchmark workload.
 //
 // Headline numbers (sustained stmts/min, what-if cache hit rate) are merged
 // into BENCH_service.json for the perf trajectory.
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/worker_pool.h"
 #include "core/wfit.h"
 #include "harness/reporting.h"
 #include "service/tuner_service.h"
@@ -58,12 +54,10 @@ double Percentile(const std::vector<double>& sorted, double p) {
 /// Streams `total` statements (the workload, cycled) from `producers`
 /// threads while one reader hammers Recommendation().
 RunResult RunService(std::unique_ptr<Tuner> tuner, const Workload& workload,
-                     size_t total, int producers, size_t queue_capacity,
-                     size_t analysis_threads = 1) {
+                     size_t total, int producers, size_t queue_capacity) {
   service::TunerServiceOptions options;
   options.queue_capacity = queue_capacity;
   options.max_batch = 32;
-  options.analysis_threads = analysis_threads;
   service::TunerService service(std::move(tuner), options);
   service.Start();
 
@@ -163,39 +157,22 @@ int main() {
     options.candidates.ibg_cap = 12;
     options.candidates.ibg_node_budget = 60;
 
-    auto serial_tuner = std::make_unique<Wfit>(&env.pool(), &env.optimizer(),
-                                               IndexSet{}, options);
-    auto serial = RunService(std::move(serial_tuner), workload, total,
-                             producers, /*queue_capacity=*/1024,
-                             /*analysis_threads=*/1);
-    Report("WFIT end-to-end (serial analysis), " + std::to_string(total) +
-               " statements, " + std::to_string(producers) + " producers",
-           serial, total);
-
-    const size_t threads = WorkerPool::DefaultThreads();
-    auto parallel_tuner = std::make_unique<Wfit>(
-        &env.pool(), &env.optimizer(), IndexSet{}, options);
-    auto parallel = RunService(std::move(parallel_tuner), workload, total,
-                               producers, /*queue_capacity=*/1024,
-                               /*analysis_threads=*/threads);
-    Report("WFIT end-to-end (parallel analysis, " + std::to_string(threads) +
-               " threads), " + std::to_string(total) + " statements, " +
+    auto tuner = std::make_unique<Wfit>(&env.pool(), &env.optimizer(),
+                                        IndexSet{}, options);
+    auto wfit = RunService(std::move(tuner), workload, total, producers,
+                           /*queue_capacity=*/1024);
+    Report("WFIT end-to-end, " + std::to_string(total) + " statements, " +
                std::to_string(producers) + " producers",
-           parallel, total);
+           wfit, total);
 
     json.emplace_back("service_wfit_serial_stmts_per_min",
-                      serial.statements_per_minute);
-    json.emplace_back("service_wfit_parallel_stmts_per_min",
-                      parallel.statements_per_minute);
-    json.emplace_back("service_wfit_parallel_threads",
-                      static_cast<double>(threads));
+                      wfit.statements_per_minute);
     json.emplace_back("what_if_cache_hit_rate",
-                      parallel.metrics.what_if_cache_hit_rate());
+                      wfit.metrics.what_if_cache_hit_rate());
     json.emplace_back("what_if_cache_hits",
-                      static_cast<double>(parallel.metrics.what_if_cache_hits));
-    json.emplace_back(
-        "what_if_cache_misses",
-        static_cast<double>(parallel.metrics.what_if_cache_misses));
+                      static_cast<double>(wfit.metrics.what_if_cache_hits));
+    json.emplace_back("what_if_cache_misses",
+                      static_cast<double>(wfit.metrics.what_if_cache_misses));
   }
 
   harness::UpdateBenchJson("BENCH_service.json", json);

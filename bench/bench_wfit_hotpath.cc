@@ -8,9 +8,6 @@
 //                                   the benchmark trace; THE number to
 //                                   compare across PRs (PR 2 baseline:
 //                                   ~9.4k/min in the same container);
-//   wfit_auto_stmts_per_min_t8    — same with an 8-wide analysis pool
-//                                   (parallel IBG + per-part fan-out; reads
-//                                   as ~1x on a single-core host);
 //   ibg_build_us                  — mean statement-wide IBG build latency
 //                                   at selector scale;
 //   whatif_cross_stmt_hit_rate    — cross-statement cache hit rate on a
@@ -24,8 +21,8 @@
 // not land on whichever series is timed first.
 //
 // Determinism gates (process exits nonzero on violation): trajectories
-// bit-for-bit identical at 1/2/8 analysis threads AND with the
-// cross-statement cache disabled vs enabled.
+// bit-for-bit identical with the cross-statement cache cold, warm and
+// disabled, and with tracing off and on.
 //
 // Set WFIT_BENCH_FAST=1 for a scaled-down smoke run.
 #include <algorithm>
@@ -33,12 +30,10 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/worker_pool.h"
 #include "core/wfit.h"
 #include "harness/reporting.h"
 #include "obs/trace.h"
@@ -57,14 +52,14 @@ struct RunStats {
   std::vector<IndexSet> trajectory;
 };
 
-/// Replays the workload with deterministic interleaved feedback (identical
-/// cadence to bench_parallel_analysis, so the stmts/min series is
-/// comparable across PRs).
+/// Replays the workload with deterministic interleaved feedback (a fixed
+/// cadence, so the stmts/min series is comparable across PRs).
 RunStats Replay(Tuner* tuner, const Workload& w,
                 const WhatIfOptimizer& real_optimizer) {
   RunStats stats;
   stats.trajectory.reserve(w.size());
   uint64_t calls_before = real_optimizer.num_calls();
+  const WhatIfCacheCounters cache_before = tuner->WhatIfCache();
   Clock::time_point t0 = Clock::now();
   for (size_t i = 0; i < w.size(); ++i) {
     tuner->AnalyzeQuery(w[i]);
@@ -80,7 +75,10 @@ RunStats Replay(Tuner* tuner, const Workload& w,
   stats.stmts_per_minute =
       60.0 * static_cast<double>(w.size()) / stats.seconds;
   stats.what_if_calls = real_optimizer.num_calls() - calls_before;
-  stats.cache = tuner->WhatIfCache();
+  const WhatIfCacheCounters cache_after = tuner->WhatIfCache();
+  stats.cache = {cache_after.hits - cache_before.hits,
+                 cache_after.misses - cache_before.misses,
+                 cache_after.cross_hits - cache_before.cross_hits};
   return stats;
 }
 
@@ -110,62 +108,43 @@ int main() {
   std::vector<std::pair<std::string, double>> json;
 
   std::cout << "WFIT hot path, " << workload.size()
-            << " statements (benchmark trace), hardware_concurrency = "
-            << WorkerPool::DefaultThreads() << "\n\n";
+            << " statements (benchmark trace)\n\n";
 
   {
     Wfit warmup(&env.pool(), &env.optimizer(), IndexSet{}, WfitOptions{});
     (void)Replay(&warmup, workload, env.optimizer());
   }
 
-  // --- WFIT auto on the benchmark trace, 1/2/8 analysis threads ---------
+  // --- WFIT auto on the benchmark trace: cache on and off ---------------
   {
     WfitOptions options;  // paper defaults: idxCnt 40, stateCnt 500
     std::cout << "WFIT auto (idxCnt " << options.candidates.idx_cnt
               << ", stateCnt " << options.candidates.state_cnt << ")\n"
-              << std::setw(10) << "threads" << std::setw(12) << "wall s"
+              << std::setw(10) << "cache" << std::setw(12) << "wall s"
               << std::setw(16) << "stmts/min" << std::setw(14) << "what-if"
               << std::setw(12) << "hit rate" << std::setw(12) << "cross"
               << "\n";
-    RunStats base;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      Wfit tuner(&env.pool(), &env.optimizer(), IndexSet{}, options);
-      std::unique_ptr<WorkerPool> pool;
-      if (threads > 1) {
-        pool = std::make_unique<WorkerPool>(threads - 1);
-        tuner.SetAnalysisPool(pool.get());
-      }
-      RunStats r = Replay(&tuner, workload, env.optimizer());
-      std::cout << std::setw(10) << threads << std::setw(12) << std::fixed
+    auto print_row = [](const char* label, const RunStats& r) {
+      std::cout << std::setw(10) << label << std::setw(12) << std::fixed
                 << std::setprecision(2) << r.seconds << std::setw(16)
                 << static_cast<uint64_t>(r.stmts_per_minute) << std::setw(14)
                 << r.what_if_calls << std::setw(12) << std::setprecision(3)
                 << r.cache.hit_rate() << std::setw(12)
                 << r.cache.cross_hit_rate() << "\n";
-      if (threads == 1) {
-        base = r;
-        json.emplace_back("wfit_auto_stmts_per_min", r.stmts_per_minute);
-      } else {
-        ok &= Check(SameTrajectory(base.trajectory, r.trajectory),
-                    "thread-count trajectory mismatch");
-        json.emplace_back(
-            "wfit_auto_stmts_per_min_t" + std::to_string(threads),
-            r.stmts_per_minute);
-      }
-    }
+    };
+    Wfit tuner(&env.pool(), &env.optimizer(), IndexSet{}, options);
+    RunStats on = Replay(&tuner, workload, env.optimizer());
+    print_row("on", on);
+    json.emplace_back("wfit_auto_stmts_per_min", on.stmts_per_minute);
 
-    // Cross-statement cache disabled: identical trajectory, slower.
+    // Cross-statement cache disabled: identical trajectory.
     WfitOptions no_cache = options;
     no_cache.cross_cache.max_templates = 0;
     Wfit uncached(&env.pool(), &env.optimizer(), IndexSet{}, no_cache);
-    RunStats r = Replay(&uncached, workload, env.optimizer());
-    std::cout << std::setw(10) << "no-cache" << std::setw(12) << std::fixed
-              << std::setprecision(2) << r.seconds << std::setw(16)
-              << static_cast<uint64_t>(r.stmts_per_minute) << std::setw(14)
-              << r.what_if_calls << std::setw(12) << std::setprecision(3)
-              << r.cache.hit_rate() << std::setw(12) << 0.0 << "\n";
-    ok &= Check(SameTrajectory(base.trajectory, r.trajectory),
-                "cold/warm cross-statement cache trajectory mismatch");
+    RunStats off = Replay(&uncached, workload, env.optimizer());
+    print_row("off", off);
+    ok &= Check(SameTrajectory(on.trajectory, off.trajectory),
+                "disabled cross-statement cache trajectory mismatch");
   }
 
   // --- Statement-wide IBG build latency at selector scale ---------------
@@ -216,15 +195,25 @@ int main() {
         templated.push_back(workload[t]);
       }
     }
+    // Three runs that must agree: the cache starting cold (it warms from
+    // each template's second occurrence), the same tuner rewound to its
+    // initial state with its cache kept (the cache is not part of the
+    // state, so this replay is warm from the first statement), and the
+    // cache disabled.
     WfitOptions options;
     Wfit cached(&env.pool(), &env.optimizer(), IndexSet{}, options);
+    const WfitState initial = cached.ExportState();
     RunStats with_cache = Replay(&cached, templated, env.optimizer());
+    WFIT_CHECK(cached.RestoreState(initial).ok(), "rewind failed");
+    RunStats warm = Replay(&cached, templated, env.optimizer());
     WfitOptions no_cache = options;
     no_cache.cross_cache.max_templates = 0;
     Wfit uncached(&env.pool(), &env.optimizer(), IndexSet{}, no_cache);
     RunStats without = Replay(&uncached, templated, env.optimizer());
     ok &= Check(SameTrajectory(with_cache.trajectory, without.trajectory),
-                "templated-workload cache trajectory mismatch");
+                "templated-workload cold cache trajectory mismatch");
+    ok &= Check(SameTrajectory(warm.trajectory, without.trajectory),
+                "templated-workload warm cache trajectory mismatch");
     std::cout << "\nrepeated templates (" << num_templates << " x " << repeats
               << "): cached " << static_cast<uint64_t>(
                      with_cache.stmts_per_minute)
@@ -233,7 +222,8 @@ int main() {
               << " (speedup " << std::setprecision(2)
               << with_cache.stmts_per_minute / without.stmts_per_minute
               << "), cross hit rate " << std::setprecision(3)
-              << with_cache.cache.cross_hit_rate() << ", real what-if "
+              << with_cache.cache.cross_hit_rate() << " (warm "
+              << warm.cache.cross_hit_rate() << "), real what-if "
               << with_cache.what_if_calls << " vs " << without.what_if_calls
               << "\n";
     json.emplace_back("whatif_cross_stmt_hit_rate",
@@ -288,7 +278,7 @@ int main() {
   json.emplace_back("wfit_hotpath_trajectories_identical", ok ? 1.0 : 0.0);
   json.emplace_back("wfit_hotpath_fast_mode", fast ? 1.0 : 0.0);
   harness::UpdateBenchJson("BENCH_service.json", json);
-  std::cout << "\ntrajectory determinism (threads x cache): "
+  std::cout << "\ntrajectory determinism (cache x tracing): "
             << (ok ? "yes" : "NO") << "\nwrote BENCH_service.json\n";
   return ok ? 0 : 1;
 }

@@ -163,7 +163,6 @@ int RunMultiTenant(const Flags& flags) {
   }
   options.shard.checkpoint_every_statements = flags.checkpoint_every;
   options.checkpoint_root = flags.checkpoint_dir;
-  options.analysis_threads = 1;
   options.drain_threads = 2;
   // Crash-safe vote pinning: the repin hook runs at every (re-)admission,
   // after recovery but before the shard is scheduled, so votes whose

@@ -163,7 +163,6 @@ int main(int argc, char** argv) {
   options.router.shard.record_history = true;
   options.router.shard.checkpoint_every_statements = 200;
   options.router.checkpoint_root = flags.checkpoint_root;
-  options.router.analysis_threads = 1;
   options.router.drain_threads = 2;
   options.router.repin = fleet->MakeRepinner();
   if (flags.membership) {

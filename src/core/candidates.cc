@@ -114,8 +114,7 @@ CandidateAnalysis CandidateSelector::ChooseCands(
 
   // Line 2: the statement's IBG over the query-relevant slice of U,
   // ranked by current benefit: the mask cap and the what-if node budget
-  // both shed from the low-benefit tail. Probes fan out across the
-  // analysis pool when one is attached (deterministic level-sync build).
+  // both shed from the low-benefit tail.
   relevant_scratch_ = RelevantCandidates(
       q, *pool_, universe_ids, /*cap=*/std::numeric_limits<size_t>::max());
   std::stable_sort(relevant_scratch_.begin(), relevant_scratch_.end(),
@@ -129,8 +128,7 @@ CandidateAnalysis CandidateSelector::ChooseCands(
     relevant_scratch_.resize(options_.ibg_cap);
   }
   auto ibg = std::make_shared<IndexBenefitGraph>(
-      q, *optimizer_, relevant_scratch_, options_.ibg_node_budget,
-      analysis_pool_);
+      q, *optimizer_, relevant_scratch_, options_.ibg_node_budget);
 
   // Line 3: updateStats — benefits βn and pairwise doi from the IBG.
   // Sampling honesty: benefits are scaled by the statement weight

@@ -20,8 +20,6 @@
 
 namespace wfit {
 
-class WorkerPool;
-
 struct CandidateOptions {
   /// Upper bound on monitored indices (paper: idxCnt, default 40).
   size_t idx_cnt = 40;
@@ -76,11 +74,6 @@ class CandidateSelector {
   CandidateSelector(IndexPool* pool, const WhatIfOptimizer* optimizer,
                     const CandidateOptions& options, uint64_t seed);
 
-  /// Fans the statement-wide IBG's what-if probes across `pool`
-  /// (nullptr = serial). Deterministic: chooseCands' outcome is
-  /// independent of the pool width.
-  void SetAnalysisPool(WorkerPool* pool) { analysis_pool_ = pool; }
-
   /// Runs chooseCands for the next statement. `materialized` is the set M
   /// the DBA currently has built (always retained as candidates);
   /// `current_partition` seeds both topIndices scoring and the baseline
@@ -128,7 +121,6 @@ class CandidateSelector {
   const WhatIfOptimizer* optimizer_;
   CandidateOptions options_;
   Rng rng_;
-  WorkerPool* analysis_pool_ = nullptr;
   IndexSet universe_;          // U
   BenefitStats idx_stats_;     // idxStats
   InteractionStats int_stats_; // intStats

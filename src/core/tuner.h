@@ -13,8 +13,6 @@
 
 namespace wfit {
 
-class WorkerPool;
-
 /// What-if memoization counters exposed by tuners that deduplicate
 /// optimizer probes (hit_rate is the paper-relevant savings: every hit is
 /// one optimizer invocation avoided).
@@ -64,12 +62,6 @@ class Tuner {
   /// repartitions). Drivers — the experiment harness and the online
   /// tuning service — report it; tuners without the notion return 0.
   virtual uint64_t RepartitionCount() const { return 0; }
-
-  /// Supplies a worker pool for intra-statement parallel analysis (WFIT
-  /// fans per-part IBG construction and WFA updates across it). nullptr
-  /// restores serial analysis; tuners without parallel support ignore it.
-  /// Must not be called while AnalyzeQuery is in flight.
-  virtual void SetAnalysisPool(WorkerPool* pool) { (void)pool; }
 
   /// Cumulative what-if memoization counters; zeros for tuners without a
   /// probe cache.

@@ -76,17 +76,15 @@ void WfaPlus::AnalyzeQuery(const Statement& q) {
   // This keeps every candidate's signal exact — a single statement-wide
   // graph would have to shed candidates under the mask/node budgets.
   memo_->BeginStatement(&q);
-  AnalyzePartitioned(q, *pool_, *memo_, ibg_node_budget_, &instances_,
-                     analysis_pool_);
+  AnalyzePartitioned(q, *pool_, *memo_, ibg_node_budget_, &instances_);
 }
 
 void AnalyzePartitioned(const Statement& q, const IndexPool& pool,
                         const WhatIfOptimizer& optimizer,
                         size_t ibg_node_budget,
-                        std::vector<WfaInstance>* instances,
-                        WorkerPool* workers) {
+                        std::vector<WfaInstance>* instances) {
   const std::vector<TableId> tables = StatementTables(q);
-  auto analyze_part = [&](WfaInstance& instance) {
+  for (WfaInstance& instance : *instances) {
     const std::vector<IndexId>& members = instance.members();
     std::vector<IndexId> relevant = RelevantCandidates(tables, pool, members);
     if (relevant.empty()) {
@@ -94,7 +92,7 @@ void AnalyzePartitioned(const Statement& q, const IndexPool& pool,
       // leaves the work-function differentials (hence all decisions)
       // unchanged, so skip the what-if machinery entirely.
       instance.AnalyzeQuery([](Mask) { return 0.0; });
-      return;
+      continue;
     }
     IndexBenefitGraph ibg(q, optimizer, relevant, ibg_node_budget);
     std::vector<int> ibg_bit(members.size());
@@ -112,18 +110,7 @@ void AnalyzePartitioned(const Statement& q, const IndexPool& pool,
       }
       return ibg.CostOf(m);
     });
-  };
-
-  if (workers == nullptr || instances->size() <= 1) {
-    for (WfaInstance& instance : *instances) analyze_part(instance);
-    return;
   }
-  // Parallel fan-out, joined before the statement completes: task i owns
-  // instance i exclusively, so the statement-level serialization contract
-  // (parallel replay == serial replay, bit for bit) is preserved.
-  workers->ParallelFor(instances->size(), [&](size_t i) {
-    analyze_part((*instances)[i]);
-  });
 }
 
 IndexSet WfaPlus::Recommendation() const {

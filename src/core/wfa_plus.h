@@ -5,13 +5,6 @@
 // Theorem 4.2 (equivalence with monolithic WFA on stable partitions) is
 // property-tested.
 //
-// The per-part work — IBG node closure plus the WFA min-plus update — is
-// independent across parts (the paper's own decomposition, Sec. 5/Fig. 6),
-// so AnalyzePartitioned optionally fans it out across a WorkerPool and
-// joins before the statement completes. Results are bit-for-bit identical
-// to the serial loop: each task touches only its own WfaInstance, and the
-// shared what-if layer is a pure function of (statement, configuration).
-//
 // This class is also the paper's "WFIT with a fixed stable partition"
 // configuration used throughout the evaluation (Figs. 8–11); the full WFIT
 // with automatic candidate maintenance builds on top of it (core/wfit.h).
@@ -22,7 +15,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/worker_pool.h"
 #include "core/tuner.h"
 #include "core/work_function.h"
 #include "ibg/ibg.h"
@@ -61,14 +53,10 @@ std::vector<IndexId> RelevantCandidates(const Statement& q,
 
 /// Runs one statement through a set of per-part WFA instances, building one
 /// IBG per statement-relevant part (shared by WfaPlus, Wfit and tests).
-/// With a non-null `workers`, per-part work runs on the pool (plus the
-/// calling thread) and joins before returning; the outcome is identical to
-/// the serial loop.
 void AnalyzePartitioned(const Statement& q, const IndexPool& pool,
                         const WhatIfOptimizer& optimizer,
                         size_t ibg_node_budget,
-                        std::vector<WfaInstance>* instances,
-                        WorkerPool* workers = nullptr);
+                        std::vector<WfaInstance>* instances);
 
 class WfaPlus : public Tuner {
  public:
@@ -87,7 +75,6 @@ class WfaPlus : public Tuner {
   void Feedback(const IndexSet& f_plus, const IndexSet& f_minus) override;
   std::string name() const override { return name_; }
 
-  void SetAnalysisPool(WorkerPool* pool) override { analysis_pool_ = pool; }
   WhatIfCacheCounters WhatIfCache() const override {
     return {memo_->hits(), memo_->misses(), memo_->cross_hits()};
   }
@@ -117,7 +104,6 @@ class WfaPlus : public Tuner {
   /// Statement-scoped probe memo layered over optimizer_; per-part IBGs of
   /// one statement dedupe their configuration probes through it.
   std::unique_ptr<CachingWhatIfOptimizer> memo_;
-  WorkerPool* analysis_pool_ = nullptr;
   std::vector<IndexSet> partition_;
   std::vector<WfaInstance> instances_;
   std::vector<IndexId> all_members_;

@@ -133,16 +133,14 @@ void Wfit::AnalyzeQuery(const Statement& q) {
 
   // WFA+ step: one exact IBG per statement-relevant part (the selector's
   // statement-wide IBG serves the statistics only; per-part graphs keep
-  // every monitored candidate's cost signal exact). Per-part work fans out
-  // across the analysis pool when one is attached.
+  // every monitored candidate's cost signal exact).
   {
     obs::SpanGuard span("wfa.update");
     if (span.trace_id() != 0) {
       span.SetDetail(std::to_string(instances_.size()) + " parts");
     }
     AnalyzePartitioned(q, *pool_, *memo_,
-                       options_.candidates.ibg_node_budget, &instances_,
-                       analysis_pool_);
+                       options_.candidates.ibg_node_budget, &instances_);
   }
   rec_valid_ = false;
 }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "core/candidates.h"
 #include "core/tuner.h"
 #include "core/work_function.h"
@@ -76,14 +75,6 @@ class Wfit : public Tuner {
 
   std::string name() const override { return options_.name; }
 
-  /// Intra-statement parallelism: the selector's statement-wide IBG build
-  /// plus per-part IBG construction and WFA updates fan out across `pool`
-  /// (nullptr = serial). Deterministic: the recommendation trajectory is
-  /// independent of the pool size.
-  void SetAnalysisPool(WorkerPool* pool) override {
-    analysis_pool_ = pool;
-    selector_->SetAnalysisPool(pool);
-  }
   WhatIfCacheCounters WhatIfCache() const override {
     return {memo_->hits(), memo_->misses(), memo_->cross_hits()};
   }
@@ -125,7 +116,6 @@ class Wfit : public Tuner {
   /// identical configuration probes within one statement cost one real
   /// optimizer call.
   std::unique_ptr<CachingWhatIfOptimizer> memo_;
-  WorkerPool* analysis_pool_ = nullptr;
   WfitOptions options_;
   std::unique_ptr<CandidateSelector> selector_;
   std::vector<IndexSet> partition_;      // {C1, ..., CK}

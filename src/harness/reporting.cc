@@ -104,8 +104,6 @@ void PrintServiceMetrics(std::ostream& os, const std::string& title,
      << m.feedback_applied << "\n";
   os << std::setw(26) << "repartitions" << std::setw(14) << m.repartitions
      << "\n";
-  os << std::setw(26) << "analysis threads" << std::setw(14)
-     << m.analysis_threads << "\n";
   os << std::setw(26) << "what-if cache" << std::setw(14)
      << m.what_if_cache_hits << "   (stmt hits; cross "
      << m.what_if_cross_hits << ", misses " << m.what_if_cache_misses

@@ -5,7 +5,6 @@
 #include <string>
 #include <thread>
 
-#include "common/worker_pool.h"
 #include "obs/trace.h"
 
 namespace wfit {
@@ -29,11 +28,10 @@ void ToSetInto(const std::vector<IndexId>& candidates, Mask mask,
 IndexBenefitGraph::IndexBenefitGraph(const Statement& q,
                                      const WhatIfOptimizer& optimizer,
                                      std::vector<IndexId> candidates,
-                                     size_t max_nodes, WorkerPool* pool)
+                                     size_t max_nodes)
     : candidates_(std::move(candidates)) {
   WFIT_CHECK(candidates_.size() <= 25, "IBG: too many candidates for a mask");
   WFIT_CHECK(max_nodes >= 1, "IBG: node budget must allow the root");
-  pool_ = pool;
   {
     obs::StageTimer timer(obs::Stage::kIbgBuild);
     obs::SpanGuard span("ibg.build");
@@ -50,7 +48,6 @@ IndexBenefitGraph::IndexBenefitGraph(const Statement& q,
                      std::to_string(build_calls_) + " probes");
     }
   }
-  pool_ = nullptr;  // construction-only; not used by lookups
 }
 
 bool IndexBenefitGraph::TryBuild(const Statement& q,
@@ -72,40 +69,23 @@ bool IndexBenefitGraph::TryBuild(const Statement& q,
 
   // Level-synchronous BFS. All masks of one level are distinct and absent
   // from lower levels (a level-ℓ node has exactly ℓ bits removed from the
-  // root), so the per-level budget check and the canonical (ascending mask)
-  // merge order make the outcome independent of probe scheduling.
+  // root), so the whole level is checked against the budget before any of
+  // it is probed, and each level is probed in canonical (ascending mask)
+  // order.
   std::vector<Mask> level = {root_};
   std::vector<Mask> next_level;
-  std::vector<PlanSummary> plans;
-  std::vector<IndexSet> configs;
+  IndexSet scratch;
   while (!level.empty()) {
     if (nodes_.size() + level.size() > max_nodes && n != 0) return false;
-    // Probe the whole level: independent pure what-if calls.
-    plans.resize(level.size());
-    if (pool_ != nullptr && level.size() > 1) {
-      configs.resize(level.size());
-      for (size_t i = 0; i < level.size(); ++i) {
-        ToSetInto(candidates_, level[i], &configs[i]);
-      }
-      pool_->ParallelFor(level.size(), [&](size_t i) {
-        plans[i] = optimizer.Optimize(q, configs[i]);
-      });
-    } else {
-      IndexSet scratch;
-      for (size_t i = 0; i < level.size(); ++i) {
-        ToSetInto(candidates_, level[i], &scratch);
-        plans[i] = optimizer.Optimize(q, scratch);
-      }
-    }
     *calls += level.size();
-    // Merge serially in level order and collect the next frontier.
     next_level.clear();
-    for (size_t i = 0; i < level.size(); ++i) {
-      const Mask y = level[i];
-      Mask used = ToMask(plans[i].used);
+    for (const Mask y : level) {
+      ToSetInto(candidates_, y, &scratch);
+      const PlanSummary plan = optimizer.Optimize(q, scratch);
+      Mask used = ToMask(plan.used);
       WFIT_CHECK(IsSubset(used, y),
                  "optimizer used an index outside the config");
-      nodes_.Insert(y, Node{plans[i].cost, used});
+      nodes_.Insert(y, Node{plan.cost, used});
       relevant_used_ |= used;
       // One child per used index: remove it.
       Mask rest = used;

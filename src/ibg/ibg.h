@@ -6,21 +6,16 @@
 // found by descending from the root while removing used indices that are
 // not in the subset ("covering node" lookup).
 //
-// Construction is a level-synchronous BFS: all nodes of one level are
-// independent what-if probes (a node's children depend only on its own
-// `used` set), so with a WorkerPool attached the frontier fans out across
-// worker threads and the results are merged serially in canonical mask
-// order. Node sets, truncation decisions and relevant_used() are therefore
-// byte-identical at any pool width — the determinism contract
-// tests/ibg_parallel_test.cc proves.
+// Construction is a level-synchronous BFS: a node's children depend only
+// on its own `used` set, so each level is budget-checked as a whole and
+// then probed in canonical mask order.
 //
 // Thread safety after construction: the node table is immutable, but cost
 // lookups memoize into mutable caches, so an IBG must be read by ONE thread
 // at a time. This is enforced (cheaply, always on): the first memoizing
-// read pins the reader thread and any other thread aborts. The engine
-// honors the contract by construction — each per-part IBG is built and
-// consumed inside a single worker task, and the selector's statement-wide
-// IBG is consumed only by the analysis thread.
+// read pins the reader thread and any other thread aborts. Analysis
+// builds and consumes every IBG on the thread that analyzes the
+// statement.
 #ifndef WFIT_IBG_IBG_H_
 #define WFIT_IBG_IBG_H_
 
@@ -35,8 +30,6 @@
 
 namespace wfit {
 
-class WorkerPool;
-
 class IndexBenefitGraph {
  public:
   /// Builds the IBG of `q` over `candidates` (local bit i corresponds to
@@ -50,13 +43,9 @@ class IndexBenefitGraph {
   /// candidate list — callers that rank candidates by current benefit
   /// (chooseCands does) therefore shed the least valuable ones first.
   /// Dropped candidates are reported via truncated_candidates().
-  ///
-  /// With a non-null `pool`, each BFS level's what-if probes run across the
-  /// pool (plus the calling thread); the resulting graph is byte-identical
-  /// to the serial build.
   IndexBenefitGraph(const Statement& q, const WhatIfOptimizer& optimizer,
                     std::vector<IndexId> candidates,
-                    size_t max_nodes = 1u << 20, WorkerPool* pool = nullptr);
+                    size_t max_nodes = 1u << 20);
 
   /// Candidates shed by the node-budget fallback (empty in the common case).
   const std::vector<IndexId>& truncated_candidates() const {
@@ -116,11 +105,8 @@ class IndexBenefitGraph {
   };
 
   /// Level-synchronous BFS over the node closure; returns false when the
-  /// closure exceeds `max_nodes` (decided per level BEFORE probing it, so
-  /// the outcome and the probe count are independent of the pool width).
-  /// Accumulates the optimizer calls it issued into `*calls` (counted
-  /// locally: the optimizer's global counter cannot attribute calls when
-  /// several IBGs build concurrently on a worker pool).
+  /// closure exceeds `max_nodes` (decided per level BEFORE probing it).
+  /// Accumulates the optimizer calls it issued into `*calls`.
   bool TryBuild(const Statement& q, const WhatIfOptimizer& optimizer,
                 size_t max_nodes, uint64_t* calls);
 
@@ -147,8 +133,6 @@ class IndexBenefitGraph {
   /// Hashed id of the single thread allowed to issue memoizing reads;
   /// 0 = unclaimed.
   mutable std::atomic<uint64_t> reader_{0};
-  /// Probe fan-out pool during construction only; nulled afterwards.
-  WorkerPool* pool_ = nullptr;
   Mask root_ = 0;
   Mask relevant_used_ = 0;
   uint64_t build_calls_ = 0;

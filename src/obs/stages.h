@@ -1,14 +1,12 @@
 // Per-stage timing capture, decoupled from the span ring so stage latency
 // HISTOGRAMS (a metrics concern, always on) survive even when tracing is
 // compiled out. A StageSink is installed thread-locally for the duration
-// of one statement's analysis; code anywhere below — the IBG builder on a
-// pool thread, the what-if decorator, the checkpoint writer — records
-// stage durations into whichever sink is current. WorkerPool propagates
-// the submitter's sink (and trace context) to its tasks, so fan-out work
-// attributes its time to the statement that caused it.
+// of one statement's analysis; code anywhere below — the IBG builder, the
+// what-if decorator, the checkpoint writer — records stage durations into
+// whichever sink is current on its thread.
 //
 // Recording is one TLS pointer read when no sink is installed; sinks must
-// be internally thread-safe (pool threads record concurrently).
+// be internally thread-safe (metrics scrapes read them concurrently).
 #ifndef WFIT_OBS_STAGES_H_
 #define WFIT_OBS_STAGES_H_
 

@@ -11,9 +11,8 @@
 // and the loss is observable: dropped() = max(0, recorded - capacity).
 //
 // Trace CONTEXT (trace id + parent span id) is thread-local; the RPC
-// layer installs the caller's context around each handler, WorkerPool
-// forwards the submitter's context into pool tasks, and SpanGuard nests
-// by swapping itself in as the parent for its scope. Ids are 64-bit and
+// layer installs the caller's context around each handler, and SpanGuard
+// nests by swapping itself in as the parent for its scope. Ids are 64-bit and
 // never zero; zero means "no trace".
 //
 // Cost model: with tracing compiled in but runtime-disabled (the
@@ -156,31 +155,6 @@ inline TraceCounters CollectTraceCounters() { return {}; }
 inline void ClearTraceForTest() {}
 
 #endif  // WFIT_DISABLE_TRACING
-
-/// Everything a worker task inherits from its submitter: the trace
-/// context (so fan-out spans parent under the submitting statement) and
-/// the stage sink (so pool-thread probe/build time lands in the right
-/// histograms). WorkerPool captures this at Submit and installs it around
-/// the task.
-struct ThreadState {
-  TraceContext ctx;
-  StageSink* stages = nullptr;
-  bool empty() const { return !ctx.active() && stages == nullptr; }
-};
-
-inline ThreadState CaptureThreadState() {
-  return {CurrentTraceContext(), CurrentStageSink()};
-}
-
-class ScopedThreadState {
- public:
-  explicit ScopedThreadState(const ThreadState& state)
-      : ctx_(state.ctx), stages_(state.stages) {}
-
- private:
-  ScopedTraceContext ctx_;
-  ScopedStageSink stages_;
-};
 
 }  // namespace wfit::obs
 

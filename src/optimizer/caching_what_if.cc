@@ -21,7 +21,6 @@ CachingWhatIfOptimizer::CachingWhatIfOptimizer(
       cross_options_(cross_options) {}
 
 void CachingWhatIfOptimizer::BeginStatement(const Statement* q) {
-  std::lock_guard<std::mutex> lock(mu_);
   scope_ = q;
   cache_.clear();
   cross_ = nullptr;
@@ -39,7 +38,7 @@ void CachingWhatIfOptimizer::BeginStatement(const Statement* q) {
     // Fingerprint collision with a different shape: serving it would be
     // wrong, keeping both under one key needs chaining — evict instead
     // (counted; expected ~never).
-    fingerprint_collisions_.fetch_add(1, std::memory_order_relaxed);
+    ++fingerprint_collisions_;
     templates_.erase(it->second);
     template_index_.erase(it);
   }
@@ -65,57 +64,38 @@ void CachingWhatIfOptimizer::BeginStatement(const Statement* q) {
   cross_ = &templates_.front().plans;
 }
 
-size_t CachingWhatIfOptimizer::scoped_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
-}
-
-size_t CachingWhatIfOptimizer::cross_templates() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return templates_.size();
-}
-
 PlanSummary CachingWhatIfOptimizer::Optimize(const Statement& q,
                                              const IndexSet& x) const {
   num_calls_.fetch_add(1, std::memory_order_relaxed);
   if (&q != scope_) {
-    bypasses_.fetch_add(1, std::memory_order_relaxed);
+    ++bypasses_;
     return base_->Optimize(q, x);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(x);
-    if (it != cache_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-    if (cross_ != nullptr) {
-      auto cit = cross_->find(x);
-      if (cit != cross_->end()) {
-        cross_hits_.fetch_add(1, std::memory_order_relaxed);
-        // Promote into tier 1 so repeats within this statement are
-        // statement-tier hits (keeps the tier metrics meaningful).
-        cache_.emplace(x, cit->second);
-        return cit->second;
-      }
+  auto it = cache_.find(x);
+  if (it != cache_.end()) {
+    ++hits_;
+    return it->second;
+  }
+  if (cross_ != nullptr) {
+    auto cit = cross_->find(x);
+    if (cit != cross_->end()) {
+      ++cross_hits_;
+      // Promote into tier 1 so repeats within this statement are
+      // statement-tier hits (keeps the tier metrics meaningful).
+      cache_.emplace(x, cit->second);
+      return cit->second;
     }
   }
-  // Computed outside the lock: concurrent probes of the same configuration
-  // may both run the base optimizer (each counted as a miss); the values
-  // are identical, so the duplicate inserts below are benign no-ops.
   PlanSummary plan = [&] {
     obs::StageTimer timer(obs::Stage::kProbe);
     obs::SpanGuard span("probe.real");
     return base_->Optimize(q, x);
   }();
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.emplace(x, plan);
-    if (cross_ != nullptr &&
-        cross_->size() < cross_options_.max_configs_per_template) {
-      cross_->emplace(x, plan);
-    }
+  ++misses_;
+  cache_.emplace(x, plan);
+  if (cross_ != nullptr &&
+      cross_->size() < cross_options_.max_configs_per_template) {
+    cross_->emplace(x, plan);
   }
   return plan;
 }

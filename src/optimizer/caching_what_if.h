@@ -25,23 +25,18 @@
 // (statement, configuration), so a warm tier 2 changes which probes reach
 // the base optimizer but never any returned cost: recommendation
 // trajectories are bit-for-bit identical with the tier cold, warm, or
-// disabled (asserted in recovery_test and parallel_analysis_test). The tier
+// disabled (asserted in recovery_test and caching_what_if_test). The tier
 // is deliberately NOT persisted by persist/ snapshots — recovery restarts
 // it cold, which by the same argument cannot change the replayed
 // trajectory.
 //
-// Thread safety: Optimize may be called concurrently from worker-pool
-// threads analyzing parts (or IBG frontier probes) of the same statement;
-// the tables are mutex-protected and the counters are atomic.
-// BeginStatement must be called from the (single) analysis thread between
-// statements, never while probes are in flight.
+// Not thread-safe: one decorator belongs to one tuner, and every call
+// comes from the thread analyzing that tuner's statements.
 #ifndef WFIT_OPTIMIZER_CACHING_WHAT_IF_H_
 #define WFIT_OPTIMIZER_CACHING_WHAT_IF_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -85,24 +80,18 @@ class CachingWhatIfOptimizer final : public WhatIfOptimizer {
   /// Monotone counters across the decorator's lifetime. Every hit (either
   /// tier) is one avoided optimizer call;
   /// num_calls() == hits + cross_hits + misses + bypasses.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t cross_hits() const {
-    return cross_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t bypasses() const {
-    return bypasses_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return hits_; }
+  uint64_t cross_hits() const { return cross_hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t bypasses() const { return bypasses_; }
   /// Templates evicted because a different statement shape hashed to the
   /// same fingerprint (expected ~never; a canary for the hash quality).
-  uint64_t fingerprint_collisions() const {
-    return fingerprint_collisions_.load(std::memory_order_relaxed);
-  }
+  uint64_t fingerprint_collisions() const { return fingerprint_collisions_; }
 
   /// Entries currently memoized for the scoped statement (tier 1 only).
-  size_t scoped_entries() const;
+  size_t scoped_entries() const { return cache_.size(); }
   /// Distinct templates currently resident in the cross-statement tier.
-  size_t cross_templates() const;
+  size_t cross_templates() const { return templates_.size(); }
 
   const WhatIfOptimizer* base() const { return base_; }
   const CrossStatementCacheOptions& cross_options() const {
@@ -123,13 +112,12 @@ class CachingWhatIfOptimizer final : public WhatIfOptimizer {
   const WhatIfOptimizer* base_;
   const CrossStatementCacheOptions cross_options_;
   const Statement* scope_ = nullptr;
-  mutable std::mutex mu_;
   /// Tier 1: cleared every BeginStatement.
   mutable PlanMap cache_;
   /// Tier 2: most-recently-used first; BeginStatement moves the scoped
   /// template to the front and evicts from the back. `cross_` points at the
   /// scoped statement's entry (nullptr = tier disabled / no scope).
-  mutable std::list<TemplateEntry> templates_;
+  std::list<TemplateEntry> templates_;
   std::unordered_map<uint64_t, std::list<TemplateEntry>::iterator>
       template_index_;
   PlanMap* cross_ = nullptr;
@@ -137,11 +125,11 @@ class CachingWhatIfOptimizer final : public WhatIfOptimizer {
   /// Cleared wholesale when it outgrows its bound (coarse, but the only
   /// cost of forgetting is one extra cold statement for a template).
   std::unordered_set<uint64_t> seen_once_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> cross_hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> bypasses_{0};
-  mutable std::atomic<uint64_t> fingerprint_collisions_{0};
+  mutable uint64_t hits_ = 0;
+  mutable uint64_t cross_hits_ = 0;
+  mutable uint64_t misses_ = 0;
+  mutable uint64_t bypasses_ = 0;
+  uint64_t fingerprint_collisions_ = 0;
 };
 
 }  // namespace wfit

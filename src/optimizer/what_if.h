@@ -35,7 +35,7 @@ struct PlanSummary {
 /// The interface is virtual so decorators (CachingWhatIfOptimizer) can be
 /// layered over the real optimizer; Optimize is safe to call concurrently
 /// from multiple threads (cost arithmetic is pure, the call counter is
-/// atomic), which the parallel per-part analysis engine relies on.
+/// atomic).
 class WhatIfOptimizer {
  public:
   explicit WhatIfOptimizer(const CostModel* model) : model_(model) {

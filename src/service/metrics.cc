@@ -162,8 +162,6 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
           "DBA feedback events applied");
   Counter(os, "repartitions_total", s.repartitions,
           "Tuner state repartitions");
-  Gauge(os, "analysis_threads", s.analysis_threads,
-        "Worker-pool width for intra-statement parallel analysis");
   Counter(os, "what_if_cache_hits_total", s.what_if_cache_hits,
           "What-if probes served from the statement-scoped memo");
   Counter(os, "what_if_cache_misses_total", s.what_if_cache_misses,
@@ -309,8 +307,6 @@ void AccumulateCounters(MetricsSnapshot* into, const MetricsSnapshot& from) {
   into->max_batch = std::max(into->max_batch, from.max_batch);
   into->feedback_applied += from.feedback_applied;
   into->repartitions += from.repartitions;
-  into->analysis_threads =
-      std::max(into->analysis_threads, from.analysis_threads);
   into->what_if_cache_hits += from.what_if_cache_hits;
   into->what_if_cache_misses += from.what_if_cache_misses;
   into->what_if_cross_hits += from.what_if_cross_hits;
@@ -540,7 +536,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   s.sample_rate =
       static_cast<double>(sample_rate_ppm_.load(std::memory_order_relaxed)) /
       1e6;
-  s.analysis_threads = analysis_threads_.load(std::memory_order_relaxed);
   s.snapshot_version = version_.load(std::memory_order_relaxed);
   s.checkpoints_written = checkpoints_.load(std::memory_order_relaxed);
   s.checkpoint_failures =

@@ -39,7 +39,6 @@ struct MetricsSnapshot {
   uint64_t max_batch = 0;
   uint64_t feedback_applied = 0;
   uint64_t repartitions = 0;  // from Tuner::RepartitionCount()
-  uint64_t analysis_threads = 1;  // worker-pool width (1 = serial)
 
   // What-if memoization (two-tier cache inside the tuner; from
   // Tuner::WhatIfCache()). Every hit — statement-scoped or
@@ -182,9 +181,6 @@ class ServiceMetrics : public obs::StageSink {
     wi_misses_.store(misses, std::memory_order_relaxed);
     wi_cross_hits_.store(cross_hits, std::memory_order_relaxed);
   }
-  void SetAnalysisThreads(uint64_t n) {
-    analysis_threads_.store(n, std::memory_order_relaxed);
-  }
   void OnCheckpoint(uint64_t analyzed_seq, uint64_t bytes,
                     double unix_seconds) {
     checkpoints_.fetch_add(1, std::memory_order_relaxed);
@@ -247,7 +243,6 @@ class ServiceMetrics : public obs::StageSink {
   std::atomic<uint64_t> wi_hits_{0};
   std::atomic<uint64_t> wi_misses_{0};
   std::atomic<uint64_t> wi_cross_hits_{0};
-  std::atomic<uint64_t> analysis_threads_{1};
   std::atomic<uint64_t> version_{0};
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> checkpoint_failures_{0};

@@ -135,15 +135,6 @@ void TenantRouter::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   WFIT_CHECK(!started_, "TenantRouter::Start called twice");
   started_ = true;
-  const size_t analysis = options_.analysis_threads == 0
-                              ? WorkerPool::DefaultThreads()
-                              : options_.analysis_threads;
-  if (analysis > 1) {
-    // Draining threads participate in every ParallelFor, so a pool of
-    // analysis - 1 helpers yields `analysis` concurrent workers per
-    // statement — shared by every shard.
-    analysis_pool_ = std::make_unique<WorkerPool>(analysis - 1);
-  }
   drain_threads_.reserve(options_.drain_threads);
   for (size_t i = 0; i < options_.drain_threads; ++i) {
     drain_threads_.emplace_back([this] { DrainLoop(); });
@@ -252,7 +243,7 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
         recovery.snapshot_loaded ? recovery.snapshot_analyzed : 0;
     t->history_start_set = true;
   }
-  t->service->StartDetached(analysis_pool_.get());
+  t->service->StartDetached();
   for (auto& [after_seq, votes] : t->carried_votes) {
     t->service->FeedbackAfter(after_seq, votes.first, votes.second);
   }

@@ -1,15 +1,14 @@
 // TenantRouter: one deployment tuning many databases at once. The router
 // owns N independent TunerService shards — one per tenant, each with its
 // own Tuner, ingest queue and checkpoint directory <root>/<tenant>/ — all
-// multiplexed over ONE shared analysis WorkerPool and a small fixed set of
-// drain threads, so aggregate thread count stays bounded no matter how
-// many tenants exist.
+// multiplexed over a small fixed set of drain threads, so aggregate thread
+// count stays bounded no matter how many tenants exist.
 //
 //   Submit(tenant, stmt) ──▶ shard ingest queue ──▶ ready ring (FIFO)
 //                                                       │ one batch per turn
 //                            drain threads ◀────────────┘
-//                     (round-robin across ready shards; intra-statement
-//                      work fans out on the shared analysis pool)
+//                     (round-robin across ready shards; each batch is
+//                      analyzed serially on the draining thread)
 //
 // Scheduling is round-robin at batch granularity: a shard that still has
 // deliverable work after its turn re-enters the ready ring at the TAIL, so
@@ -47,7 +46,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/worker_pool.h"
 #include "core/index_set.h"
 #include "core/tuner.h"
 #include "service/fsync_batcher.h"
@@ -124,10 +122,6 @@ struct TenantRouterOptions {
   /// <root>/<encoded tenant id>/. Empty disables durability AND eviction
   /// (evicting without a checkpoint would lose state).
   std::string checkpoint_root;
-  /// Width of the shared analysis pool for intra-statement parallelism,
-  /// counting the draining thread: 1 = serial, 0 = hardware_concurrency,
-  /// k = pool of k-1 helpers. Shared by every shard.
-  size_t analysis_threads = 1;
   /// Concurrent shard drains (scheduler threads). 0 = no threads: the
   /// embedder steps the scheduler manually via DrainOne (tests, or an
   /// external event loop).
@@ -211,8 +205,8 @@ class TenantRouter {
   TenantRouter(const TenantRouter&) = delete;
   TenantRouter& operator=(const TenantRouter&) = delete;
 
-  /// Spawns the drain threads (if any) and the shared analysis pool. Must
-  /// be called exactly once, before any routed operation.
+  /// Spawns the drain threads (if any). Must be called exactly once,
+  /// before any routed operation.
   void Start();
 
   /// Stops the scheduler, then drains and closes every resident shard
@@ -411,7 +405,6 @@ class TenantRouter {
 
   TunerFactory factory_;
   TenantRouterOptions options_;
-  std::unique_ptr<WorkerPool> analysis_pool_;  // shared; null when serial
   /// Declared before tenants_: shards Forget() their journal fds into the
   /// batcher when they close, so it must outlive every shard.
   std::unique_ptr<FsyncBatcher> batcher_;

@@ -333,32 +333,15 @@ void TunerService::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   WFIT_CHECK(!started_, "TunerService::Start called twice");
   started_ = true;
-  const size_t threads = options_.analysis_threads == 0
-                             ? WorkerPool::DefaultThreads()
-                             : options_.analysis_threads;
-  if (threads > 1) {
-    // The analysis worker participates in every ParallelFor, so a pool of
-    // threads - 1 gives exactly `threads` concurrent analysis workers.
-    analysis_pool_ = std::make_unique<WorkerPool>(threads - 1);
-    tuner_->SetAnalysisPool(analysis_pool_.get());
-  }
-  metrics_.SetAnalysisThreads(threads);
   Publish();  // initial configuration, analyzed == 0
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 
-void TunerService::StartDetached(WorkerPool* analysis_pool) {
+void TunerService::StartDetached() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   WFIT_CHECK(!started_, "TunerService started twice");
   started_ = true;
   detached_ = true;
-  if (analysis_pool != nullptr) {
-    tuner_->SetAnalysisPool(analysis_pool);
-  }
-  // The draining thread participates in every ParallelFor, so the
-  // effective analysis width is the shared pool plus one.
-  metrics_.SetAnalysisThreads(
-      analysis_pool == nullptr ? 1 : analysis_pool->num_threads() + 1);
   Publish();  // initial configuration (recovered state after Open)
 }
 
@@ -712,10 +695,6 @@ void TunerService::CloseJournal() {
 
 void TunerService::SyncJournalIfDirty() {
   if (journal_ == nullptr || !journal_dirty_) return;
-  if (!options_.sync_journal) {
-    journal_dirty_ = false;
-    return;
-  }
   Status st;
   if (options_.fsync_batcher != nullptr) {
     // Group commit: flush userspace buffers, then share one kernel flush
@@ -738,11 +717,8 @@ void TunerService::SyncJournalIfDirty() {
 }
 
 void TunerService::TailSyncJournal() {
-  if (journal_ == nullptr || !journal_dirty_ || !options_.sync_journal) {
-    SyncJournalIfDirty();
-    return;
-  }
-  if (options_.fsync_batcher == nullptr) {
+  if (journal_ == nullptr || !journal_dirty_ ||
+      options_.fsync_batcher == nullptr) {
     SyncJournalIfDirty();
     return;
   }
@@ -806,7 +782,7 @@ void TunerService::MaybeCheckpoint(bool force) {
 
 void TunerService::MaybeCompactJournal(uint64_t cover_lsn) {
   namespace fs = std::filesystem;
-  if (!options_.compact_journal || journal_ == nullptr) return;
+  if (journal_ == nullptr) return;
   if (journal_->bytes() < options_.journal_compact_min_bytes) return;
   const std::string path =
       (fs::path(options_.checkpoint_dir) / kJournalFile).string();
@@ -896,8 +872,8 @@ void TunerService::WorkerLoop() {
 void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
                                 uint64_t first_seq, size_t n,
                                 const std::vector<IngestMeta>& meta) {
-  // Stage timers anywhere below this frame (IBG build on pool threads,
-  // what-if probes, checkpoint writes) attribute to this service.
+  // Stage timers anywhere below this frame (IBG build, what-if probes,
+  // checkpoint writes) attribute to this service.
   obs::ScopedStageSink stage_sink(&metrics_);
   metrics_.OnBatch(n);
   // Epochs journaled by a previous incarnation for this (re-queued)

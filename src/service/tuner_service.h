@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/worker_pool.h"
 #include "core/index_set.h"
 #include "core/tuner.h"
 #include "persist/journal.h"
@@ -96,12 +95,6 @@ struct TunerServiceOptions {
   size_t queue_capacity = 1024;
   /// The worker drains at most this many statements per batch.
   size_t max_batch = 32;
-  /// Width of the analysis worker pool for intra-statement parallelism
-  /// (per-part IBG construction + WFA updates fan out across it). 0 means
-  /// hardware_concurrency; 1 means serial analysis (no pool). Statements
-  /// remain strictly serialized either way — only work *inside* one
-  /// statement parallelizes, so the determinism contract is unchanged.
-  size_t analysis_threads = 0;
   /// Record the recommendation after every analyzed statement (for
   /// determinism tests and offline inspection). Off in production.
   bool record_history = false;
@@ -119,21 +112,16 @@ struct TunerServiceOptions {
   /// die un-applied (journaling them at an early boundary is something no
   /// real crash could do; recovery re-pins them instead).
   bool checkpoint_on_shutdown = true;
-  /// fsync the journal once per ingested batch (before analysis) and
-  /// whenever applied feedback precedes further analysis. Disabling trades
-  /// crash durability for throughput (the journal is still written).
-  bool sync_journal = true;
   /// After a checkpoint covers a journal prefix (two durable snapshots),
-  /// rewrite the journal without it. Keeps steady-state journal size
-  /// proportional to the checkpoint interval, not total history.
-  bool compact_journal = true;
-  /// Skip compaction while the journal is smaller than this — rewriting a
+  /// the journal is rewritten without it, keeping its steady-state size
+  /// proportional to the checkpoint interval, not total history. Skip
+  /// that rewrite while the journal is smaller than this — rewriting a
   /// tiny file buys nothing and costs three fsyncs.
   uint64_t journal_compact_min_bytes = 64 * 1024;
   /// Group commit: when set, journal fsyncs go through this shared batcher
   /// (one kernel flush per drain window across all shards on the node)
   /// instead of per-service fdatasync. The batcher must outlive the
-  /// service. sync_journal=false ignores it.
+  /// service.
   FsyncBatcher* fsync_batcher = nullptr;
 
   /// Statements whose end-to-end latency (ingest enqueue through snapshot
@@ -236,11 +224,9 @@ class TunerService {
   using PendingVotes =
       std::multimap<uint64_t, std::pair<IndexSet, IndexSet>>;
 
-  /// Starts the service without a worker thread. `analysis_pool` (may be
-  /// null for serial analysis) is shared across services for
-  /// intra-statement fan-out; the service does not own it. Mutually
-  /// exclusive with Start().
-  void StartDetached(WorkerPool* analysis_pool);
+  /// Starts the service without a worker thread. Mutually exclusive with
+  /// Start().
+  void StartDetached();
 
   /// Drains at most one batch (non-blocking): pops up to max_batch
   /// contiguous statements, write-ahead journals them, analyzes each with
@@ -443,9 +429,6 @@ class TunerService {
   /// Statements below this sequence are already in the journal (recovery
   /// requeued them); the worker skips their WAL append.
   uint64_t journal_stmt_skip_until_ = 0;
-  /// Owned pool for intra-statement parallel analysis; created by Start()
-  /// when the resolved analysis_threads exceeds one.
-  std::unique_ptr<WorkerPool> analysis_pool_;
   ServiceMetrics metrics_;
   std::thread worker_;
   // Lifecycle state; guarded so Shutdown() is safe to race with the

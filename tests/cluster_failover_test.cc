@@ -55,7 +55,6 @@ service::TenantRouterOptions RouterOptions() {
   // Crash realism: no parting checkpoint — only journaled state
   // survives, exactly what a SIGKILL would leave behind.
   options.shard.checkpoint_on_shutdown = false;
-  options.analysis_threads = 1;
   options.drain_threads = 1;
   return options;
 }

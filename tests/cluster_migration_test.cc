@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,7 +52,6 @@ service::TenantRouterOptions RouterOptions(const std::string& root) {
   options.shard.record_history = true;
   options.shard.checkpoint_every_statements = 100;
   options.checkpoint_root = root;
-  options.analysis_threads = 1;
   options.drain_threads = 1;
   return options;
 }
@@ -330,6 +330,64 @@ TEST(ClusterMigrationTest, FailedHandoffRevertsAndStaysConsistent) {
 // node="..." labels with one header per family, and a trace id stamped
 // by the client at submit time comes back out of kDumpTrace attached to
 // the node-side spans (wire propagation end to end).
+TEST(ClusterConfigTest, HostileQosSetConfigIsRejectedAndTenantServes) {
+  // A kSetConfig whose tenant QoS the shard cannot run with (a sample
+  // floor above 1 aborts the shard's construction at the next admission;
+  // an infinite weight overflows the DRR quantum) must be refused at the
+  // wire, before anything is installed.
+  TwoNodeCluster cluster("hostile_qos");
+  ClusterClient client(cluster.config);
+  TunerNode& owner = cluster.Owner();
+  const std::string owner_id = OwnerOf(cluster.config, kTenant)->id;
+  // The sample floor goes last: were it installed, it would be the QoS
+  // in force when the tenant is admitted below.
+  std::vector<service::TenantQos> hostile = {
+      {.weight = std::numeric_limits<double>::infinity()},
+      {.weight = 1e300},
+      {.p99_budget_ms = -5.0},
+      {.sample_floor = 2.0},
+  };
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    ClusterConfig bad = cluster.config;
+    bad.version = cluster.config.version + 1 + i;
+    bad.tenant_qos[kTenant] = hostile[i];
+    net::Request set;
+    set.type = net::MsgType::kSetConfig;
+    set.config_blob = EncodeClusterConfig(bad);
+    auto resp = client.CallNode(owner_id, std::move(set));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->kind, net::RespKind::kError) << "case " << i;
+    EXPECT_EQ(resp->code, StatusCode::kInvalidArgument) << "case " << i;
+    EXPECT_EQ(owner.Config().version, cluster.config.version)
+        << "case " << i << " installed a rejected config";
+  }
+
+  // The tenant is first admitted only now, under the config the node
+  // kept: it must come up and analyze.
+  const Workload& workload = cluster.env->Env(0).workload;
+  constexpr size_t kSubmit = 10;
+  for (size_t seq = 0; seq < kSubmit; ++seq) {
+    net::Request req;
+    req.type = net::MsgType::kSubmitAt;
+    req.seq = seq;
+    req.has_statement = true;
+    req.statement = workload[seq];
+    auto resp = client.Call(kTenant, std::move(req));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp->kind, net::RespKind::kOk) << resp->message;
+  }
+  while (AnalyzedNow(client) < kSubmit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::vector<IndexSet>& reference = ReferenceTrajectory();
+  const std::vector<IndexSet> history = owner.router().History(kTenant);
+  ASSERT_GE(history.size(), kSubmit);
+  for (size_t i = 0; i < kSubmit; ++i) {
+    EXPECT_EQ(history[i], reference[i]) << "statement " << i;
+  }
+  cluster.Shutdown();
+}
+
 TEST(ClusterHealthTest, HealthScrapeAndTracePlane) {
   TwoNodeCluster cluster("health");
 #ifndef WFIT_DISABLE_TRACING

@@ -1,10 +1,12 @@
 // Seeded mutation sweep over every decoder of bytes that come from disk or
-// the network: ReadSnapshot, ReadJournal, UnpackCheckpointDir and the wire
-// DecodeRequest/DecodeResponse. Each case applies bit flips, a truncation
-// or a corrupted length field to a valid encoding; CRC-guarded formats are
-// also re-sealed (checksums recomputed after the mutation) so the payload
-// decoders behind the CRC see the hostile bytes too. Every case must come
-// back as a Status — no abort, no sanitizer report.
+// the network: ReadSnapshot, ReadJournal, UnpackCheckpointDir, the wire
+// DecodeRequest/DecodeResponse, DecodeClusterConfig and the incremental
+// FrameReader (fed in random chunk sizes). Each case applies bit flips, a
+// truncation or a corrupted length field to a valid encoding; CRC-guarded
+// formats are also re-sealed (checksums recomputed after the mutation) so
+// the payload decoders behind the CRC see the hostile bytes too. Every
+// case must come back as a Status or a poisoned stream — no abort, no
+// sanitizer report.
 //
 // WFIT_FUZZ_CASES sets the cases per decoder (default 300). A failing case
 // prints its decoder, its own rng seed, case number, mutation and offset,
@@ -13,6 +15,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,9 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/placement.h"
 #include "common/crc32.h"
 #include "core/wfa_plus.h"
 #include "core/wfit.h"
+#include "net/frame.h"
 #include "net/wire.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
@@ -505,6 +510,120 @@ TEST(DecoderFuzzTest, DecodeResponse) {
       [&](const MutatedCase& c) {
         net::Response resp;
         (void)net::DecodeResponse(c.bytes, &resp);
+      });
+}
+
+TEST(DecoderFuzzTest, DecodeClusterConfig) {
+  cluster::ClusterConfig config;
+  config.version = 9;
+  config.nodes = {{"a", "10.0.0.1", 7601},
+                  {"b", "10.0.0.2", 7602},
+                  {"c", "host-c", 65535}};
+  config.overrides = {{"tenant-1", "b"}, {"tenant-2", "c"}};
+  config.tenant_qos["tenant-1"] = {.weight = 4.0,
+                                   .byte_budget = 4096,
+                                   .p99_budget_ms = 25.0,
+                                   .sample_floor = 0.25};
+  config.tenant_qos["tenant-3"] = {.weight = 0.5};
+  config.Normalize();
+  const std::string seed = cluster::EncodeClusterConfig(config);
+  Sweep(
+      "cluster_config", 7,
+      [&](std::mt19937_64& rng) { return Mutate(seed, 0, seed.size(), rng); },
+      [&](const MutatedCase& c) {
+        cluster::ClusterConfig decoded;
+        if (!cluster::DecodeClusterConfig(c.bytes, &decoded).ok()) return;
+        // An accepted config only holds QoS the router can run with, and
+        // survives its own round trip.
+        for (const auto& [tenant, qos] : decoded.tenant_qos) {
+          EXPECT_TRUE(qos.weight > 0.0 && qos.weight <= 1e6) << tenant;
+          EXPECT_TRUE(qos.sample_floor >= 0.0 && qos.sample_floor <= 1.0)
+              << tenant;
+          EXPECT_TRUE(qos.p99_budget_ms >= 0.0 &&
+                      std::isfinite(qos.p99_budget_ms))
+              << tenant;
+        }
+        cluster::ClusterConfig again;
+        EXPECT_TRUE(cluster::DecodeClusterConfig(
+                        cluster::EncodeClusterConfig(decoded), &again)
+                        .ok());
+      });
+}
+
+TEST(DecoderFuzzTest, FrameReaderInRandomChunks) {
+  TestDb db;
+  // A stream of several frames, as a connection would carry them.
+  std::string seed;
+  std::vector<size_t> frames;
+  for (net::MsgType type :
+       {net::MsgType::kSubmitAt, net::MsgType::kFeedbackAfter,
+        net::MsgType::kHeartbeat, net::MsgType::kMigrateIn}) {
+    frames.push_back(seed.size());
+    seed += net::EncodeFrame(
+        net::EncodeRequest(SeedRequest(db, type), 11, 12));
+  }
+  Sweep(
+      "frame_reader", 8,
+      [&](std::mt19937_64& rng) {
+        // Re-sealed cases damage one frame's payload and recompute its
+        // CRC, so the damaged payload reaches DecodeRequest.
+        const bool reseal = rng() % 2 == 0;
+        if (!reseal) return Mutate(seed, 0, seed.size(), rng);
+        const size_t frame = frames[rng() % frames.size()];
+        uint32_t len = 0;
+        std::memcpy(&len, seed.data() + frame, 4);
+        MutatedCase c = Mutate(seed, frame + net::kFrameHeaderBytes,
+                               frame + net::kFrameHeaderBytes + len, rng);
+        if (c.mutation != Mutation::kTruncate) {
+          PutU32At(&c.bytes, frame + 4,
+                   Crc32(std::string_view(c.bytes).substr(
+                       frame + net::kFrameHeaderBytes, len)));
+          c.resealed = true;
+        }
+        return c;
+      },
+      [&](const MutatedCase& c) {
+        // The chunking is part of the case: derive it from the bytes so
+        // the printed seed alone reproduces it.
+        std::mt19937_64 chunk_rng(Crc32(c.bytes) ^ c.offset);
+        net::FrameReader reader;
+        std::string payload;
+        size_t fed = 0;
+        size_t consumed = 0;
+        Status poison;
+        while (fed < c.bytes.size() && poison.ok()) {
+          const size_t n =
+              std::min<size_t>(1 + chunk_rng() % 64, c.bytes.size() - fed);
+          reader.Feed(std::string_view(c.bytes).substr(fed, n));
+          fed += n;
+          while (true) {
+            StatusOr<bool> next = reader.Next(&payload);
+            if (!next.ok()) {
+              poison = next.status();
+              break;
+            }
+            if (!*next) break;
+            consumed += net::kFrameHeaderBytes + payload.size();
+            net::Request req;
+            (void)net::DecodeRequest(payload, &req);
+          }
+        }
+        if (!poison.ok()) {
+          // Poisoned for good: more bytes never resynchronize the stream.
+          reader.Feed(seed);
+          StatusOr<bool> again = reader.Next(&payload);
+          ASSERT_FALSE(again.ok());
+          EXPECT_EQ(again.status().code(), poison.code());
+          EXPECT_EQ(again.status().message(), poison.message());
+        } else {
+          EXPECT_EQ(consumed + reader.pending_bytes(), c.bytes.size());
+        }
+        if (!c.resealed && c.bytes != seed && poison.ok() &&
+            c.mutation != Mutation::kTruncate) {
+          // Undetected damage is only possible in a length prefix that
+          // now waits for bytes that never come.
+          EXPECT_GT(reader.pending_bytes(), 0u) << "damaged frame accepted";
+        }
       });
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace wfit {
@@ -129,6 +133,58 @@ TEST(IbgTest, ToMaskToSetRoundTrip) {
   IndexSet with_alien = ibg.ToSet(0b101);
   with_alien.Add(db.Ix("t3", {"v"}));
   EXPECT_EQ(ibg.ToMask(with_alien), 0b101u);
+}
+
+TEST(IbgTest, NodeBudgetSweepShedsTheTailHalf) {
+  TestDb db;
+  // Enough candidates on one table that a multi-predicate query produces a
+  // deep node closure (every used index spawns a child per level).
+  std::vector<IndexId> cands = {
+      db.Ix("t1", {"a"}),      db.Ix("t1", {"b"}),
+      db.Ix("t1", {"c"}),      db.Ix("t1", {"a", "b"}),
+      db.Ix("t1", {"b", "a"}), db.Ix("t1", {"a", "c"}),
+      db.Ix("t1", {"c", "a"}), db.Ix("t1", {"b", "c"})};
+  Statement q = db.Bind(
+      "SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND 200 "
+      "AND b BETWEEN 0 AND 100 AND c = 3");
+  // Sweep budgets from "sheds almost everything" (the retry-with-half
+  // fallback path, possibly several halvings) to "fits exactly".
+  bool saw_truncation = false;
+  for (size_t budget : {1u, 2u, 3u, 5u, 9u, 17u, 33u, 1024u}) {
+    IndexBenefitGraph ibg(q, db.optimizer(), cands, budget);
+    EXPECT_LE(ibg.num_nodes(), budget) << "budget=" << budget;
+    saw_truncation = saw_truncation || !ibg.truncated_candidates().empty();
+    // Shed + kept always partitions the input candidate list, and the
+    // kept candidates are its head (callers rank by benefit).
+    const std::vector<IndexId>& kept = ibg.candidates();
+    ASSERT_LE(kept.size(), cands.size());
+    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), cands.begin()))
+        << "budget=" << budget;
+    std::vector<IndexId> rejoined = kept;
+    rejoined.insert(rejoined.end(), ibg.truncated_candidates().begin(),
+                    ibg.truncated_candidates().end());
+    std::sort(rejoined.begin(), rejoined.end());
+    std::vector<IndexId> sorted_cands = cands;
+    std::sort(sorted_cands.begin(), sorted_cands.end());
+    EXPECT_EQ(rejoined, sorted_cands) << "budget=" << budget;
+  }
+  EXPECT_TRUE(saw_truncation)
+      << "the budget sweep must exercise the retry-with-half path";
+}
+
+TEST(IbgSingleReaderDeathTest, SecondThreadMemoizingReadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TestDb db;
+  Statement q = db.Bind("SELECT count(*) FROM t1 WHERE a = 3 AND b = 4");
+  std::vector<IndexId> cands = {db.Ix("t1", {"a"}), db.Ix("t1", {"b"})};
+  EXPECT_DEATH(
+      {
+        IndexBenefitGraph ibg(q, db.optimizer(), cands);
+        ibg.CostOf(1);  // claims the graph for this thread
+        std::thread other([&] { ibg.CostOf(2); });
+        other.join();
+      },
+      "memoizing reads from two threads");
 }
 
 TEST(IbgDeathTest, TooManyCandidatesAborts) {

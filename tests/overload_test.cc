@@ -70,7 +70,6 @@ TEST(OverloadTest, ControllerDegradesAndRecoversWithHysteresis) {
   TunerServiceOptions options;
   options.queue_capacity = 8;
   options.max_batch = 1;
-  options.analysis_threads = 1;
   options.record_history = true;
   options.overload.enabled = true;
   options.overload.high_watermark = 0.75;
@@ -78,7 +77,7 @@ TEST(OverloadTest, ControllerDegradesAndRecoversWithHysteresis) {
   options.overload.sample_floor = 0.25;
   options.overload.sample_seed = 7;
   TunerService service(MakeTuner(db), options);
-  service.StartDetached(nullptr);
+  service.StartDetached();
 
   for (size_t i = 0; i < 8; ++i) ASSERT_TRUE(service.SubmitAt(i, w[i]));
 
@@ -122,14 +121,13 @@ TEST(OverloadTest, SheddingDropsOnlyDuplicateTemplates) {
   TunerServiceOptions options;
   options.queue_capacity = 4;
   options.max_batch = 1;
-  options.analysis_threads = 1;
   options.record_history = true;
   options.overload.enabled = true;
   options.overload.high_watermark = 0.6;
   options.overload.low_watermark = 0.01;
   options.overload.sample_floor = 0.25;
   TunerService service(MakeTuner(db), options);
-  service.StartDetached(nullptr);
+  service.StartDetached();
 
   // Four copies of one template. Post-pop fills: .75 (enter Shedding —
   // the first copy is novel, kept, and remembered), .5 and .25 (still
@@ -162,11 +160,10 @@ TEST(OverloadTest, EnabledControllerAtRateOneIsBitIdentical) {
     TunerServiceOptions options;
     options.queue_capacity = 1024;
     options.max_batch = 4;
-    options.analysis_threads = 1;
     options.record_history = true;
     options.overload.enabled = enabled == 1;
     TunerService service(MakeTuner(db), options);
-    service.StartDetached(nullptr);
+    service.StartDetached();
     for (size_t i = 0; i < kTotal; ++i) ASSERT_TRUE(service.SubmitAt(i, w[i]));
     while (service.ProcessBatch() > 0) {
     }
@@ -200,7 +197,6 @@ TunerServiceOptions SamplingOptions(const std::string& dir) {
   TunerServiceOptions options;
   options.queue_capacity = 8;
   options.max_batch = 1;
-  options.analysis_threads = 1;
   options.record_history = true;
   options.checkpoint_dir = dir;
   options.checkpoint_every_statements = 1u << 30;  // journal-only
@@ -230,7 +226,7 @@ void CheckMidSamplingRecovery(bool snapshots) {
     if (snapshots) options.checkpoint_every_statements = 10;
     auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-    (*service)->StartDetached(nullptr);
+    (*service)->StartDetached();
     RunRounds(**service, w, 0, kRounds);
     (*service)->Shutdown();
     reference = (*service)->History();
@@ -253,7 +249,7 @@ void CheckMidSamplingRecovery(bool snapshots) {
     Workload w = BuildWorkload(db, kTotal);
     auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-    (*service)->StartDetached(nullptr);
+    (*service)->StartDetached();
     RunRounds(**service, w, 0, kCrashRound);
     MetricsSnapshot m = (*service)->Metrics();
     EXPECT_EQ(m.overload_mode, 2u) << "crash point is not mid-Sampling";
@@ -271,7 +267,7 @@ void CheckMidSamplingRecovery(bool snapshots) {
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   EXPECT_EQ(stats.analyzed, 8 * kCrashRound);
   EXPECT_EQ(stats.snapshot_loaded, snapshots);
-  (*service)->StartDetached(nullptr);
+  (*service)->StartDetached();
   RunRounds(**service, w, 0, kRounds);
   (*service)->Shutdown();
   std::vector<IndexSet> recovered = (*service)->History();

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace wfit::cluster {
 namespace {
@@ -118,6 +120,35 @@ TEST(PlacementTest, ConfigCodecRejectsTruncation) {
             .ok())
         << "cut at " << cut;
   }
+}
+
+TEST(PlacementTest, ConfigCodecRejectsOutOfRangeQos) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<service::TenantQos> hostile = {
+      {.weight = 0.0},          {.weight = -1.0},
+      {.weight = inf},          {.weight = nan},
+      {.weight = 1e6 * 1.5},    {.sample_floor = 2.0},
+      {.sample_floor = -0.5},   {.sample_floor = nan},
+      {.p99_budget_ms = -1.0},  {.p99_budget_ms = inf},
+      {.p99_budget_ms = nan},
+  };
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    ClusterConfig config = ThreeNodes();
+    config.tenant_qos["tenant-1"] = hostile[i];
+    ClusterConfig decoded;
+    Status st = DecodeClusterConfig(EncodeClusterConfig(config), &decoded);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "case " << i;
+  }
+  // The boundaries themselves are legal.
+  ClusterConfig config = ThreeNodes();
+  config.tenant_qos["tenant-1"] = {.weight = 1e6, .p99_budget_ms = 0.0,
+                                   .sample_floor = 1.0};
+  config.tenant_qos["tenant-2"] = {.weight = 1e-3, .sample_floor = 0.0};
+  ClusterConfig decoded;
+  ASSERT_TRUE(
+      DecodeClusterConfig(EncodeClusterConfig(config), &decoded).ok());
+  EXPECT_EQ(decoded.tenant_qos.size(), 2u);
 }
 
 TEST(PlacementTest, ParsesNodeListSpec) {

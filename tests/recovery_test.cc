@@ -2,8 +2,8 @@
 // recover from checkpoint_dir, finish the workload — the recommendation
 // trajectory is bit-for-bit identical to an uninterrupted run. Covered for
 // WFIT (auto candidate maintenance) and WFA+ (fixed stable partition),
-// with interleaved DBA feedback, at analysis_threads 1 and 8, with and
-// without a usable snapshot (journal-only cold start).
+// with interleaved DBA feedback, with and without a usable snapshot
+// (journal-only cold start).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -95,11 +95,10 @@ std::vector<Vote> MakeVotes(const std::vector<IndexId>& ids) {
   };
 }
 
-TunerServiceOptions BaseOptions(size_t threads) {
+TunerServiceOptions BaseOptions() {
   TunerServiceOptions options;
   options.queue_capacity = 64;
   options.max_batch = 5;
-  options.analysis_threads = threads;
   options.record_history = true;
   return options;
 }
@@ -120,12 +119,12 @@ void Produce(TunerService& service, const Workload& w, size_t first,
   for (auto& t : producers) t.join();
 }
 
-std::vector<IndexSet> ReferenceHistory(Kind kind, size_t threads) {
+std::vector<IndexSet> ReferenceHistory(Kind kind) {
   TestDb db;
   std::vector<IndexId> ids = SeedIds(db);
   std::unique_ptr<Tuner> tuner = MakeTuner(kind, db);
   Workload w = BuildWorkload(db, kTotal);
-  TunerService service(std::move(tuner), BaseOptions(threads));
+  TunerService service(std::move(tuner), BaseOptions());
   service.Start();
   for (const Vote& v : MakeVotes(ids)) {
     service.FeedbackAfter(v.after, v.plus, v.minus);
@@ -138,19 +137,18 @@ std::vector<IndexSet> ReferenceHistory(Kind kind, size_t threads) {
 /// The crash + recover flow. Returns the reference-aligned suffix: the
 /// recovered run's history starting at `*out_start` (the snapshot's
 /// analyzed count, or 0 for a journal-only cold start).
-std::vector<IndexSet> CrashAndRecover(Kind kind, size_t threads,
-                                      bool drop_snapshots,
+std::vector<IndexSet> CrashAndRecover(Kind kind, bool drop_snapshots,
                                       uint64_t* out_start,
                                       RecoveryStats* out_stats) {
   const std::string dir =
       (fs::path(::testing::TempDir()) /
        ("wfit_recovery_" + std::to_string(::getpid()) + "_" +
-        std::to_string(static_cast<int>(kind)) + "_" +
-        std::to_string(threads) + (drop_snapshots ? "_nosnap" : "")))
+        std::to_string(static_cast<int>(kind)) +
+        (drop_snapshots ? "_nosnap" : "")))
           .string();
   fs::remove_all(dir);
 
-  TunerServiceOptions options = BaseOptions(threads);
+  TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
   options.checkpoint_every_statements = 50;
   // Simulate the crash: no final checkpoint, so recovery must replay the
@@ -211,14 +209,13 @@ std::vector<IndexSet> CrashAndRecover(Kind kind, size_t threads,
   return (*service)->History();
 }
 
-void CheckRecoveryMatchesReference(Kind kind, size_t threads,
-                                   bool drop_snapshots) {
-  std::vector<IndexSet> reference = ReferenceHistory(kind, threads);
+void CheckRecoveryMatchesReference(Kind kind, bool drop_snapshots) {
+  std::vector<IndexSet> reference = ReferenceHistory(kind);
   ASSERT_EQ(reference.size(), kTotal);
   uint64_t start = 0;
   RecoveryStats stats;
   std::vector<IndexSet> recovered =
-      CrashAndRecover(kind, threads, drop_snapshots, &start, &stats);
+      CrashAndRecover(kind, drop_snapshots, &start, &stats);
   ASSERT_EQ(recovered.size(), kTotal - start);
   for (size_t i = 0; i < recovered.size(); ++i) {
     ASSERT_EQ(recovered[i], reference[start + i])
@@ -236,23 +233,15 @@ void CheckRecoveryMatchesReference(Kind kind, size_t threads,
 }
 
 TEST(RecoveryTest, WfitBitForBitSerial) {
-  CheckRecoveryMatchesReference(Kind::kWfit, 1, /*drop_snapshots=*/false);
-}
-
-TEST(RecoveryTest, WfitBitForBitParallel8) {
-  CheckRecoveryMatchesReference(Kind::kWfit, 8, /*drop_snapshots=*/false);
+  CheckRecoveryMatchesReference(Kind::kWfit, /*drop_snapshots=*/false);
 }
 
 TEST(RecoveryTest, WfaPlusBitForBitSerial) {
-  CheckRecoveryMatchesReference(Kind::kWfaPlus, 1, /*drop_snapshots=*/false);
-}
-
-TEST(RecoveryTest, WfaPlusBitForBitParallel8) {
-  CheckRecoveryMatchesReference(Kind::kWfaPlus, 8, /*drop_snapshots=*/false);
+  CheckRecoveryMatchesReference(Kind::kWfaPlus, /*drop_snapshots=*/false);
 }
 
 TEST(RecoveryTest, JournalOnlyColdStartReplaysEverything) {
-  CheckRecoveryMatchesReference(Kind::kWfit, 1, /*drop_snapshots=*/true);
+  CheckRecoveryMatchesReference(Kind::kWfit, /*drop_snapshots=*/true);
 }
 
 TEST(RecoveryTest, CrossStatementCacheIsSnapshotExemptAndRecoverySafe) {
@@ -333,7 +322,7 @@ TEST(RecoveryTest, WalAheadOfAnalysisRequeuesIntakeAndKeepsVoteBoundaries) {
   TestDb db;
   std::vector<IndexId> ids = SeedIds(db);
   Workload w = BuildWorkload(db, 10);
-  TunerServiceOptions options = BaseOptions(1);
+  TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
   RecoveryStats stats;
   auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
@@ -380,7 +369,7 @@ TEST(RecoveryTest, UpgradedTreeIgnoresStrayDeltaAndArchive) {
           .string();
   fs::remove_all(root);
   const std::string dir = persist::TenantCheckpointDir(root, "tenant-a");
-  TunerServiceOptions options = BaseOptions(1);
+  TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
   options.checkpoint_every_statements = 50;
   options.checkpoint_on_shutdown = false;
@@ -455,7 +444,7 @@ TEST(RecoveryTest, UpgradedTreeIgnoresStrayDeltaAndArchive) {
   EXPECT_NE(persist::ListSnapshots(dir).front(), snapshots.front());
   EXPECT_FALSE(fs::exists(delta_path));
   std::vector<IndexSet> recovered = (*service)->History();
-  std::vector<IndexSet> reference = ReferenceHistory(Kind::kWfit, 1);
+  std::vector<IndexSet> reference = ReferenceHistory(Kind::kWfit);
   ASSERT_EQ(recovered.size(), kTotal - newest_analyzed);
   for (size_t i = 0; i < recovered.size(); ++i) {
     ASSERT_EQ(recovered[i], reference[newest_analyzed + i])
@@ -469,7 +458,7 @@ TEST(RecoveryTest, JournalDeletedAfterCheckpointStillRecovers) {
        ("wfit_recovery_nojournal_" + std::to_string(::getpid())))
           .string();
   fs::remove_all(dir);
-  TunerServiceOptions options = BaseOptions(1);
+  TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
   options.checkpoint_every_statements = 16;
 
@@ -530,7 +519,7 @@ TEST(RecoveryTest, FreshDirectoryIsAColdStartWithJournaling) {
   std::vector<IndexId> ids = SeedIds(db);
   std::unique_ptr<Tuner> tuner = MakeTuner(Kind::kWfit, db);
   Workload w = BuildWorkload(db, 40);
-  TunerServiceOptions options = BaseOptions(1);
+  TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
   options.checkpoint_every_statements = 16;
   RecoveryStats stats;

@@ -157,7 +157,6 @@ TEST(TenantRouterTest, InterleavedTrafficMatchesDedicatedRuns) {
   options.shard.queue_capacity = 16;
   options.shard.max_batch = 5;
   options.shard.record_history = true;
-  options.analysis_threads = 2;
   options.drain_threads = 2;
   TenantRouter router(env.Factory(), options);
   router.Start();

@@ -1,28 +1,23 @@
 // Durability overhead bench: snapshot write/restore latency and size for a
 // warmed-up WFIT state, write-ahead journal append/fsync throughput,
-// journal compaction reclaim, group-commit fsync coalescing, and
-// end-to-end recovery (snapshot load + journal suffix replay). Merges the
-// machine-readable numbers into BENCH_service.json.
+// journal compaction reclaim, and end-to-end recovery (snapshot load +
+// journal suffix replay). Merges the machine-readable numbers into
+// BENCH_service.json.
 //
 // WFIT_BENCH_FAST=1 runs the scaled-down trace for CI smoke.
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/wfit.h"
 #include "harness/reporting.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
-#include "service/fsync_batcher.h"
 #include "service/tuner_service.h"
 
 namespace {
@@ -136,63 +131,6 @@ int main() {
               << " B reclaimed in " << compact_ms << " ms\n";
   }
 
-  // --- group commit -----------------------------------------------------
-  // One shard = one journal descriptor syncing once per 5-statement
-  // analysis batch. Plain: one fdatasync per shard per batch. Batched:
-  // every sync routed through one shared FsyncBatcher window.
-  double group_commit_fsyncs_per_kstmt = 0.0;
-  double group_commit_fsync_reduction = 0.0;
-  {
-    const size_t kShards = 16;
-    const size_t kBatchesPerShard = fast ? 30 : 100;
-    const size_t kStmtsPerBatch = 5;
-    service::FsyncBatcher::Options bopts;
-    bopts.window_us = 2000;  // wide window: every shard lands in each cycle
-    service::FsyncBatcher batcher(bopts);
-    std::vector<int> fds;
-    for (size_t s = 0; s < kShards; ++s) {
-      const std::string path =
-          (dir / ("gc_shard_" + std::to_string(s))).string();
-      int fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_TRUNC, 0644);
-      WFIT_CHECK(fd >= 0, "open group-commit scratch file");
-      fds.push_back(fd);
-    }
-    std::vector<std::thread> threads;
-    for (size_t s = 0; s < kShards; ++s) {
-      threads.emplace_back([&, s] {
-        const char record[64] = {0};
-        for (size_t b = 0; b < kBatchesPerShard; ++b) {
-          WFIT_CHECK(::write(fds[s], record, sizeof(record)) ==
-                         static_cast<ssize_t>(sizeof(record)),
-                     "group-commit write");
-          WFIT_CHECK(batcher.SyncRequired(fds[s]).ok(),
-                     "group-commit sync");
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    service::FsyncBatcher::Stats stats = batcher.GetStats();
-    for (int fd : fds) {
-      batcher.Forget(fd);
-      ::close(fd);
-    }
-    const double total_stmts =
-        static_cast<double>(kShards * kBatchesPerShard * kStmtsPerBatch);
-    const double plain_fsyncs =
-        static_cast<double>(kShards * kBatchesPerShard);
-    group_commit_fsyncs_per_kstmt =
-        static_cast<double>(stats.sync_calls) / (total_stmts / 1000.0);
-    group_commit_fsync_reduction =
-        plain_fsyncs / static_cast<double>(std::max<uint64_t>(
-                           stats.sync_calls, 1));
-    std::cout << "group commit: " << plain_fsyncs << " shard syncs in "
-              << stats.cycles << " cycles / " << stats.sync_calls
-              << " kernel flushes (" << stats.syncfs_calls
-              << " syncfs) = " << group_commit_fsync_reduction
-              << "x fewer fsyncs, " << group_commit_fsyncs_per_kstmt
-              << " fsyncs/kstmt\n";
-  }
-
   // --- end-to-end recovery (snapshot + journal suffix replay) -----------
   double recover_ms = 0.0;
   uint64_t replayed = 0;
@@ -243,8 +181,6 @@ int main() {
           {"journal_compacted_bytes",
            static_cast<double>(journal_compacted_bytes)},
           {"journal_compact_ms", compact_ms},
-          {"group_commit_fsyncs_per_kstmt", group_commit_fsyncs_per_kstmt},
-          {"group_commit_fsync_reduction", group_commit_fsync_reduction},
           {"recovery_open_ms", recover_ms},
           {"recovery_replayed_statements", static_cast<double>(replayed)},
       });

@@ -120,7 +120,12 @@ void TunerNode::InstallConfig(ClusterConfig config) {
   // same way wherever it lands; applied outside config_mu_ (the router
   // has its own lock and never calls back into the node).
   for (const auto& [tenant, qos] : qos_updates) {
-    router_->SetTenantQos(tenant, qos);
+    Status st = router_->SetTenantQos(tenant, qos);
+    if (!st.ok()) {
+      obs::Log(obs::LogLevel::kWarn, "node.qos_rejected")
+          .Str("tenant", tenant)
+          .Str("error", st.ToString());
+    }
   }
 }
 

@@ -1,19 +1,10 @@
 #include "cluster/placement.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "persist/codec.h"
 
 namespace wfit::cluster {
-
-namespace {
-
-/// Largest accepted tenant QoS weight: its DRR quantum (weight × the
-/// shard's max_batch) must stay far inside size_t.
-constexpr double kMaxQosWeight = 1e6;
-
-}  // namespace
 
 const NodeInfo* ClusterConfig::FindNode(const std::string& id) const {
   for (const NodeInfo& n : nodes) {
@@ -138,23 +129,12 @@ Status DecodeClusterConfig(std::string_view blob, ClusterConfig* out) {
       WFIT_RETURN_IF_ERROR(d.GetU64(&byte_budget));
       WFIT_RETURN_IF_ERROR(d.GetDouble(&qos.p99_budget_ms));
       WFIT_RETURN_IF_ERROR(d.GetDouble(&qos.sample_floor));
-      // Ranges the router and its shards rely on: the weight scales the
-      // DRR quantum (converted to size_t), a sample floor above 1 fails
-      // the shard's construction check, and the latency budget becomes
-      // the shard's dynamic-batching target.
-      if (!(qos.weight > 0.0 && qos.weight <= kMaxQosWeight)) {
-        return Status::InvalidArgument(
-            "cluster config: qos weight outside (0, 1e6]");
-      }
-      if (!(qos.sample_floor >= 0.0 && qos.sample_floor <= 1.0)) {
-        return Status::InvalidArgument(
-            "cluster config: qos sample_floor outside [0, 1]");
-      }
-      if (!(qos.p99_budget_ms >= 0.0 && std::isfinite(qos.p99_budget_ms))) {
-        return Status::InvalidArgument(
-            "cluster config: qos p99_budget_ms not a finite value >= 0");
-      }
       qos.byte_budget = static_cast<size_t>(byte_budget);
+      // A config that passes here installs through SetTenantQos cleanly.
+      Status valid = service::ValidateTenantQos(qos);
+      if (!valid.ok()) {
+        return Status::InvalidArgument("cluster config: " + valid.message());
+      }
       out->tenant_qos.emplace(std::move(tenant), qos);
     }
   }

@@ -147,8 +147,6 @@ void PrintRouterMetrics(std::ostream& os, const std::string& title,
      << m.tenants_known << "   (resident " << m.tenants_resident
      << ", admissions " << m.admissions << ", evictions " << m.evictions
      << ")\n";
-  os << std::setw(26) << "resident footprint" << std::setw(14)
-     << m.resident_footprint_bytes << " bytes (estimated)\n";
   os << std::setw(14) << "tenant" << std::setw(12) << "analyzed"
      << std::setw(10) << "queue" << std::setw(10) << "evicted"
      << std::setw(14) << "mean lat us" << "\n";

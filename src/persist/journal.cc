@@ -203,17 +203,6 @@ Status JournalWriter::Sync() {
   return Status::Ok();
 }
 
-Status JournalWriter::Flush() {
-  WFIT_CHECK(file_ != nullptr, "journal not open");
-  if (std::fflush(file_) != 0) return Status::Internal("journal fflush");
-  return Status::Ok();
-}
-
-int JournalWriter::fd() const {
-  WFIT_CHECK(file_ != nullptr, "journal not open");
-  return fileno(file_);
-}
-
 void JournalWriter::Close() {
   if (file_ != nullptr) {
     std::fflush(file_);

@@ -110,17 +110,7 @@ class JournalWriter {
   /// Makes every appended record durable (fflush + fsync).
   Status Sync();
 
-  /// Pushes buffered appends into the kernel (fflush only, no fsync) so a
-  /// group-commit batcher can make them durable with one fdatasync across
-  /// many journals. Counts nothing toward syncs().
-  Status Flush();
-
-  /// The underlying descriptor, for batched fsync. Only valid while open;
-  /// the owner must Forget() it from any batcher before Close().
-  int fd() const;
-
   void Close();
-  bool is_open() const { return file_ != nullptr; }
 
   /// Records in the file (pre-existing + appended).
   uint64_t lsn() const { return lsn_; }

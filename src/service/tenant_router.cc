@@ -39,6 +39,16 @@ void QosFamily(const RouterMetricsSnapshot& s, std::ostream& os,
   }
 }
 
+/// Largest accepted tenant QoS weight: its DRR quantum (weight × the
+/// shard's max_batch) must stay far inside size_t.
+constexpr double kMaxQosWeight = 1e6;
+
+bool IsAccepted(PushAtResult result) {
+  return result == PushAtResult::kAccepted;
+}
+
+bool IsTrue(bool ok) { return ok; }
+
 /// FNV-1a of the tenant id: the default per-tenant sampling seed, so a
 /// tenant's shed/sample decisions are reproducible from its id alone.
 uint64_t TenantSampleSeed(const std::string& id) {
@@ -51,6 +61,20 @@ uint64_t TenantSampleSeed(const std::string& id) {
 }
 
 }  // namespace
+
+Status ValidateTenantQos(const TenantQos& qos) {
+  if (!(qos.weight > 0.0 && qos.weight <= kMaxQosWeight)) {
+    return Status::InvalidArgument("qos weight outside (0, 1e6]");
+  }
+  if (!(qos.sample_floor >= 0.0 && qos.sample_floor <= 1.0)) {
+    return Status::InvalidArgument("qos sample_floor outside [0, 1]");
+  }
+  if (!(qos.p99_budget_ms >= 0.0 && std::isfinite(qos.p99_budget_ms))) {
+    return Status::InvalidArgument(
+        "qos p99_budget_ms not a finite value >= 0");
+  }
+  return Status::Ok();
+}
 
 void ExportRouterText(const RouterMetricsSnapshot& s, std::ostream& os) {
   // Aggregate rollup first (the familiar wfit_service_* families), then
@@ -83,22 +107,9 @@ void ExportRouterText(const RouterMetricsSnapshot& s, std::ostream& os) {
                 "Shard creations, including re-admissions after eviction");
   RouterCounter(os, "evictions_total", s.evictions,
                 "Checkpoint-then-close shard evictions");
-  RouterGauge(os, "resident_footprint_bytes", s.resident_footprint_bytes,
-              "Estimated aggregate footprint of resident shards");
   RouterCounter(os, "empty_turns_total", s.empty_turns,
                 "Scheduler turns that drained nothing (shard idled, not "
                 "re-queued)");
-  RouterCounter(os, "group_commit_cycles_total", s.group_commit_cycles,
-                "Drain windows the shared fsync batcher completed");
-  RouterCounter(os, "group_commit_sync_calls_total",
-                s.group_commit_sync_calls,
-                "Kernel flush syscalls the batcher issued");
-  RouterCounter(os, "group_commit_required_total", s.group_commit_required,
-                "Blocking journal syncs served through the batcher");
-  RouterCounter(os, "group_commit_deferred_total", s.group_commit_deferred,
-                "Deferred journal syncs accepted by the batcher");
-  RouterCounter(os, "group_commit_syncfs_total", s.group_commit_syncfs,
-                "Batcher windows that used one syncfs for all journals");
   QosFamily(s, os, "weight", "DRR weight of the tenant's QoS class",
             [](const TenantMetricsEntry& t) { return t.qos_weight; });
   QosFamily(s, os, "byte_budget",
@@ -121,11 +132,13 @@ TenantRouter::TenantRouter(TunerFactory factory, TenantRouterOptions options)
   WFIT_CHECK(options_.shard.checkpoint_dir.empty(),
              "per-tenant checkpoint directories are derived from "
              "checkpoint_root; shard.checkpoint_dir must be empty");
-  WFIT_CHECK(options_.shard.fsync_batcher == nullptr,
-             "the shard template's fsync_batcher is owned by the router; "
-             "set TenantRouterOptions::group_commit instead");
-  if (options_.group_commit && !options_.checkpoint_root.empty()) {
-    batcher_ = std::make_unique<FsyncBatcher>(options_.group_commit_options);
+  // Options are programmer input: an out-of-range class is a bug, not a
+  // request to reject (SetTenantQos is the runtime path that returns it).
+  Status valid = ValidateTenantQos(options_.default_qos);
+  WFIT_CHECK(valid.ok(), "default_qos: " + valid.message());
+  for (const auto& [id, qos] : options_.tenant_qos) {
+    valid = ValidateTenantQos(qos);
+    WFIT_CHECK(valid.ok(), "tenant_qos[" + id + "]: " + valid.message());
   }
 }
 
@@ -197,9 +210,7 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
 
   // Lazy (re-)admission: make room, build the tuner, recover the tenant's
   // checkpoint directory, and re-register votes carried over the eviction.
-  const uint64_t incoming_bytes =
-      std::max(t->footprint_hint, options_.min_tenant_footprint_bytes);
-  EnsureCapacityLocked(incoming_bytes);
+  EnsureCapacityLocked();
   TenantTuner made = factory_(id);
   if (made.tuner == nullptr) {
     obs::Log(obs::LogLevel::kError, "router.factory_failed").Str("tenant", id);
@@ -225,7 +236,6 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
     WFIT_CHECK(made.pool != nullptr,
                "a checkpointing TenantRouter requires the factory to "
                "supply the tenant's index pool");
-    shard_options.fsync_batcher = batcher_.get();
   }
   RecoveryStats recovery;
   auto opened = TunerService::Open(std::move(made.tuner), made.pool,
@@ -271,8 +281,6 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
     }
   }
   t->carried_votes.clear();
-  t->footprint = incoming_bytes;
-  resident_bytes_ += t->footprint;
   ++resident_count_;
   ++admissions_;
   // Intake requeued by recovery is deliverable right away; schedule it.
@@ -280,22 +288,17 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
   return t;
 }
 
-void TenantRouter::EnsureCapacityLocked(uint64_t incoming_bytes) {
+void TenantRouter::EnsureCapacityLocked() {
   // Best-effort: only idle shards can be closed losslessly, and without a
   // checkpoint root eviction would lose state, so the bound is advisory
   // when every resident shard is busy. During Shutdown's carried-vote
   // flush the bound is moot (everything closes in a moment anyway) and
   // evicting mid-iteration would churn.
-  if (options_.checkpoint_root.empty() || stopping_) return;
-  auto over = [&] {
-    bool count_over = options_.max_resident_tenants != 0 &&
-                      resident_count_ + 1 > options_.max_resident_tenants;
-    bool bytes_over = options_.max_resident_bytes != 0 &&
-                      resident_bytes_ + incoming_bytes >
-                          options_.max_resident_bytes;
-    return count_over || bytes_over;
-  };
-  while (over()) {
+  if (options_.checkpoint_root.empty() || stopping_ ||
+      options_.max_resident_tenants == 0) {
+    return;
+  }
+  while (resident_count_ >= options_.max_resident_tenants) {
     Tenant* victim = nullptr;
     for (auto& [id, tenant] : tenants_) {
       Tenant* t = tenant.get();
@@ -322,8 +325,6 @@ bool TenantRouter::EvictLocked(Tenant* t) {
   // the next incarnation.
   t->carried_votes = t->service->CloseForEviction();
   MetricsSnapshot metrics = t->service->Metrics();
-  t->footprint_hint = std::max(metrics.last_snapshot_bytes,
-                               options_.min_tenant_footprint_bytes);
   // Only counters carry across incarnations. Instantaneous gauges
   // (queue depth/capacity, snapshot size, publication version) describe
   // the live shard; folding them into `retired` would inflate the
@@ -343,8 +344,6 @@ bool TenantRouter::EvictLocked(Tenant* t) {
                               history.end());
   }
   t->service.reset();
-  resident_bytes_ -= t->footprint;
-  t->footprint = 0;
   --resident_count_;
   ++t->evictions;
   ++evictions_;
@@ -471,130 +470,89 @@ std::string TenantRouter::DrainOne() {
   return t->id;
 }
 
-bool TenantRouter::Submit(const std::string& tenant, Statement stmt) {
+template <typename R, typename Call, typename Accepted>
+R TenantRouter::RouteSubmit(const std::string& tenant, R refused,
+                            Call&& call, Accepted&& accepted) {
   Tenant* t = nullptr;
   TunerService* service = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return false;
+    if (stopping_) return refused;
     t = GetOrAdmitLocked(tenant);
-    if (t == nullptr) return false;
+    if (t == nullptr) return refused;
     service = t->service.get();
     ++t->refs;
   }
-  bool ok = service->Submit(std::move(stmt));  // may block on backpressure
-  std::lock_guard<std::mutex> lock(mu_);
-  --t->refs;
-  if (ok) NotifyReadyLocked(t);
-  return ok;
-}
-
-bool TenantRouter::TrySubmit(const std::string& tenant, Statement stmt) {
-  Tenant* t = nullptr;
-  TunerService* service = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return false;
-    t = GetOrAdmitLocked(tenant);
-    if (t == nullptr) return false;
-    service = t->service.get();
-    ++t->refs;
-  }
-  bool ok = service->TrySubmit(std::move(stmt));
-  std::lock_guard<std::mutex> lock(mu_);
-  --t->refs;
-  if (ok) NotifyReadyLocked(t);
-  return ok;
-}
-
-bool TenantRouter::SubmitAt(const std::string& tenant, uint64_t seq,
-                            Statement stmt) {
-  Tenant* t = nullptr;
-  TunerService* service = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return false;
-    t = GetOrAdmitLocked(tenant);
-    if (t == nullptr) return false;
-    service = t->service.get();
-    ++t->refs;
-  }
-  bool ok = service->SubmitAt(seq, std::move(stmt));
+  R result = call(service);
   std::lock_guard<std::mutex> lock(mu_);
   --t->refs;
   // A successful out-of-order push is not deliverable yet, but CanPop
   // decides that — notify is cheap and exact.
-  if (ok) NotifyReadyLocked(t);
-  return ok;
+  if (accepted(result)) NotifyReadyLocked(t);
+  return result;
+}
+
+bool TenantRouter::Submit(const std::string& tenant, Statement stmt) {
+  return RouteSubmit(
+      tenant, false,
+      [&](TunerService* s) { return s->Submit(std::move(stmt)); }, IsTrue);
+}
+
+bool TenantRouter::TrySubmit(const std::string& tenant, Statement stmt) {
+  return RouteSubmit(
+      tenant, false,
+      [&](TunerService* s) { return s->TrySubmit(std::move(stmt)); },
+      IsTrue);
+}
+
+bool TenantRouter::SubmitAt(const std::string& tenant, uint64_t seq,
+                            Statement stmt) {
+  return RouteSubmit(
+      tenant, false,
+      [&](TunerService* s) { return s->SubmitAt(seq, std::move(stmt)); },
+      IsTrue);
 }
 
 PushAtResult TenantRouter::TrySubmitAt(const std::string& tenant,
                                        uint64_t seq, Statement stmt) {
-  Tenant* t = nullptr;
-  TunerService* service = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return PushAtResult::kClosed;
-    t = GetOrAdmitLocked(tenant);
-    if (t == nullptr) return PushAtResult::kClosed;
-    service = t->service.get();
-    ++t->refs;
-  }
-  PushAtResult result = service->TrySubmitAt(seq, std::move(stmt));
-  std::lock_guard<std::mutex> lock(mu_);
-  --t->refs;
-  if (result == PushAtResult::kAccepted) NotifyReadyLocked(t);
-  return result;
+  return RouteSubmit(
+      tenant, PushAtResult::kClosed,
+      [&](TunerService* s) { return s->TrySubmitAt(seq, std::move(stmt)); },
+      IsAccepted);
 }
 
 PushAtResult TenantRouter::SubmitWithDeadline(
     const std::string& tenant, Statement stmt,
     std::chrono::steady_clock::time_point deadline) {
-  Tenant* t = nullptr;
-  TunerService* service = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return PushAtResult::kClosed;
-    t = GetOrAdmitLocked(tenant);
-    if (t == nullptr) return PushAtResult::kClosed;
-    service = t->service.get();
-    ++t->refs;
-  }
-  PushAtResult result = service->SubmitWithDeadline(std::move(stmt), deadline);
-  std::lock_guard<std::mutex> lock(mu_);
-  --t->refs;
-  if (result == PushAtResult::kAccepted) NotifyReadyLocked(t);
-  return result;
+  return RouteSubmit(
+      tenant, PushAtResult::kClosed,
+      [&](TunerService* s) {
+        return s->SubmitWithDeadline(std::move(stmt), deadline);
+      },
+      IsAccepted);
 }
 
 PushAtResult TenantRouter::SubmitAtWithDeadline(
     const std::string& tenant, uint64_t seq, Statement stmt,
     std::chrono::steady_clock::time_point deadline) {
-  Tenant* t = nullptr;
-  TunerService* service = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return PushAtResult::kClosed;
-    t = GetOrAdmitLocked(tenant);
-    if (t == nullptr) return PushAtResult::kClosed;
-    service = t->service.get();
-    ++t->refs;
-  }
-  PushAtResult result =
-      service->SubmitAtWithDeadline(seq, std::move(stmt), deadline);
-  std::lock_guard<std::mutex> lock(mu_);
-  --t->refs;
-  if (result == PushAtResult::kAccepted) NotifyReadyLocked(t);
-  return result;
+  return RouteSubmit(
+      tenant, PushAtResult::kClosed,
+      [&](TunerService* s) {
+        return s->SubmitAtWithDeadline(seq, std::move(stmt), deadline);
+      },
+      IsAccepted);
 }
 
-void TenantRouter::SetTenantQos(const std::string& tenant, TenantQos qos) {
+Status TenantRouter::SetTenantQos(const std::string& tenant,
+                                  TenantQos qos) {
+  WFIT_RETURN_IF_ERROR(ValidateTenantQos(qos));
   std::lock_guard<std::mutex> lock(mu_);
   options_.tenant_qos[tenant] = qos;
   auto it = tenants_.find(tenant);
   // Weight and byte budget act at the next BeginTurnLocked; the service
   // knobs (latency budget, sampling floor) bind at (re-)admission.
   if (it != tenants_.end()) it->second->qos = qos;
+  return Status::Ok();
 }
 
 TenantQos TenantRouter::GetTenantQos(const std::string& tenant) const {
@@ -777,16 +735,7 @@ RouterMetricsSnapshot TenantRouter::Metrics() const {
   s.tenants_resident = resident_count_;
   s.admissions = admissions_;
   s.evictions = evictions_;
-  s.resident_footprint_bytes = resident_bytes_;
   s.empty_turns = empty_turns_;
-  if (batcher_ != nullptr) {
-    FsyncBatcher::Stats b = batcher_->GetStats();
-    s.group_commit_cycles = b.cycles;
-    s.group_commit_sync_calls = b.sync_calls;
-    s.group_commit_required = b.required;
-    s.group_commit_deferred = b.deferred;
-    s.group_commit_syncfs = b.syncfs_calls;
-  }
   return s;
 }
 

@@ -17,14 +17,14 @@
 // proven deterministically in tenant_router_test via DrainOne).
 //
 // Shards are created lazily by a tuner-factory callback the first time a
-// tenant is routed. Under a configurable aggregate bound (resident tenant
-// count and/or estimated resident bytes) the router evicts
-// least-recently-active idle shards with a checkpoint-then-close
-// lifecycle: the shard takes a final state snapshot, votes keyed to future
-// statements are carried over, and the next touch re-admits the tenant by
-// recovering that checkpoint — so eviction is lossless and the tenant's
-// recommendation trajectory is bit-for-bit the one a dedicated,
-// never-evicted TunerService would have produced.
+// tenant is routed. Under a configurable bound on the resident tenant
+// count the router evicts least-recently-active idle shards with a
+// checkpoint-then-close lifecycle: the shard takes a final state
+// snapshot, votes keyed to future statements are carried over, and the
+// next touch re-admits the tenant by recovering that checkpoint — so
+// eviction is lossless and the tenant's recommendation trajectory is
+// bit-for-bit the one a dedicated, never-evicted TunerService would have
+// produced.
 //
 // Every tenant's counters are exported as labelled Prometheus series
 // (`wfit_tenant_*{tenant="..."}`) under one registry, with aggregate
@@ -48,7 +48,6 @@
 #include "common/status.h"
 #include "core/index_set.h"
 #include "core/tuner.h"
-#include "service/fsync_batcher.h"
 #include "service/metrics.h"
 #include "service/tuner_service.h"
 
@@ -113,6 +112,13 @@ struct TenantQos {
   double sample_floor = 0.0;
 };
 
+/// The ranges the router and its shards rely on: the weight scales the DRR
+/// quantum (converted to size_t) and must lie in (0, 1e6]; a sample floor
+/// above 1 would fail the shard's construction check; the latency budget
+/// becomes the shard's dynamic-batching target and must be finite and
+/// >= 0. InvalidArgument names the first field out of range.
+Status ValidateTenantQos(const TenantQos& qos);
+
 struct TenantRouterOptions {
   /// Per-shard template (queue capacity, max_batch, history, checkpoint
   /// cadence...). checkpoint_dir must be empty — per-tenant directories
@@ -129,23 +135,11 @@ struct TenantRouterOptions {
   /// Evict least-recently-active idle shards so at most this many tenants
   /// are resident. 0 = unbounded.
   size_t max_resident_tenants = 0;
-  /// Evict so the estimated resident footprint stays under this bound.
-  /// A shard's footprint is max(last snapshot size,
-  /// min_tenant_footprint_bytes). 0 = unbounded.
-  uint64_t max_resident_bytes = 0;
-  /// Floor of the per-shard footprint estimate (a shard that has not
-  /// checkpointed yet has no measured size).
-  uint64_t min_tenant_footprint_bytes = 64 * 1024;
-  /// Group commit: route every shard's journal fsyncs through one shared
-  /// FsyncBatcher — one kernel flush per drain window across all resident
-  /// shards (they share the checkpoint root's drive) instead of one
-  /// fdatasync per shard per batch. Durability semantics are unchanged;
-  /// see FsyncBatcher.
-  bool group_commit = false;
-  FsyncBatcher::Options group_commit_options;
   /// Optional crash-safe vote re-registration hook (see VoteRepinner).
   VoteRepinner repin;
-  /// QoS class applied to tenants without an explicit entry below.
+  /// QoS class applied to tenants without an explicit entry below. It and
+  /// every entry below must pass ValidateTenantQos (checked at
+  /// construction).
   TenantQos default_qos;
   /// Per-tenant QoS overrides (weight, byte budget, latency budget,
   /// sampling floor). Mutable at runtime via SetTenantQos.
@@ -175,17 +169,10 @@ struct RouterMetricsSnapshot {
   uint64_t tenants_resident = 0;
   uint64_t admissions = 0;  // shard creations, incl. re-admissions
   uint64_t evictions = 0;
-  uint64_t resident_footprint_bytes = 0;
   /// Scheduler turns that drained nothing (e.g. a shard whose deliverable
   /// work vanished between scheduling and the turn); such a shard is idled
   /// instead of being re-queued, so the ring never spins on it.
   uint64_t empty_turns = 0;
-  // Group commit (zero when no shared batcher is configured).
-  uint64_t group_commit_cycles = 0;
-  uint64_t group_commit_sync_calls = 0;
-  uint64_t group_commit_required = 0;
-  uint64_t group_commit_deferred = 0;
-  uint64_t group_commit_syncfs = 0;
 };
 
 /// Prometheus text export of the whole registry: aggregate wfit_service_*
@@ -248,8 +235,9 @@ class TenantRouter {
   /// Replaces the tenant's QoS class. Weight and byte budget take effect
   /// at the shard's next scheduler turn; the latency budget and sampling
   /// floor configure the shard service and take effect at its next
-  /// (re-)admission.
-  void SetTenantQos(const std::string& tenant, TenantQos qos);
+  /// (re-)admission. A class that fails ValidateTenantQos is rejected
+  /// with its InvalidArgument and nothing is installed.
+  Status SetTenantQos(const std::string& tenant, TenantQos qos);
   /// The tenant's effective QoS class (the default when never set).
   TenantQos GetTenantQos(const std::string& tenant) const;
 
@@ -345,8 +333,6 @@ class TenantRouter {
     /// eviction requires 0.
     int refs = 0;
     uint64_t last_active = 0;  // logical LRU stamp
-    uint64_t footprint = 0;    // bytes while resident
-    uint64_t footprint_hint = 0;  // last measured snapshot size
     uint64_t evictions = 0;
     /// Carried across incarnations.
     MetricsSnapshot retired;
@@ -378,9 +364,9 @@ class TenantRouter {
   /// when admission failed or was refused. Lock held.
   Tenant* GetOrAdmitLocked(const std::string& id,
                            bool admit_while_stopping = false);
-  /// Evicts LRU idle shards until the shard about to be admitted (its
-  /// estimated `incoming_bytes`) fits under the residency bounds.
-  void EnsureCapacityLocked(uint64_t incoming_bytes);
+  /// Evicts LRU idle shards until the shard about to be admitted fits
+  /// under max_resident_tenants.
+  void EnsureCapacityLocked();
   /// Checkpoint-then-close; requires an idle shard. Lock held.
   bool EvictLocked(Tenant* t);
   /// Re-queues the shard after a drain turn (or idles it, resetting its
@@ -402,12 +388,17 @@ class TenantRouter {
   void DrainLoop();
   /// Pops the next ready shard, marking it running. Lock held.
   Tenant* NextReadyLocked();
+  /// The protocol every Submit variant shares: admit the tenant under the
+  /// lock, pin its shard (`refs` > 0 blocks eviction), run `call` on the
+  /// shard outside the lock (it may block on backpressure), then unpin and
+  /// schedule the shard when `accepted(result)`. Returns `refused` when
+  /// the router is stopping or admission failed.
+  template <typename R, typename Call, typename Accepted>
+  R RouteSubmit(const std::string& tenant, R refused, Call&& call,
+                Accepted&& accepted);
 
   TunerFactory factory_;
   TenantRouterOptions options_;
-  /// Declared before tenants_: shards Forget() their journal fds into the
-  /// batcher when they close, so it must outlive every shard.
-  std::unique_ptr<FsyncBatcher> batcher_;
 
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
@@ -420,7 +411,6 @@ class TenantRouter {
   uint64_t admissions_ = 0;
   uint64_t evictions_ = 0;
   uint64_t resident_count_ = 0;
-  uint64_t resident_bytes_ = 0;
   uint64_t empty_turns_ = 0;
 };
 

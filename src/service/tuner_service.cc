@@ -11,7 +11,6 @@
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "persist/snapshot.h"
-#include "service/fsync_batcher.h"
 
 namespace wfit::service {
 
@@ -323,10 +322,6 @@ Status TunerService::Recover(RecoveryStats* stats) {
 
 TunerService::~TunerService() {
   Shutdown();
-  // Forget the journal fd from any shared batcher before the writer's own
-  // destructor closes it (a batched sync against a recycled descriptor
-  // number would hit the wrong file).
-  CloseJournal();
 }
 
 void TunerService::Start() {
@@ -677,65 +672,23 @@ void TunerService::JournalAppend(Fn&& fn) {
     obs::Log(obs::LogLevel::kError, "journal.write_failed")
         .Str("error", st.ToString());
     metrics_.OnJournalFailure();
-    CloseJournal();
+    journal_.reset();  // closes the writer
     journal_dirty_ = false;
     return;
   }
   journal_dirty_ = true;
 }
 
-void TunerService::CloseJournal() {
-  if (journal_ == nullptr) return;
-  if (options_.fsync_batcher != nullptr && journal_->is_open()) {
-    options_.fsync_batcher->Forget(journal_->fd());
-  }
-  journal_->Close();
-  journal_.reset();
-}
-
 void TunerService::SyncJournalIfDirty() {
   if (journal_ == nullptr || !journal_dirty_) return;
-  Status st;
-  if (options_.fsync_batcher != nullptr) {
-    // Group commit: flush userspace buffers, then share one kernel flush
-    // with every other shard that syncs in this drain window.
-    st = journal_->Flush();
-    if (st.ok()) {
-      st = options_.fsync_batcher->SyncRequired(journal_->fd());
-      if (st.ok()) ++batched_syncs_;
-    }
-  } else {
-    st = journal_->Sync();
-  }
+  Status st = journal_->Sync();
   if (!st.ok()) {
     obs::Log(obs::LogLevel::kError, "journal.fsync_failed")
         .Str("error", st.ToString());
     metrics_.OnJournalFailure();
-    CloseJournal();
+    journal_.reset();  // closes the writer
   }
   journal_dirty_ = false;
-}
-
-void TunerService::TailSyncJournal() {
-  if (journal_ == nullptr || !journal_dirty_ ||
-      options_.fsync_batcher == nullptr) {
-    SyncJournalIfDirty();
-    return;
-  }
-  // The tail of a batch only needs durability before the NEXT analysis
-  // depends on it — which the next batch's front barrier (a required
-  // sync) already guarantees. Defer to the batcher's window and leave the
-  // journal marked dirty so that barrier stays required.
-  Status st = journal_->Flush();
-  if (!st.ok()) {
-    obs::Log(obs::LogLevel::kError, "journal.fsync_failed")
-        .Str("error", st.ToString());
-    metrics_.OnJournalFailure();
-    CloseJournal();
-    journal_dirty_ = false;
-    return;
-  }
-  options_.fsync_batcher->SyncDeferred(journal_->fd());
 }
 
 void TunerService::MaybeCheckpoint(bool force) {
@@ -786,11 +739,10 @@ void TunerService::MaybeCompactJournal(uint64_t cover_lsn) {
   if (journal_->bytes() < options_.journal_compact_min_bytes) return;
   const std::string path =
       (fs::path(options_.checkpoint_dir) / kJournalFile).string();
-  // The rewrite needs the writer closed (and its fd forgotten from any
-  // batcher) — everything durable already, since a checkpoint just
-  // synced.
+  // The rewrite needs the writer closed — everything durable already,
+  // since a checkpoint just synced.
   const uint64_t old_bytes = journal_->bytes();
-  CloseJournal();
+  journal_.reset();  // closes the writer
   StatusOr<persist::CompactionResult> compacted =
       persist::CompactJournal(path, cover_lsn);
   if (!compacted.ok()) {
@@ -831,7 +783,7 @@ void TunerService::MaybeCompactJournal(uint64_t cover_lsn) {
 void TunerService::PushJournalMetrics() {
   if (journal_ == nullptr) return;
   metrics_.SetJournal(journal_->lsn(), journal_->bytes(),
-                      journal_->syncs() + batched_syncs_);
+                      journal_->syncs());
 }
 
 void TunerService::Publish() {
@@ -993,11 +945,9 @@ void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
       }
     }
   }
-  // Trailing votes of the batch become durable before the consumer moves
-  // on — immediately without a batcher, within the next drain window with
-  // one (the next batch's front barrier upgrades the guarantee before any
-  // further analysis depends on it).
-  TailSyncJournal();
+  // Trailing votes and the analyzed markers become durable before the
+  // consumer moves on.
+  SyncJournalIfDirty();
   MaybeCheckpoint(/*force=*/false);
   PushJournalMetrics();
 }

@@ -53,8 +53,6 @@
 
 namespace wfit::service {
 
-class FsyncBatcher;
-
 /// Adaptive overload control: a three-state controller (Normal → Shedding
 /// → Sampling) evaluated once per batch from the queue fill fraction.
 /// Shedding drops statements whose template fingerprint matches a recent
@@ -118,11 +116,6 @@ struct TunerServiceOptions {
   /// that rewrite while the journal is smaller than this — rewriting a
   /// tiny file buys nothing and costs three fsyncs.
   uint64_t journal_compact_min_bytes = 64 * 1024;
-  /// Group commit: when set, journal fsyncs go through this shared batcher
-  /// (one kernel flush per drain window across all shards on the node)
-  /// instead of per-service fdatasync. The batcher must outlive the
-  /// service.
-  FsyncBatcher* fsync_batcher = nullptr;
 
   /// Statements whose end-to-end latency (ingest enqueue through snapshot
   /// publication) exceeds this emit one structured NDJSON record with the
@@ -392,14 +385,6 @@ class TunerService {
   template <typename Fn>
   void JournalAppend(Fn&& fn);
   void SyncJournalIfDirty();
-  /// The trailing per-batch sync: with a group-commit batcher this defers
-  /// durability to the next drain window (the journal stays dirty, so the
-  /// next batch's front barrier still blocks before further analysis
-  /// depends on it); without one it is a plain SyncJournalIfDirty.
-  void TailSyncJournal();
-  /// Closes the journal, first Forgetting its fd from any batcher (a
-  /// batched sync against a recycled descriptor would hit the wrong file).
-  void CloseJournal();
   /// Snapshot at a batch boundary once the cadence has elapsed (`force`
   /// for the shutdown checkpoint).
   void MaybeCheckpoint(bool force);
@@ -421,9 +406,6 @@ class TunerService {
   /// The next checkpoint makes it the older of the two retained
   /// snapshots, and so the compaction horizon.
   uint64_t newest_snapshot_lsn_ = 0;
-  /// Required syncs served through the shared batcher; added to the
-  /// writer's own syncs() for the journal_syncs metric.
-  uint64_t batched_syncs_ = 0;
   uint64_t last_checkpoint_analyzed_ = 0;
   bool have_checkpoint_ = false;
   /// Statements below this sequence are already in the journal (recovery

@@ -509,6 +509,44 @@ TEST(RecoveryTest, JournalDeletedAfterCheckpointStillRecovers) {
   }
 }
 
+// The default path's sync schedule: a batch costs exactly two journal
+// syncs — the write-ahead barrier before analysis and the tail sync that
+// makes the batch's analyzed markers and votes durable. No cadence
+// checkpoint runs here, so nothing else syncs.
+TEST(RecoveryTest, DefaultPathSyncsJournalTwicePerBatch) {
+  const std::string dir =
+      (fs::path(::testing::TempDir()) /
+       ("wfit_recovery_syncs_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  TestDb db;
+  std::vector<IndexId> ids = SeedIds(db);
+  constexpr uint64_t kBatches = 4;
+  TunerServiceOptions options = BaseOptions();
+  options.checkpoint_dir = dir;
+  options.checkpoint_every_statements = 1u << 30;
+  Workload w = BuildWorkload(db, kBatches * options.max_batch);
+  auto service =
+      TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  (*service)->StartDetached();
+  EXPECT_EQ((*service)->Metrics().journal_syncs, 0u);
+  // Votes inside the second and third batches ride their tail syncs.
+  (*service)->FeedbackAfter(7, IndexSet{ids[0]}, IndexSet{});
+  (*service)->FeedbackAfter(12, IndexSet{}, IndexSet{ids[0]});
+  for (size_t seq = 0; seq < w.size(); ++seq) {
+    ASSERT_TRUE((*service)->SubmitAt(seq, w[seq]));
+  }
+  for (uint64_t batch = 1; batch <= kBatches; ++batch) {
+    ASSERT_EQ((*service)->ProcessBatch(), options.max_batch);
+    MetricsSnapshot m = (*service)->Metrics();
+    EXPECT_EQ(m.journal_syncs, 2 * batch) << "after batch " << batch;
+    EXPECT_EQ(m.checkpoints_written, 0u);
+  }
+  EXPECT_FALSE((*service)->HasDeliverableWork());
+  (*service)->Shutdown();
+}
+
 TEST(RecoveryTest, FreshDirectoryIsAColdStartWithJournaling) {
   const std::string dir =
       (fs::path(::testing::TempDir()) /

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -384,6 +385,61 @@ TEST(TenantRouterTest, EvictionIsLosslessAndCarriesFutureVotes) {
   // Counters merged across incarnations stay complete: every statement is
   // accounted for exactly once.
   EXPECT_EQ(metrics.tenants[0].service.statements_analyzed, kStatements);
+}
+
+TEST(TenantRouterTest, SetTenantQosRejectsOutOfRange) {
+  constexpr size_t kStatements = 60;
+  MultiDb env(1);
+  const std::string tenant = TenantName(0);
+  Workload w = BuildWorkload(*env.dbs[0], kStatements, 0);
+
+  TenantRouterOptions options;
+  options.shard.queue_capacity = 64;
+  options.shard.max_batch = 5;
+  options.shard.record_history = true;
+  options.drain_threads = 0;
+  TenantRouter router(env.Factory(), options);
+  router.Start();
+
+  // A floor above 1 would abort the shard's construction at the tenant's
+  // next admission; an infinite weight would overflow the DRR quantum.
+  const TenantQos bad_floor{.sample_floor = 2.0};
+  const TenantQos bad_weight{.weight =
+                                 std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(router.SetTenantQos(tenant, bad_floor).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(router.SetTenantQos(tenant, bad_weight).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_DOUBLE_EQ(router.GetTenantQos(tenant).sample_floor, 0.0);
+  EXPECT_DOUBLE_EQ(router.GetTenantQos(tenant).weight, 1.0);
+
+  // The tenant admits with its default class and serves the reference
+  // trajectory; a rejected class sent while it is resident changes
+  // nothing either.
+  for (const Vote& v : MakeVotes(SeedIds(*env.dbs[0]), 0)) {
+    router.FeedbackAfter(tenant, v.after, v.plus, v.minus);
+  }
+  for (size_t seq = 0; seq < kStatements; ++seq) {
+    ASSERT_TRUE(router.SubmitAt(tenant, seq, w[seq]));
+    if (seq == kStatements / 2) {
+      EXPECT_EQ(router.SetTenantQos(tenant, bad_weight).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(router.SetTenantQos(tenant, bad_floor).code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+  while (!router.DrainOne().empty()) {
+  }
+  EXPECT_DOUBLE_EQ(router.GetTenantQos(tenant).weight, 1.0);
+  ASSERT_EQ(router.analyzed(tenant), kStatements);
+  router.Shutdown();
+
+  std::vector<IndexSet> dedicated = DedicatedHistory(0, kStatements);
+  std::vector<IndexSet> routed = router.History(tenant);
+  ASSERT_EQ(routed.size(), dedicated.size());
+  for (size_t i = 0; i < dedicated.size(); ++i) {
+    ASSERT_EQ(routed[i], dedicated[i]) << "diverged at statement " << i;
+  }
 }
 
 TEST(TenantRouterTest, ResidencyBoundEvictsLeastRecentlyActive) {

@@ -44,13 +44,6 @@ GATED_ABSOLUTE_MAX = {
     "tracing_overhead_pct": 5.0,
 }
 
-# Absolute floors, enforced against the fresh value alone. The shared
-# fsync batcher must coalesce shard syncs by at least this factor even on
-# a loaded machine where some shards miss a drain window.
-GATED_ABSOLUTE_MIN = {
-    "group_commit_fsync_reduction": 4.0,
-}
-
 
 def load(path):
     try:
@@ -118,23 +111,10 @@ def main(argv):
         else:
             print(f"  ok    {key}: {now:.2f} <= {bound} (absolute bound)")
 
-    for key, bound in GATED_ABSOLUTE_MIN.items():
-        if key not in fresh:
-            failures.append(f"{key}: missing from fresh results")
-            print(f"  FAIL  {key}: missing from fresh results")
-            continue
-        now = fresh[key]
-        if now < bound:
-            failures.append(f"{key}: {now:.2f} below absolute floor {bound}")
-            print(f"  FAIL  {key}: {now:.2f} < {bound} (absolute floor)")
-        else:
-            print(f"  ok    {key}: {now:.2f} >= {bound} (absolute floor)")
-
     informational = sorted(
         k for k in fresh.keys() & baseline.keys()
         if k not in GATED and k not in GATED_LOWER
         and k not in GATED_ABSOLUTE_MAX
-        and k not in GATED_ABSOLUTE_MIN
     )
     if informational:
         print("informational drift:")

@@ -305,7 +305,7 @@ size_t RateOneDivergence(Catalog* catalog, const Workload& workload,
         std::make_unique<Wfit>(env.pool.get(), env.optimizer.get(),
                                IndexSet{}, LeanOptions()),
         options);
-    svc.StartDetached();
+    svc.Start();
     for (size_t i = 0; i < statements; ++i) {
       svc.SubmitAt(i, workload[i % workload.size()]);
     }

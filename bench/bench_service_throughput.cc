@@ -1,13 +1,17 @@
 // Online tuning service throughput: sustained ingest rate (statements per
 // minute) and snapshot-read latency under concurrent producers, with the
-// queue bound enforced throughout. Two configurations are measured:
+// queue bound enforced throughout. The service runs as it is deployed: one
+// tenant behind a TenantRouter with one drain thread. Two configurations
+// are measured:
 //
-//   pipeline-only  — a no-op tuner isolates the queue + worker + snapshot
+//   pipeline-only  — a no-op tuner isolates the queue + drain + snapshot
 //                    machinery (the service's intrinsic ceiling);
 //   WFIT           — end-to-end analysis on the benchmark workload.
 //
 // Headline numbers (sustained stmts/min, what-if cache hit rate) are merged
-// into BENCH_service.json for the perf trajectory.
+// into BENCH_service.json for the perf trajectory. Exits 1 when a run
+// analyzed fewer statements than were submitted or its queue outgrew its
+// capacity.
 // Set WFIT_BENCH_FAST=1 for a scaled-down smoke run.
 #include <algorithm>
 #include <atomic>
@@ -22,7 +26,7 @@
 #include "bench/bench_common.h"
 #include "core/wfit.h"
 #include "harness/reporting.h"
-#include "service/tuner_service.h"
+#include "service/tenant_router.h"
 
 namespace wfit {
 namespace {
@@ -51,15 +55,25 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[i];
 }
 
+constexpr char kTenant[] = "bench";
+
 /// Streams `total` statements (the workload, cycled) from `producers`
-/// threads while one reader hammers Recommendation().
+/// threads into a one-tenant router while one reader hammers
+/// Recommendation().
 RunResult RunService(std::unique_ptr<Tuner> tuner, const Workload& workload,
                      size_t total, int producers, size_t queue_capacity) {
-  service::TunerServiceOptions options;
-  options.queue_capacity = queue_capacity;
-  options.max_batch = 32;
-  service::TunerService service(std::move(tuner), options);
-  service.Start();
+  service::TenantRouterOptions options;
+  options.shard.queue_capacity = queue_capacity;
+  options.shard.max_batch = 32;
+  options.drain_threads = 1;
+  // The factory runs once: the router admits the tenant on first touch
+  // and never evicts it (no checkpoint root).
+  service::TenantRouter router(
+      [&tuner](const std::string&) {
+        return service::TenantTuner{std::move(tuner), nullptr};
+      },
+      options);
+  router.Start();
 
   std::atomic<bool> done{false};
   RunResult result;
@@ -67,7 +81,7 @@ RunResult RunService(std::unique_ptr<Tuner> tuner, const Workload& workload,
     // Sample continuously; cap retained samples to bound memory.
     while (!done.load(std::memory_order_relaxed)) {
       Clock::time_point t0 = Clock::now();
-      auto snap = service.Recommendation();
+      auto snap = router.Recommendation(kTenant);
       double us = std::chrono::duration<double, std::micro>(Clock::now() - t0)
                       .count();
       if (snap != nullptr && result.read_latency_us.size() < 2000000) {
@@ -83,12 +97,12 @@ RunResult RunService(std::unique_ptr<Tuner> tuner, const Workload& workload,
     threads.emplace_back([&, p] {
       // Each producer streams its strided share of the cycled workload.
       for (size_t i = p; i < total; i += producers) {
-        service.Submit(workload[i % workload.size()]);
+        router.Submit(kTenant, workload[i % workload.size()]);
       }
     });
   }
   for (auto& t : threads) t.join();
-  service.Shutdown();
+  router.Shutdown();
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   done.store(true);
@@ -96,12 +110,14 @@ RunResult RunService(std::unique_ptr<Tuner> tuner, const Workload& workload,
 
   result.statements_per_minute =
       60.0 * static_cast<double>(total) / result.wall_seconds;
-  result.metrics = service.Metrics();
+  result.metrics = router.Metrics().aggregate;
   std::sort(result.read_latency_us.begin(), result.read_latency_us.end());
   return result;
 }
 
-void Report(const std::string& title, const RunResult& r, size_t total) {
+/// Prints the run and returns whether it passed its checks: every
+/// submitted statement analyzed, and the queue within its bound.
+bool Report(const std::string& title, const RunResult& r, size_t total) {
   wfit::harness::PrintServiceMetrics(std::cout, title, r.metrics);
   std::cout << "  wall time            " << r.wall_seconds << " s\n"
             << "  sustained ingest     "
@@ -117,10 +133,12 @@ void Report(const std::string& title, const RunResult& r, size_t total) {
   std::cout << "  queue bounded        " << (bounded ? "yes" : "NO") << "\n"
             << "  >=100k stmts/min     " << (fast_enough ? "yes" : "NO")
             << "\n";
-  if (r.metrics.statements_analyzed != total) {
-    std::cout << "  WARNING: analyzed " << r.metrics.statements_analyzed
+  const bool complete = r.metrics.statements_analyzed == total;
+  if (!complete) {
+    std::cout << "  ERROR: analyzed " << r.metrics.statements_analyzed
               << " != submitted " << total << "\n";
   }
+  return bounded && complete;
 }
 
 }  // namespace
@@ -134,14 +152,16 @@ int main() {
   const int producers = 4;
 
   std::vector<std::pair<std::string, double>> json;
+  bool ok = true;
 
   {
     size_t total = fast ? 50000 : 400000;
     auto r = RunService(std::make_unique<NullTuner>(), workload, total,
                         producers, /*queue_capacity=*/4096);
-    Report("service pipeline only (null tuner), " + std::to_string(total) +
-               " statements, " + std::to_string(producers) + " producers",
-           r, total);
+    ok &= Report("service pipeline only (null tuner), " +
+                     std::to_string(total) + " statements, " +
+                     std::to_string(producers) + " producers",
+                 r, total);
     json.emplace_back("service_pipeline_stmts_per_min",
                       r.statements_per_minute);
   }
@@ -161,9 +181,10 @@ int main() {
                                         IndexSet{}, options);
     auto wfit = RunService(std::move(tuner), workload, total, producers,
                            /*queue_capacity=*/1024);
-    Report("WFIT end-to-end, " + std::to_string(total) + " statements, " +
-               std::to_string(producers) + " producers",
-           wfit, total);
+    ok &= Report("WFIT end-to-end, " + std::to_string(total) +
+                     " statements, " + std::to_string(producers) +
+                     " producers",
+                 wfit, total);
 
     json.emplace_back("service_wfit_serial_stmts_per_min",
                       wfit.statements_per_minute);
@@ -177,5 +198,9 @@ int main() {
 
   harness::UpdateBenchJson("BENCH_service.json", json);
   std::cout << "wrote BENCH_service.json\n";
+  if (!ok) {
+    std::cout << "FAILED: a run lost statements or outgrew its queue\n";
+    return 1;
+  }
   return 0;
 }

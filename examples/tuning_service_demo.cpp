@@ -1,12 +1,14 @@
-// The online tuning service end to end: producer threads replay a generated
-// benchmark workload into a TunerService wrapping WFIT in deterministic
-// stages, while a DBA inspects recommendation snapshots and casts votes.
-// Ends with the harness metrics report and the Prometheus text export.
+// The online tuning service end to end: N independent databases (tenants,
+// default 1) behind one TenantRouter. One producer thread per tenant
+// replays a generated benchmark workload with explicit sequence numbers
+// while the router's drain threads analyze it with WFIT; the DBA's votes
+// are pinned to fixed statement boundaries. Ends with the router metrics
+// report and an excerpt of the labelled Prometheus export.
 //
-// With --checkpoint_dir the service becomes crash-recoverable: every
-// statement is write-ahead journaled and state snapshots are taken on a
-// cadence. The full kill/recover demo (what the CI crash-recovery smoke
-// runs):
+// With --checkpoint_dir each tenant becomes crash-recoverable under
+// <checkpoint_dir>/<tenant>/: every statement is write-ahead journaled and
+// state snapshots are taken on a cadence. The full kill/recover demo (what
+// the CI crash-recovery smokes run):
 //
 //   tuning_service_demo --trajectory_out=ref.txt            # reference
 //   tuning_service_demo --checkpoint_dir=ckpt --kill_after=300   # dies
@@ -14,14 +16,16 @@
 //       --trajectory_out=rec.txt --reference=ref.txt        # recovers,
 //                                                           # verifies
 //
-// The third run loads the latest snapshot, replays the journal suffix,
-// finishes the workload, and checks its recommendation trajectory against
-// the uninterrupted reference — bit-for-bit.
+// The third run loads each tenant's latest snapshot, replays the journal
+// suffix, finishes the workload, and checks every tenant's recommendation
+// trajectory against the uninterrupted reference — bit-for-bit. Trajectory
+// files are per tenant: tenant i writes <trajectory_out>.<i> and verifies
+// against <reference>.<i>.
 //
-// SIGTERM/SIGINT trigger a GRACEFUL shutdown: producers stop, the service
-// drains, applies due feedback, and seals journal + final checkpoint — so
-// a restart recovers from the snapshot with zero journal replay. (SIGKILL
-// via --kill_after stays the crash-path test.)
+// SIGTERM/SIGINT trigger a GRACEFUL shutdown: producers stop, the router
+// drains every shard, applies due feedback, and seals journals + final
+// checkpoints — so a restart recovers from the snapshots with zero journal
+// replay. (SIGKILL via --kill_after stays the crash-path test.)
 //
 // The per-tenant environment, vote schedule and trajectory verifier live
 // in src/cluster/demo_env.* and are shared with the wfit_server /
@@ -46,16 +50,11 @@
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "service/tenant_router.h"
-#include "service/tuner_service.h"
 
 namespace {
 
 using namespace wfit;
 using cluster::DemoFleetEnv;
-using cluster::kDemoStage;
-using cluster::kDemoVoteOffset;
-using cluster::TenantEnv;
-using cluster::VoteForStage;
 using cluster::WriteAndVerifyTrajectory;
 
 struct Flags {
@@ -65,7 +64,7 @@ struct Flags {
   size_t statements = 600;
   uint64_t checkpoint_every = 200;
   uint64_t kill_after = 0;  // 0 = never
-  size_t tenants = 1;       // > 1 routes through a TenantRouter
+  size_t tenants = 1;
   bool overload = false;    // tiny queue + adaptive overload controller
   std::string trace_out;    // Chrome trace JSON written at exit
 };
@@ -93,6 +92,10 @@ Flags ParseFlags(int argc, char** argv) {
       flags.kill_after = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("tenants")) {
       flags.tenants = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (flags.tenants == 0) {
+        std::cerr << "--tenants must be at least 1\n";
+        std::exit(64);
+      }
     } else if (arg == "--overload") {
       flags.overload = true;
     } else if (const char* v = value("trace_out")) {
@@ -137,10 +140,9 @@ void MaybeDumpTrace(const Flags& flags) {
   std::cout << "[trace] written to " << flags.trace_out << "\n";
 }
 
-/// The multi-tenant flow (--tenants=N): N independent databases behind one
+/// The demo (--tenants=N, N >= 1): N independent databases behind one
 /// TenantRouter with a shared drain pool and a per-tenant checkpoint tree
-/// under --checkpoint_dir. Supports the same kill/recover/verify protocol
-/// as the single-tenant path, with per-tenant trajectory files
+/// under --checkpoint_dir, with per-tenant trajectory files
 /// (<trajectory_out>.<i> / <reference>.<i>).
 int RunMultiTenant(const Flags& flags) {
   const size_t n = flags.tenants;
@@ -288,160 +290,7 @@ int main(int argc, char** argv) {
   // --trace_out is self-sufficient; WFIT_TRACE=1 in the environment also
   // enables tracing (dump still requires the flag).
   if (!flags.trace_out.empty()) obs::SetTracingEnabled(true);
-  if (flags.tenants > 1) {
-    int code = RunMultiTenant(flags);
-    MaybeDumpTrace(flags);
-    return code;
-  }
-
-  // Environment: tenant 0 of the shared demo fleet — the benchmark
-  // catalog at reduced scale plus a generated 4-phase trace, so the demo
-  // runs in seconds. Everything is seeded, so every invocation —
-  // including a recovery — sees the same workload.
-  TenantEnv env(0, flags.statements);
-  IndexPool& pool = *env.pool;
-  Workload& workload = env.workload;
-
-  WfitOptions wfit_options;
-  wfit_options.candidates.idx_cnt = 16;
-  wfit_options.candidates.state_cnt = 256;
-  service::TunerServiceOptions service_options;
-  service_options.queue_capacity = 64;
-  service_options.max_batch = 16;
-  service_options.record_history = true;
-  service_options.checkpoint_dir = flags.checkpoint_dir;
-  service_options.checkpoint_every_statements = flags.checkpoint_every;
-  if (flags.overload) {
-    // Same overload smoke shape as the multi-tenant path.
-    service_options.queue_capacity = 16;
-    service_options.max_batch = 4;
-    service_options.overload.enabled = true;
-    service_options.overload.sample_floor = 0.25;
-  }
-
-  // The service owns the tuner; with a checkpoint_dir, Open() first
-  // recovers whatever an earlier (possibly killed) process left behind.
-  service::RecoveryStats recovery;
-  auto opened = service::TunerService::Open(
-      std::make_unique<Wfit>(&pool, env.optimizer.get(), IndexSet{},
-                             wfit_options),
-      &pool, service_options, &recovery);
-  if (!opened.ok()) {
-    std::cerr << "recovery failed: " << opened.status().ToString() << "\n";
-    return 1;
-  }
-  service::TunerService& service = **opened;
-  const uint64_t recovered = recovery.analyzed;
-  if (!flags.checkpoint_dir.empty()) {
-    std::cout << "[recover] dir=" << flags.checkpoint_dir
-              << " snapshot_loaded=" << recovery.snapshot_loaded
-              << " snapshot_analyzed=" << recovery.snapshot_analyzed
-              << " replayed_statements=" << recovery.replayed_statements
-              << " replayed_feedback=" << recovery.replayed_feedback
-              << " resumed_at=" << recovered << "\n";
-  }
-  // Pin every future DBA vote BEFORE Start(): recovery may have requeued
-  // journaled-but-unanalyzed statements that the worker analyzes the
-  // moment it spawns, and a vote whose boundary lies inside that window
-  // must already be registered or it would apply late (votes lost to the
-  // crash always have boundaries >= `recovered`, so this re-pins exactly
-  // what the journal could not replay). The vote for stage s applies
-  // after statement s+49 (mid-next-stage), so its boundary is pinned no
-  // matter how threads interleave — which is what makes the trajectory
-  // reproducible across crashes.
-  for (size_t stage_start = kDemoStage; stage_start < workload.size();
-       stage_start += kDemoStage) {
-    const uint64_t vote_at = stage_start + kDemoVoteOffset - 1;
-    // Skip votes the recovered state already reflects (their effect was
-    // journaled before the crash).
-    if (recovered <= vote_at && vote_at + 1 < workload.size()) {
-      cluster::DemoVote vote =
-          VoteForStage(stage_start / kDemoStage, env.vote_candidates);
-      std::cout << "[dba] stage " << stage_start << ": endorse "
-                << vote.plus.ToString(pool) << ", veto "
-                << vote.minus.ToString(pool) << " (after statement "
-                << vote_at << ")\n";
-      service.FeedbackAfter(vote_at, vote.plus, vote.minus);
-    }
-  }
-  service.Start();
-
-  // Optional crash injection: a real SIGKILL once enough statements have
-  // been analyzed — no destructors, no drain, exactly like a machine
-  // reset. The exit code (137) tells the harness the kill happened.
-  std::thread killer;
-  if (flags.kill_after > 0) {
-    killer = std::thread([&] {
-      if (service.WaitUntilAnalyzed(flags.kill_after)) {
-        std::cout << "[crash] SIGKILL after "
-                  << service.analyzed() << " statements\n"
-                  << std::flush;
-        ::raise(SIGKILL);
-      }
-    });
-  }
-
-  // Deterministic staged replay: submit one stage from 3 producers, wait
-  // for it to be analyzed, let the DBA inspect the snapshot, move on.
-  for (size_t stage_start = 0;
-       stage_start < workload.size() && !g_stop.load();
-       stage_start += kDemoStage) {
-    const size_t stage_end =
-        std::min(stage_start + kDemoStage, workload.size());
-    if (stage_end <= recovered) continue;  // replayed from the journal
-    const size_t first = std::max<size_t>(stage_start, recovered);
-    const int kProducers = 3;
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&, p, first, stage_end] {
-        for (size_t seq = first + static_cast<size_t>(p); seq < stage_end;
-             seq += kProducers) {
-          if (g_stop.load()) return;
-          // Same duplicate-heavy shape as the multi-tenant overload run.
-          const size_t idx = flags.overload ? seq - (seq % 4) : seq;
-          service.SubmitAt(seq, workload[idx]);
-        }
-      });
-    }
-    for (auto& t : producers) t.join();
-    if (g_stop.load()) break;
-    service.WaitUntilAnalyzed(stage_end);
-    auto snap = service.Recommendation();
-    std::cout << "[dba] after " << snap->analyzed << " statements (v"
-              << snap->version << "): "
-              << snap->configuration.ToString(pool) << "\n";
-  }
-  // Shutdown applies pending feedback and (by default) takes the final
-  // checkpoint + seals the journal — shared by the normal and the
-  // graceful SIGTERM/SIGINT exits.
-  service.Shutdown();
-  // Only reached when the kill never fired (or was disabled): the waiter
-  // unblocks at worker shutdown.
-  if (killer.joinable()) killer.join();
-  if (g_stop.load()) {
-    std::cout << "[signal] graceful shutdown: state checkpointed, journal "
-                 "sealed — restart recovers without replay\n";
-    return 0;
-  }
-
-  auto final_snap = service.Recommendation();
-  std::cout << "\nFinal recommendation after " << final_snap->analyzed
-            << " statements:\n  " << final_snap->configuration.ToString(pool)
-            << "\n\n";
-  harness::PrintServiceMetrics(std::cout, "tuning service metrics",
-                               service.Metrics());
-  std::cout << "\n--- text export (excerpt) ---\n";
-  std::string text = service::ExportText(service.Metrics());
-  std::cout << text.substr(0, text.find("# HELP wfit_service_queue_depth"))
-            << "...\n";
-
-  // Trajectory lines: "seq {ids}" for every statement THIS run analyzed
-  // (after a recovery that starts at the snapshot the replay resumed
-  // from). The reference run covers the whole workload.
-  int code = WriteAndVerifyTrajectory(
-      service.History(),
-      recovery.snapshot_loaded ? recovery.snapshot_analyzed : 0,
-      flags.trajectory_out, flags.reference, /*label=*/"");
+  int code = RunMultiTenant(flags);
   MaybeDumpTrace(flags);
   return code;
 }

@@ -76,13 +76,15 @@ std::string EncodeClusterConfig(const ClusterConfig& config) {
   }
   // QoS trailer, emitted only when present so configs without QoS stay
   // byte-identical to the pre-QoS encoding (version compares rely on it).
+  // Two retired slots (a u64 and a double) keep the layout older nodes
+  // read; they are always written as zero.
   if (!config.tenant_qos.empty()) {
     e.PutU32(static_cast<uint32_t>(config.tenant_qos.size()));
     for (const auto& [tenant, qos] : config.tenant_qos) {
       e.PutString(tenant);
       e.PutDouble(qos.weight);
-      e.PutU64(qos.byte_budget);
-      e.PutDouble(qos.p99_budget_ms);
+      e.PutU64(0);
+      e.PutDouble(0.0);
       e.PutDouble(qos.sample_floor);
     }
   }
@@ -123,13 +125,14 @@ Status DecodeClusterConfig(std::string_view blob, ClusterConfig* out) {
     for (uint32_t i = 0; i < qos_count; ++i) {
       std::string tenant;
       service::TenantQos qos;
-      uint64_t byte_budget = 0;
+      uint64_t retired_u64 = 0;
+      double retired_double = 0.0;
       WFIT_RETURN_IF_ERROR(d.GetString(&tenant));
       WFIT_RETURN_IF_ERROR(d.GetDouble(&qos.weight));
-      WFIT_RETURN_IF_ERROR(d.GetU64(&byte_budget));
-      WFIT_RETURN_IF_ERROR(d.GetDouble(&qos.p99_budget_ms));
+      // The retired slots: whatever an older writer put there is dropped.
+      WFIT_RETURN_IF_ERROR(d.GetU64(&retired_u64));
+      WFIT_RETURN_IF_ERROR(d.GetDouble(&retired_double));
       WFIT_RETURN_IF_ERROR(d.GetDouble(&qos.sample_floor));
-      qos.byte_budget = static_cast<size_t>(byte_budget);
       // A config that passes here installs through SetTenantQos cleanly.
       Status valid = service::ValidateTenantQos(qos);
       if (!valid.ok()) {

@@ -38,9 +38,9 @@ struct ClusterConfig {
   /// migrations; an override naming an unknown node is ignored (falls
   /// back to the hash) so a stale override cannot strand a tenant.
   std::map<std::string, std::string> overrides;
-  /// tenant id -> QoS class (DRR weight, byte budget, latency budget,
-  /// sampling floor), distributed with the config so every node schedules
-  /// a migrated tenant identically. Encoded as an optional trailer: a
+  /// tenant id -> QoS class (DRR weight, sampling floor), distributed
+  /// with the config so every node schedules a migrated tenant
+  /// identically. Encoded as an optional trailer: a
   /// config without QoS entries round-trips byte-identically with the
   /// pre-QoS codec.
   std::map<std::string, service::TenantQos> tenant_qos;

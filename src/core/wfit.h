@@ -62,8 +62,8 @@ class Wfit : public Tuner {
   void AnalyzeQuery(const Statement& q) override;
   /// NOTE: memoizes the per-part union in mutable state, so despite being
   /// const it must not race with itself or any mutating call. All Tuner
-  /// entry points share one serialization domain (the service's analysis
-  /// worker; the harness loop) — concurrent readers need a snapshot layer
+  /// entry points share one serialization domain (the service's drain
+  /// path; the harness loop) — concurrent readers need a snapshot layer
   /// (service::TunerService::Recommendation) instead.
   IndexSet Recommendation() const override;
 

@@ -31,7 +31,6 @@ bool IngestQueue::PushLocked(std::unique_lock<std::mutex>& lock, uint64_t seq,
         // The implicit ticket is already assigned; tombstone it so the
         // consumer drains past the hole instead of stalling forever.
         abandoned_.insert(seq);
-        not_empty_.notify_all();
       }
       return false;
     }
@@ -40,7 +39,6 @@ bool IngestQueue::PushLocked(std::unique_lock<std::mutex>& lock, uint64_t seq,
     // The ticket was already assigned; leave a tombstone so the consumer
     // can drain past the hole instead of stranding later accepted pushes.
     abandoned_.insert(seq);
-    not_empty_.notify_all();
     return false;
   }
   if (waited) ++push_waits_;
@@ -60,7 +58,6 @@ bool IngestQueue::PushLocked(std::unique_lock<std::mutex>& lock, uint64_t seq,
   ++buffered_;
   ++total_pushed_;
   if (buffered_ > high_water_) high_water_ = buffered_;
-  if (seq == next_pop_seq_) not_empty_.notify_one();
   return true;
 }
 
@@ -140,39 +137,20 @@ PushAtResult IngestQueue::PushAtWithDeadline(
   return closed_ ? PushAtResult::kClosed : PushAtResult::kDuplicate;
 }
 
-size_t IngestQueue::PopBatch(std::vector<Statement>* out, size_t max_batch,
-                             uint64_t* first_seq,
-                             std::vector<IngestMeta>* meta) {
-  WFIT_CHECK(out != nullptr && max_batch > 0,
-             "PopBatch requires an output vector and a positive batch size");
-  std::unique_lock<std::mutex> lock(mu_);
-  // Like CanPop, look past a contiguous run of tombstones: a statement
-  // accepted behind an abandoned ticket must still wake the consumer.
-  not_empty_.wait(lock, [&] {
-    uint64_t seq = next_pop_seq_;
-    while (abandoned_.count(seq) != 0) ++seq;
-    return SlotReady(seq) || closed_;
-  });
-  return PopBatchLocked(out, max_batch, first_seq, meta);
-}
-
 size_t IngestQueue::TryPopBatch(std::vector<Statement>* out, size_t max_batch,
                                 uint64_t* first_seq,
-                                std::vector<IngestMeta>* meta,
-                                size_t max_bytes) {
+                                std::vector<IngestMeta>* meta) {
   WFIT_CHECK(out != nullptr && max_batch > 0,
              "TryPopBatch requires an output vector and a positive batch "
              "size");
-  std::unique_lock<std::mutex> lock(mu_);
-  return PopBatchLocked(out, max_batch, first_seq, meta, max_bytes);
+  std::lock_guard<std::mutex> lock(mu_);
+  return PopBatchLocked(out, max_batch, first_seq, meta);
 }
 
 size_t IngestQueue::PopBatchLocked(std::vector<Statement>* out,
                                    size_t max_batch, uint64_t* first_seq,
-                                   std::vector<IngestMeta>* meta,
-                                   size_t max_bytes) {
+                                   std::vector<IngestMeta>* meta) {
   size_t popped = 0;
-  size_t popped_bytes = 0;
   while (popped < max_batch) {
     // Tombstones from pushes abandoned at close are skipped, so accepted
     // statements behind them still drain. Only at the start of a batch:
@@ -185,13 +163,6 @@ size_t IngestQueue::PopBatchLocked(std::vector<Statement>* out,
     }
     if (!SlotReady(next_pop_seq_)) break;
     Slot& slot = *ring_[next_pop_seq_ % capacity_];
-    // Byte budget: stop before the statement that would exceed it, but
-    // always deliver at least one so a single oversized statement cannot
-    // stall the shard.
-    if (max_bytes > 0 && popped > 0) {
-      popped_bytes += ApproxStatementBytes(slot.stmt);
-      if (popped_bytes > max_bytes) break;
-    }
     if (popped == 0 && first_seq != nullptr) *first_seq = next_pop_seq_;
     out->push_back(std::move(slot.stmt));
     if (meta != nullptr) meta->push_back(slot.meta);
@@ -216,7 +187,6 @@ void IngestQueue::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;
   not_full_.notify_all();
-  not_empty_.notify_all();
 }
 
 bool IngestQueue::closed() const {

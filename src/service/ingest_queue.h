@@ -6,8 +6,11 @@
 // sequences statements in arrival order, or supply an explicit sequence
 // number (PushAt), which lets N threads replay a partitioned workload while
 // the consumer still drains it in the exact original order. The consumer
-// (PopBatch) only ever releases the contiguous prefix, so analysis order is
-// a pure function of the sequence numbers — never of thread scheduling.
+// (TryPopBatch) only ever releases the contiguous prefix, so analysis order
+// is a pure function of the sequence numbers — never of thread scheduling.
+//
+// The consumer never blocks: it is scheduled from outside (the tenant
+// router's drain threads) and asks CanPop() whether a pop would deliver.
 //
 // Backpressure: a producer whose sequence number lies more than `capacity`
 // slots ahead of the consumer blocks (Push/PushAt) or is refused (TryPush).
@@ -29,25 +32,9 @@
 
 namespace wfit::service {
 
-/// Rough in-memory footprint of a buffered statement — the unit of the
-/// router's per-tenant byte budgets. Deterministic (a pure function of the
-/// statement), so byte-capped batch boundaries replay identically.
-inline size_t ApproxStatementBytes(const Statement& s) {
-  size_t bytes = sizeof(Statement) + s.sql.size();
-  for (const StatementTable& t : s.tables) {
-    bytes += sizeof(StatementTable) +
-             t.predicates.size() * sizeof(ScanPredicate) +
-             t.referenced_columns.size() * sizeof(uint32_t);
-  }
-  bytes += s.joins.size() * sizeof(JoinClause);
-  bytes += (s.order_by.size() + s.group_by.size()) * sizeof(ColumnRef);
-  bytes += s.set_columns.size() * sizeof(uint32_t);
-  return bytes;
-}
-
 /// Per-statement intake metadata carried through the queue: when the
 /// statement was enqueued (for the queue-wait stage histogram) and the
-/// producer's trace context at push time (so the analysis worker's spans
+/// producer's trace context at push time (so the drain path's spans
 /// stitch under the RPC that submitted the statement).
 struct IngestMeta {
   uint64_t enqueue_ns = 0;  // obs::NowNs() at push
@@ -118,32 +105,23 @@ class IngestQueue {
   /// the journal). Must be called before any push.
   void StartAt(uint64_t seq);
 
-  /// Blocks until at least one statement is deliverable or the queue is
-  /// closed and fully drained. Appends up to `max_batch` statements of the
-  /// contiguous sequence prefix to `*out` and returns the count; returns 0
-  /// only at end-of-stream. The sequence number of the first popped
-  /// statement is written to `*first_seq` (if non-null).
+  /// Appends up to `max_batch` statements of the contiguous sequence
+  /// prefix that is deliverable right now to `*out` and returns the count:
+  /// 0 when nothing is deliverable yet (a predecessor sequence is missing)
+  /// or the queue is drained. Never blocks. The sequence number of the
+  /// first popped statement is written to `*first_seq` (if non-null).
   /// When `meta` is non-null, one IngestMeta per popped statement is
   /// appended to it (parallel to `*out`).
-  size_t PopBatch(std::vector<Statement>* out, size_t max_batch,
-                  uint64_t* first_seq = nullptr,
-                  std::vector<IngestMeta>* meta = nullptr);
-
-  /// Non-blocking PopBatch for externally-scheduled consumers (the tenant
-  /// router's shared drain threads): pops whatever contiguous prefix is
-  /// deliverable right now, up to `max_batch`, and returns the count — 0
-  /// when nothing is deliverable yet (a predecessor sequence is missing)
-  /// or the queue is drained.
   size_t TryPopBatch(std::vector<Statement>* out, size_t max_batch,
                      uint64_t* first_seq = nullptr,
-                     std::vector<IngestMeta>* meta = nullptr,
-                     size_t max_bytes = 0);
+                     std::vector<IngestMeta>* meta = nullptr);
 
-  /// True when TryPopBatch would deliver at least one statement now.
+  /// True when TryPopBatch would deliver at least one statement now — the
+  /// consumer's only wake predicate. Looks past tombstones at the head.
   bool CanPop() const;
 
-  /// Closes the intake: subsequent pushes fail, and PopBatch drains what
-  /// remains of the contiguous prefix, then reports end-of-stream.
+  /// Closes the intake: subsequent pushes fail, and TryPopBatch drains
+  /// what remains of the contiguous prefix.
   void Close();
 
   size_t capacity() const { return capacity_; }
@@ -171,8 +149,7 @@ class IngestQueue {
                       nullptr,
                   bool abandon_on_timeout = false, bool* timed_out = nullptr);
   size_t PopBatchLocked(std::vector<Statement>* out, size_t max_batch,
-                        uint64_t* first_seq, std::vector<IngestMeta>* meta,
-                        size_t max_bytes = 0);
+                        uint64_t* first_seq, std::vector<IngestMeta>* meta);
   bool SlotReady(uint64_t seq) const {
     return ring_[seq % capacity_].has_value();
   }
@@ -180,7 +157,6 @@ class IngestQueue {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
-  std::condition_variable not_empty_;
   std::vector<std::optional<Slot>> ring_;
   uint64_t next_ticket_ = 0;   // next implicit sequence number
   uint64_t next_pop_seq_ = 0;  // consumer cursor

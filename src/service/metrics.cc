@@ -100,32 +100,6 @@ double MetricsSnapshot::StageQuantileUpperUs(obs::Stage stage,
   return std::numeric_limits<double>::infinity();
 }
 
-double ServiceMetrics::StageQuantileUpperUs(obs::Stage stage,
-                                            double q) const {
-  const int idx = static_cast<int>(stage);
-  if (idx < 0 || idx >= obs::kStageCount) return 0.0;
-  std::array<uint64_t, kLatencyBucketCount> counts;
-  uint64_t n = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = stage_counts_[idx][i].load(std::memory_order_relaxed);
-    n += counts[i];
-  }
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t target = static_cast<uint64_t>(std::ceil(q * n));
-  target = std::max<uint64_t>(target, 1);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= target) {
-      return i < kLatencyBucketUpperUs.size()
-                 ? kLatencyBucketUpperUs[i]
-                 : std::numeric_limits<double>::infinity();
-    }
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
 namespace {
 
 void Counter(std::ostream& os, const char* name, uint64_t v,
@@ -155,7 +129,7 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
   Counter(os, "push_waits_total", s.push_waits,
           "Blocking submissions that waited on backpressure");
   Counter(os, "statements_analyzed_total", s.statements_analyzed,
-          "Statements analyzed by the tuner worker");
+          "Statements analyzed by the tuner");
   Counter(os, "batches_total", s.batches, "Analysis batches drained");
   Gauge(os, "max_batch", s.max_batch, "Largest batch drained");
   Counter(os, "feedback_applied_total", s.feedback_applied,

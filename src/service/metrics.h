@@ -1,6 +1,6 @@
 // ServiceMetrics: thread-safe counters/gauges/histograms for the online
 // tuning service, with a Prometheus-style text export. Producers, the
-// analysis worker and metric readers touch disjoint atomics, so recording
+// drain path and metric readers touch disjoint atomics, so recording
 // never serializes the hot path.
 #ifndef WFIT_SERVICE_METRICS_H_
 #define WFIT_SERVICE_METRICS_H_
@@ -112,7 +112,7 @@ struct MetricsSnapshot {
   /// conservative estimate; exact values are not retained).
   double LatencyQuantileUpperUs(double q) const;
   /// Same conservative bucket-upper-bound quantile over one stage's
-  /// histogram (the admission controller reads queue-wait p99 from here).
+  /// histogram.
   double StageQuantileUpperUs(obs::Stage stage, double q) const;
 };
 
@@ -168,10 +168,6 @@ class ServiceMetrics : public obs::StageSink {
     sample_rate_ppm_.store(static_cast<uint64_t>(sample_rate * 1e6),
                            std::memory_order_relaxed);
   }
-  /// Conservative bucket-upper-bound quantile of one live stage histogram
-  /// (no full snapshot needed — the admission controller calls this per
-  /// batch).
-  double StageQuantileUpperUs(obs::Stage stage, double q) const;
   void OnPublish() { version_.fetch_add(1, std::memory_order_relaxed); }
   void SetRepartitions(uint64_t n) {
     repartitions_.store(n, std::memory_order_relaxed);
@@ -201,14 +197,17 @@ class ServiceMetrics : public obs::StageSink {
     journal_compacted_bytes_.fetch_add(reclaimed_bytes,
                                        std::memory_order_relaxed);
   }
-  /// Journal gauges are pushed by the worker after each batch (the writer
-  /// is single-threaded; readers just need a coherent snapshot).
-  void SetJournal(uint64_t records, uint64_t bytes, uint64_t syncs) {
+  /// Journal gauges are pushed by the drain path after each batch (the
+  /// writer is single-threaded; readers just need a coherent snapshot).
+  void SetJournal(uint64_t records, uint64_t bytes) {
     journal_records_.store(records, std::memory_order_relaxed);
     journal_bytes_.store(bytes, std::memory_order_relaxed);
-    journal_syncs_.store(syncs, std::memory_order_relaxed);
   }
-  /// Set once after recovery, before the worker starts.
+  /// One successful journal sync by the service.
+  void OnJournalSync() {
+    journal_syncs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Set once after recovery, before the service starts.
   void SetRecovery(bool snapshot_loaded, uint64_t snapshots_skipped,
                    uint64_t replayed_statements, uint64_t replayed_feedback) {
     recovery_loaded_.store(snapshot_loaded ? 1 : 0,

@@ -69,10 +69,6 @@ Status ValidateTenantQos(const TenantQos& qos) {
   if (!(qos.sample_floor >= 0.0 && qos.sample_floor <= 1.0)) {
     return Status::InvalidArgument("qos sample_floor outside [0, 1]");
   }
-  if (!(qos.p99_budget_ms >= 0.0 && std::isfinite(qos.p99_budget_ms))) {
-    return Status::InvalidArgument(
-        "qos p99_budget_ms not a finite value >= 0");
-  }
   return Status::Ok();
 }
 
@@ -112,9 +108,6 @@ void ExportRouterText(const RouterMetricsSnapshot& s, std::ostream& os) {
                 "re-queued)");
   QosFamily(s, os, "weight", "DRR weight of the tenant's QoS class",
             [](const TenantMetricsEntry& t) { return t.qos_weight; });
-  QosFamily(s, os, "byte_budget",
-            "Per-batch byte budget of the tenant's QoS class (0 = none)",
-            [](const TenantMetricsEntry& t) { return t.qos_byte_budget; });
   QosFamily(s, os, "deficit",
             "Unspent DRR credit (statements) of the tenant's shard",
             [](const TenantMetricsEntry& t) { return t.drr_deficit; });
@@ -134,10 +127,8 @@ TenantRouter::TenantRouter(TunerFactory factory, TenantRouterOptions options)
              "checkpoint_root; shard.checkpoint_dir must be empty");
   // Options are programmer input: an out-of-range class is a bug, not a
   // request to reject (SetTenantQos is the runtime path that returns it).
-  Status valid = ValidateTenantQos(options_.default_qos);
-  WFIT_CHECK(valid.ok(), "default_qos: " + valid.message());
   for (const auto& [id, qos] : options_.tenant_qos) {
-    valid = ValidateTenantQos(qos);
+    Status valid = ValidateTenantQos(qos);
     WFIT_CHECK(valid.ok(), "tenant_qos[" + id + "]: " + valid.message());
   }
 }
@@ -198,8 +189,7 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
     auto tenant = std::make_unique<Tenant>();
     tenant->id = id;
     auto qos_it = options_.tenant_qos.find(id);
-    tenant->qos = qos_it != options_.tenant_qos.end() ? qos_it->second
-                                                      : options_.default_qos;
+    if (qos_it != options_.tenant_qos.end()) tenant->qos = qos_it->second;
     it = tenants_.emplace(id, std::move(tenant)).first;
   }
   Tenant* t = it->second.get();
@@ -226,10 +216,6 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
   if (t->qos.sample_floor > 0.0) {
     shard_options.overload.sample_floor = t->qos.sample_floor;
   }
-  if (t->qos.p99_budget_ms > 0.0) {
-    shard_options.dynamic_batching = true;
-    shard_options.batch_p99_budget_ms = t->qos.p99_budget_ms;
-  }
   if (!options_.checkpoint_root.empty()) {
     shard_options.checkpoint_dir =
         persist::TenantCheckpointDir(options_.checkpoint_root, id);
@@ -253,7 +239,7 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
         recovery.snapshot_loaded ? recovery.snapshot_analyzed : 0;
     t->history_start_set = true;
   }
-  t->service->StartDetached();
+  t->service->Start();
   for (auto& [after_seq, votes] : t->carried_votes) {
     t->service->FeedbackAfter(after_seq, votes.first, votes.second);
   }
@@ -382,40 +368,36 @@ double TenantRouter::QuantumLocked(const Tenant* t) const {
   return std::max(1.0, std::round(t->qos.weight * max_batch));
 }
 
-TenantRouter::TurnPlan TenantRouter::BeginTurnLocked(Tenant* t) {
+double TenantRouter::BeginTurnLocked(Tenant* t) {
   const double quantum = QuantumLocked(t);
-  TurnPlan plan;
   // Cap the accumulated credit at one quantum plus the residual of a
   // partially spent turn, so a long-idle ready shard cannot burst
   // arbitrarily far past its proportional share.
-  plan.deficit = std::min(t->deficit + quantum,
-                          quantum + static_cast<double>(
-                                        options_.shard.max_batch));
-  plan.byte_budget = t->qos.byte_budget;
-  return plan;
+  return std::min(t->deficit + quantum,
+                  quantum + static_cast<double>(options_.shard.max_batch));
 }
 
-size_t TenantRouter::RunTurn(Tenant* t, TurnPlan* plan) {
+size_t TenantRouter::RunTurn(Tenant* t, double* deficit) {
   // The shard is kRunning: this thread owns its drain exclusively, so
   // ProcessBatch needs no router lock. Each inner batch is bounded by
   // max_batch (the service clamps) and by the remaining deficit, so a
   // heavy tenant's turn drains several batches while a light tenant's
   // drains a fraction — proportional share at statement granularity.
   size_t drained = 0;
-  while (plan->deficit >= 1.0) {
-    const size_t allowed = static_cast<size_t>(plan->deficit);
-    const size_t n = t->service->ProcessBatch(allowed, plan->byte_budget);
+  while (*deficit >= 1.0) {
+    const size_t allowed = static_cast<size_t>(*deficit);
+    const size_t n = t->service->ProcessBatch(allowed);
     if (n == 0) break;  // ran dry (or the work vanished) — no spin
     drained += n;
-    plan->deficit -= static_cast<double>(n);
+    *deficit -= static_cast<double>(n);
     if (!t->service->HasDeliverableWork()) break;
   }
   return drained;
 }
 
-void TenantRouter::EndTurn(Tenant* t, const TurnPlan& plan, size_t drained) {
+void TenantRouter::EndTurn(Tenant* t, double deficit, size_t drained) {
   std::lock_guard<std::mutex> lock(mu_);
-  t->deficit = plan.deficit;
+  t->deficit = deficit;
   if (drained == 0) {
     // The deliverable work vanished between scheduling and the turn (e.g.
     // an intake closed under a racing shutdown): count it and idle the
@@ -441,32 +423,32 @@ TenantRouter::Tenant* TenantRouter::NextReadyLocked() {
 void TenantRouter::DrainLoop() {
   while (true) {
     Tenant* t = nullptr;
-    TurnPlan plan;
+    double deficit = 0.0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       ready_cv_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
       if (stopping_) return;  // Shutdown drains shards inline afterwards
       t = NextReadyLocked();
       if (t == nullptr) continue;
-      plan = BeginTurnLocked(t);
+      deficit = BeginTurnLocked(t);
     }
-    size_t drained = RunTurn(t, &plan);
-    EndTurn(t, plan, drained);
+    size_t drained = RunTurn(t, &deficit);
+    EndTurn(t, deficit, drained);
   }
 }
 
 std::string TenantRouter::DrainOne() {
   Tenant* t = nullptr;
-  TurnPlan plan;
+  double deficit = 0.0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return "";
     t = NextReadyLocked();
     if (t == nullptr) return "";
-    plan = BeginTurnLocked(t);
+    deficit = BeginTurnLocked(t);
   }
-  size_t drained = RunTurn(t, &plan);
-  EndTurn(t, plan, drained);
+  size_t drained = RunTurn(t, &deficit);
+  EndTurn(t, deficit, drained);
   return t->id;
 }
 
@@ -549,8 +531,8 @@ Status TenantRouter::SetTenantQos(const std::string& tenant,
   std::lock_guard<std::mutex> lock(mu_);
   options_.tenant_qos[tenant] = qos;
   auto it = tenants_.find(tenant);
-  // Weight and byte budget act at the next BeginTurnLocked; the service
-  // knobs (latency budget, sampling floor) bind at (re-)admission.
+  // The weight acts at the next BeginTurnLocked; the sampling floor binds
+  // at (re-)admission.
   if (it != tenants_.end()) it->second->qos = qos;
   return Status::Ok();
 }
@@ -560,8 +542,7 @@ TenantQos TenantRouter::GetTenantQos(const std::string& tenant) const {
   auto it = tenants_.find(tenant);
   if (it != tenants_.end()) return it->second->qos;
   auto qos_it = options_.tenant_qos.find(tenant);
-  return qos_it != options_.tenant_qos.end() ? qos_it->second
-                                             : options_.default_qos;
+  return qos_it != options_.tenant_qos.end() ? qos_it->second : TenantQos{};
 }
 
 void TenantRouter::Feedback(const std::string& tenant, IndexSet f_plus,
@@ -726,7 +707,6 @@ RouterMetricsSnapshot TenantRouter::Metrics() const {
     }
     entry.evictions = tenant->evictions;
     entry.qos_weight = tenant->qos.weight;
-    entry.qos_byte_budget = tenant->qos.byte_budget;
     entry.drr_deficit = tenant->deficit;
     AccumulateCounters(&s.aggregate, entry.service);
     s.tenants.push_back(std::move(entry));

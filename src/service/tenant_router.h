@@ -91,22 +91,15 @@ using VoteRepinner = std::function<std::vector<PinnedVote>(
 /// Scheduling is DRR at statement granularity: every turn a backlogged
 /// shard's deficit grows by its quantum (weight × shard max_batch) and the
 /// turn drains batches until the deficit is spent, so over any backlogged
-/// interval tenants drain in proportion to their weights. The defaults
-/// (weight 1, no byte budget) reproduce the previous one-batch-per-turn
-/// round-robin exactly — per-tenant analysis trajectories are untouched by
-/// scheduling either way, since DRR only reorders across tenants.
+/// interval tenants drain in proportion to their weights. The default
+/// (weight 1) reproduces one-batch-per-turn round-robin exactly —
+/// per-tenant analysis trajectories are untouched by scheduling either
+/// way, since DRR only reorders across tenants. A tenant without an entry
+/// in TenantRouterOptions::tenant_qos gets TenantQos{}.
 struct TenantQos {
   /// Relative drain share. Quantum per turn =
   /// max(1, round(weight × shard.max_batch)).
   double weight = 1.0;
-  /// Per-batch byte budget: a turn's batches each stop before the
-  /// statement that would exceed this many approximate statement bytes
-  /// (always at least one statement). 0 = unbounded.
-  size_t byte_budget = 0;
-  /// Queue-wait p99 budget: enables the shard's dynamic batcher with this
-  /// budget (small backlog → small batches for latency; full batches once
-  /// the budget is blown). 0 = fixed max_batch batches.
-  double p99_budget_ms = 0.0;
   /// Overload sampling floor for this tenant (overrides the shard
   /// template's OverloadOptions::sample_floor when positive).
   double sample_floor = 0.0;
@@ -114,9 +107,8 @@ struct TenantQos {
 
 /// The ranges the router and its shards rely on: the weight scales the DRR
 /// quantum (converted to size_t) and must lie in (0, 1e6]; a sample floor
-/// above 1 would fail the shard's construction check; the latency budget
-/// becomes the shard's dynamic-batching target and must be finite and
-/// >= 0. InvalidArgument names the first field out of range.
+/// above 1 would fail the shard's construction check. InvalidArgument
+/// names the first field out of range.
 Status ValidateTenantQos(const TenantQos& qos);
 
 struct TenantRouterOptions {
@@ -137,12 +129,9 @@ struct TenantRouterOptions {
   size_t max_resident_tenants = 0;
   /// Optional crash-safe vote re-registration hook (see VoteRepinner).
   VoteRepinner repin;
-  /// QoS class applied to tenants without an explicit entry below. It and
-  /// every entry below must pass ValidateTenantQos (checked at
-  /// construction).
-  TenantQos default_qos;
-  /// Per-tenant QoS overrides (weight, byte budget, latency budget,
-  /// sampling floor). Mutable at runtime via SetTenantQos.
+  /// Per-tenant QoS classes (weight, sampling floor); every entry must
+  /// pass ValidateTenantQos (checked at construction). Mutable at runtime
+  /// via SetTenantQos.
   std::map<std::string, TenantQos> tenant_qos;
 };
 
@@ -156,7 +145,6 @@ struct TenantMetricsEntry {
   bool resident = false;
   // Effective QoS class and scheduler state (wfit_router_qos_* series).
   double qos_weight = 1.0;
-  uint64_t qos_byte_budget = 0;
   double drr_deficit = 0.0;
 };
 
@@ -232,13 +220,13 @@ class TenantRouter {
                                     std::chrono::steady_clock::time_point
                                         deadline);
 
-  /// Replaces the tenant's QoS class. Weight and byte budget take effect
-  /// at the shard's next scheduler turn; the latency budget and sampling
-  /// floor configure the shard service and take effect at its next
-  /// (re-)admission. A class that fails ValidateTenantQos is rejected
-  /// with its InvalidArgument and nothing is installed.
+  /// Replaces the tenant's QoS class. The weight takes effect at the
+  /// shard's next scheduler turn; the sampling floor configures the shard
+  /// service and takes effect at its next (re-)admission. A class that
+  /// fails ValidateTenantQos is rejected with its InvalidArgument and
+  /// nothing is installed.
   Status SetTenantQos(const std::string& tenant, TenantQos qos);
-  /// The tenant's effective QoS class (the default when never set).
+  /// The tenant's effective QoS class (TenantQos{} when never set).
   TenantQos GetTenantQos(const std::string& tenant) const;
 
   /// DBA votes, routed by tenant (see TunerService::Feedback*).
@@ -342,7 +330,7 @@ class TenantRouter {
     /// Sequence of the first local history entry (set at first admission).
     uint64_t history_start = 0;
     bool history_start_set = false;
-    /// Effective QoS class (options default/overrides; SetTenantQos).
+    /// Effective QoS class (options.tenant_qos entry; SetTenantQos).
     TenantQos qos;
     /// DRR credit in statements. Grows by the quantum at each turn, spent
     /// by draining; residual (< 1) persists while backlogged, reset when
@@ -350,12 +338,6 @@ class TenantRouter {
     double deficit = 0.0;
   };
 
-  /// One scheduler turn's inputs, copied under the router lock so the
-  /// drain runs lock-free against SetTenantQos.
-  struct TurnPlan {
-    double deficit = 0.0;
-    size_t byte_budget = 0;
-  };
 
   /// Finds or lazily admits the tenant; may evict others to make room.
   /// After Shutdown has begun, admission is refused (a freshly admitted
@@ -374,15 +356,17 @@ class TenantRouter {
   void FinishTurnLocked(Tenant* t);
   /// The tenant's quantum in statements: max(1, round(weight×max_batch)).
   double QuantumLocked(const Tenant* t) const;
-  /// Charges the turn's quantum and snapshots the QoS inputs. Lock held.
-  TurnPlan BeginTurnLocked(Tenant* t);
+  /// Charges the turn's quantum and returns the turn's credit, copied
+  /// under the lock so the drain runs lock-free against SetTenantQos.
+  /// Lock held.
+  double BeginTurnLocked(Tenant* t);
   /// Runs the DRR turn against the running shard (lock NOT held): drains
-  /// batches until the deficit is spent or the shard runs dry. Returns
-  /// statements drained; the residual deficit is written back in `plan`.
-  size_t RunTurn(Tenant* t, TurnPlan* plan);
+  /// batches until the credit is spent or the shard runs dry. Returns
+  /// statements drained; the residual credit is left in `*deficit`.
+  size_t RunTurn(Tenant* t, double* deficit);
   /// Writes the residual deficit back and re-queues or idles the shard;
   /// a zero-drain turn is counted and never re-queued. Lock taken inside.
-  void EndTurn(Tenant* t, const TurnPlan& plan, size_t drained);
+  void EndTurn(Tenant* t, double deficit, size_t drained);
   /// Schedules the shard if it has deliverable work. Lock held.
   void NotifyReadyLocked(Tenant* t);
   void DrainLoop();

@@ -30,6 +30,11 @@ double UnixSeconds() {
 
 constexpr char kJournalFile[] = "journal.wfj";
 
+/// Statements whose end-to-end latency (ingest enqueue through snapshot
+/// publication) reaches this emit one structured `slow_statement` record
+/// with the per-stage breakdown.
+constexpr uint64_t kSlowStatementNs = 250'000'000;
+
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -270,7 +275,7 @@ Status TunerService::Recover(RecoveryStats* stats) {
       ++next_intake;
     }
     // Epochs whose effect point lies beyond the replayed trajectory cover
-    // the re-queued intake: the worker adopts each one when it reaches
+    // the re-queued intake: the drain adopts each one when it reaches
     // that sequence, before considering any transition of its own.
     for (; epoch_cursor < epochs.size(); ++epoch_cursor) {
       const persist::JournalRecord* e = epochs[epoch_cursor];
@@ -295,7 +300,7 @@ Status TunerService::Recover(RecoveryStats* stats) {
     queue_.PushAt(r->seq, r->statement);
     ++stats->requeued_statements;
   }
-  // Requeued statements are already in the journal; the worker must not
+  // Requeued statements are already in the journal; the drain must not
   // WAL them a second time when it pops them.
   journal_stmt_skip_until_ = analyzed + requeue.size();
   analyzed_ = analyzed;
@@ -328,73 +333,41 @@ void TunerService::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   WFIT_CHECK(!started_, "TunerService::Start called twice");
   started_ = true;
-  Publish();  // initial configuration, analyzed == 0
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-void TunerService::StartDetached() {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  WFIT_CHECK(!started_, "TunerService started twice");
-  started_ = true;
-  detached_ = true;
   Publish();  // initial configuration (recovered state after Open)
 }
 
 void TunerService::Shutdown() {
   queue_.Close();
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (!started_) return;
-  if (detached_) {
-    if (finished_) return;
-    finished_ = true;
-    while (ProcessBatch() > 0) {
-    }
-    DrainTail(/*apply_all_feedback=*/options_.checkpoint_on_shutdown,
-              /*force_checkpoint=*/options_.checkpoint_on_shutdown);
-  } else if (!joined_) {
-    worker_.join();
-    joined_ = true;
+  if (!started_ || finished_) return;
+  finished_ = true;
+  while (ProcessBatch() > 0) {
   }
+  // Votes cast after the final statement still take effect — except in
+  // crash-realistic mode (checkpoint_on_shutdown=false), where applying a
+  // future-keyed vote early would journal it at a boundary a real crash
+  // could never have reached; it dies un-applied instead, and recovery
+  // re-pins it.
+  DrainTail(/*apply_all_feedback=*/options_.checkpoint_on_shutdown,
+            /*force_checkpoint=*/options_.checkpoint_on_shutdown);
 }
 
-void TunerService::FinishDetached() { Shutdown(); }
-
-size_t TunerService::ProcessBatch() {
-  return ProcessBatch(DynamicBatchLimit(), /*max_bytes=*/0);
-}
-
-size_t TunerService::ProcessBatch(size_t max_statements, size_t max_bytes) {
+size_t TunerService::ProcessBatch(size_t max_statements) {
   max_statements = std::clamp<size_t>(max_statements, 1, options_.max_batch);
   std::vector<Statement> batch;
   batch.reserve(max_statements);
   std::vector<IngestMeta> meta;
   meta.reserve(max_statements);
   uint64_t first_seq = 0;
-  size_t n = queue_.TryPopBatch(&batch, max_statements, &first_seq, &meta,
-                                max_bytes);
+  size_t n = queue_.TryPopBatch(&batch, max_statements, &first_seq, &meta);
   if (n > 0) AnalyzeBatch(batch, first_seq, n, meta);
   return n;
-}
-
-size_t TunerService::DynamicBatchLimit() const {
-  if (!options_.dynamic_batching) return options_.max_batch;
-  // Backlog-proportional admission: a short queue gets a short batch (the
-  // statement at its head waits less behind batch-mates), a deep queue
-  // gets full batches for drain throughput. Once the observed queue-wait
-  // p99 blows the budget, latency is already lost — open fully.
-  size_t limit = std::clamp<size_t>(queue_.depth(), 1, options_.max_batch);
-  if (options_.batch_p99_budget_ms > 0.0 &&
-      metrics_.StageQuantileUpperUs(obs::Stage::kQueueWait, 0.99) >
-          options_.batch_p99_budget_ms * 1000.0) {
-    limit = options_.max_batch;
-  }
-  return limit;
 }
 
 TunerService::PendingVotes TunerService::CloseForEviction() {
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    WFIT_CHECK(detached_, "CloseForEviction requires a detached service");
+    WFIT_CHECK(started_, "CloseForEviction on a service never started");
     WFIT_CHECK(!finished_, "CloseForEviction on a finished service");
     finished_ = true;
   }
@@ -499,7 +472,7 @@ std::shared_ptr<const RecommendationSnapshot> TunerService::Recommendation()
 
 bool TunerService::WaitUntilAnalyzed(uint64_t n) const {
   std::unique_lock<std::mutex> lock(progress_mu_);
-  progress_cv_.wait(lock, [&] { return analyzed_ >= n || worker_done_; });
+  progress_cv_.wait(lock, [&] { return analyzed_ >= n || drain_done_; });
   return analyzed_ >= n;
 }
 
@@ -682,7 +655,11 @@ void TunerService::JournalAppend(Fn&& fn) {
 void TunerService::SyncJournalIfDirty() {
   if (journal_ == nullptr || !journal_dirty_) return;
   Status st = journal_->Sync();
-  if (!st.ok()) {
+  if (st.ok()) {
+    // Counted here, not by the writer: compaction replaces the writer, and
+    // the exported counter must survive that.
+    metrics_.OnJournalSync();
+  } else {
     obs::Log(obs::LogLevel::kError, "journal.fsync_failed")
         .Str("error", st.ToString());
     metrics_.OnJournalFailure();
@@ -693,7 +670,7 @@ void TunerService::SyncJournalIfDirty() {
 
 void TunerService::MaybeCheckpoint(bool force) {
   if (journal_ == nullptr || pool_ == nullptr) return;
-  const uint64_t analyzed = analyzed_;  // worker thread owns all writes
+  const uint64_t analyzed = analyzed_;  // the drain path owns all writes
   if (have_checkpoint_ && analyzed == last_checkpoint_analyzed_) return;
   if (!force &&
       analyzed - last_checkpoint_analyzed_ <
@@ -782,8 +759,7 @@ void TunerService::MaybeCompactJournal(uint64_t cover_lsn) {
 
 void TunerService::PushJournalMetrics() {
   if (journal_ == nullptr) return;
-  metrics_.SetJournal(journal_->lsn(), journal_->bytes(),
-                      journal_->syncs());
+  metrics_.SetJournal(journal_->lsn(), journal_->bytes());
 }
 
 void TunerService::Publish() {
@@ -797,28 +773,6 @@ void TunerService::Publish() {
   snapshot->version = metrics_.snapshot_version();
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snapshot);
-}
-
-void TunerService::WorkerLoop() {
-  std::vector<Statement> batch;
-  batch.reserve(options_.max_batch);
-  std::vector<IngestMeta> meta;
-  meta.reserve(options_.max_batch);
-  while (true) {
-    batch.clear();
-    meta.clear();
-    uint64_t first_seq = 0;
-    size_t n = queue_.PopBatch(&batch, options_.max_batch, &first_seq, &meta);
-    if (n == 0) break;  // closed and drained
-    AnalyzeBatch(batch, first_seq, n, meta);
-  }
-  // Drain path: votes cast after the final statement still take effect —
-  // except in crash-realistic mode (checkpoint_on_shutdown=false), where
-  // applying a future-keyed vote early would journal it at a boundary a
-  // real crash could never have reached; it dies un-applied instead, and
-  // recovery re-pins it.
-  DrainTail(/*apply_all_feedback=*/options_.checkpoint_on_shutdown,
-            /*force_checkpoint=*/options_.checkpoint_on_shutdown);
 }
 
 void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
@@ -929,11 +883,11 @@ void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
       Publish();
     }
     progress_cv_.notify_all();
-    if (options_.slow_statement_ms > 0 && stmt_meta.enqueue_ns != 0) {
+    if (stmt_meta.enqueue_ns != 0) {
       const uint64_t end_ns = obs::NowNs();
       const uint64_t e2e_ns =
           end_ns > stmt_meta.enqueue_ns ? end_ns - stmt_meta.enqueue_ns : 0;
-      if (e2e_ns >= options_.slow_statement_ms * 1000000ull) {
+      if (e2e_ns >= kSlowStatementNs) {
         obs::Log(obs::LogLevel::kWarn, "slow_statement")
             .U64("seq", seq)
             .Dbl("total_ms", static_cast<double>(e2e_ns) / 1e6)
@@ -959,7 +913,7 @@ void TunerService::DrainTail(bool apply_all_feedback, bool force_checkpoint) {
   PushJournalMetrics();
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
-    worker_done_ = true;
+    drain_done_ = true;
   }
   progress_cv_.notify_all();  // waiters must not hang once we stop
 }

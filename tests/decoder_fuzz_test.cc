@@ -15,7 +15,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -520,10 +519,7 @@ TEST(DecoderFuzzTest, DecodeClusterConfig) {
                   {"b", "10.0.0.2", 7602},
                   {"c", "host-c", 65535}};
   config.overrides = {{"tenant-1", "b"}, {"tenant-2", "c"}};
-  config.tenant_qos["tenant-1"] = {.weight = 4.0,
-                                   .byte_budget = 4096,
-                                   .p99_budget_ms = 25.0,
-                                   .sample_floor = 0.25};
+  config.tenant_qos["tenant-1"] = {.weight = 4.0, .sample_floor = 0.25};
   config.tenant_qos["tenant-3"] = {.weight = 0.5};
   config.Normalize();
   const std::string seed = cluster::EncodeClusterConfig(config);
@@ -538,9 +534,6 @@ TEST(DecoderFuzzTest, DecodeClusterConfig) {
         for (const auto& [tenant, qos] : decoded.tenant_qos) {
           EXPECT_TRUE(qos.weight > 0.0 && qos.weight <= 1e6) << tenant;
           EXPECT_TRUE(qos.sample_floor >= 0.0 && qos.sample_floor <= 1.0)
-              << tenant;
-          EXPECT_TRUE(qos.p99_budget_ms >= 0.0 &&
-                      std::isfinite(qos.p99_budget_ms))
               << tenant;
         }
         cluster::ClusterConfig again;

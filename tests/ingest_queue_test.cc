@@ -34,21 +34,21 @@ TEST(IngestQueueTest, DeliversFifoSingleThread) {
   EXPECT_EQ(q.depth(), 5u);
   std::vector<Statement> batch;
   uint64_t first_seq = 99;
-  EXPECT_EQ(q.PopBatch(&batch, 10, &first_seq), 5u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 10, &first_seq), 5u);
   EXPECT_EQ(first_seq, 0u);
   EXPECT_EQ(Tags(batch), (std::vector<std::string>{"0", "1", "2", "3", "4"}));
   EXPECT_EQ(q.depth(), 0u);
 }
 
-TEST(IngestQueueTest, PopBatchRespectsMaxBatch) {
+TEST(IngestQueueTest, TryPopBatchRespectsMaxBatch) {
   IngestQueue q(16);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.Push(Tagged("s")));
   std::vector<Statement> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 4), 4u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 4), 4u);
   EXPECT_EQ(q.depth(), 6u);
   batch.clear();
   uint64_t first_seq = 0;
-  EXPECT_EQ(q.PopBatch(&batch, 100, &first_seq), 6u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 100, &first_seq), 6u);
   EXPECT_EQ(first_seq, 4u);
 }
 
@@ -58,7 +58,7 @@ TEST(IngestQueueTest, TryPushRefusesWhenFull) {
   EXPECT_TRUE(q.TryPush(Tagged("b")));
   EXPECT_FALSE(q.TryPush(Tagged("c")));
   std::vector<Statement> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 1), 1u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 1), 1u);
   EXPECT_TRUE(q.TryPush(Tagged("c")));
   EXPECT_EQ(q.depth(), 2u);
 }
@@ -77,7 +77,9 @@ TEST(IngestQueueTest, PushBlocksOnBackpressureAndResumes) {
   std::vector<Statement> batch;
   size_t got = 0;
   while (got < 3) {
-    got += q.PopBatch(&batch, 1);
+    const size_t n = q.TryPopBatch(&batch, 1);
+    if (n == 0) std::this_thread::yield();
+    got += n;
   }
   producer.join();
   EXPECT_EQ(Tags(batch), (std::vector<std::string>{"0", "1", "2"}));
@@ -91,11 +93,13 @@ TEST(IngestQueueTest, ExplicitSequenceDeliveredInOrder) {
   EXPECT_TRUE(q.PushAt(0, Tagged("0")));
   // Only the contiguous prefix {0} is deliverable; 2 waits for 1.
   std::vector<Statement> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 10), 1u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 1u);
   EXPECT_EQ(batch.back().sql, "0");
+  EXPECT_FALSE(q.CanPop());
   EXPECT_TRUE(q.PushAt(1, Tagged("1")));
+  EXPECT_TRUE(q.CanPop());
   batch.clear();
-  EXPECT_EQ(q.PopBatch(&batch, 10), 2u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
   EXPECT_EQ(Tags(batch), (std::vector<std::string>{"1", "2"}));
 }
 
@@ -108,16 +112,34 @@ TEST(IngestQueueTest, CloseDrainsThenReportsEndOfStream) {
   EXPECT_FALSE(q.TryPush(Tagged("c")));
   EXPECT_FALSE(q.PushAt(7, Tagged("c")));
   std::vector<Statement> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 10), 2u);
-  EXPECT_EQ(q.PopBatch(&batch, 10), 0u);  // end of stream, no block
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
+  EXPECT_FALSE(q.CanPop());
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 0u);  // drained
 }
 
-TEST(IngestQueueTest, CloseUnblocksWaitingConsumer) {
-  IngestQueue q(4);
-  std::thread closer([&] { q.Close(); });
+TEST(IngestQueueTest, CanPopLooksPastTombstones) {
+  IngestQueue q(2);
+  EXPECT_TRUE(q.Push(Tagged("a")));
+  EXPECT_TRUE(q.Push(Tagged("b")));
+  // Full ring: the deadline push times out and tombstones its ticket 2.
+  EXPECT_EQ(q.PushWithDeadline(Tagged("never"),
+                               std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(10)),
+            PushAtResult::kWouldBlock);
   std::vector<Statement> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 1), 0u);
-  closer.join();
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
+  // Only the tombstone is left at the head: nothing to deliver.
+  EXPECT_FALSE(q.CanPop());
+  EXPECT_TRUE(q.Push(Tagged("c")));
+  // The accepted statement behind the tombstone wakes the consumer...
+  EXPECT_TRUE(q.CanPop());
+  batch.clear();
+  uint64_t first_seq = 0;
+  // ...and the pop drains past the tombstone to deliver it.
+  EXPECT_EQ(q.TryPopBatch(&batch, 10, &first_seq), 1u);
+  EXPECT_EQ(first_seq, 3u);
+  EXPECT_EQ(Tags(batch), (std::vector<std::string>{"c"}));
+  EXPECT_FALSE(q.CanPop());
 }
 
 TEST(IngestQueueTest, MultiProducerImplicitTicketsDeliverEachOnce) {
@@ -136,8 +158,7 @@ TEST(IngestQueueTest, MultiProducerImplicitTicketsDeliverEachOnce) {
   std::vector<Statement> batch;
   while (seen.size() < kProducers * kPerProducer) {
     batch.clear();
-    size_t n = q.PopBatch(&batch, 7);
-    ASSERT_GT(n, 0u);
+    if (q.TryPopBatch(&batch, 7) == 0) std::this_thread::yield();
     for (const Statement& s : batch) seen.insert(s.sql);
   }
   for (auto& t : producers) t.join();
@@ -164,8 +185,7 @@ TEST(IngestQueueTest, MultiProducerExplicitSequenceRestoresTotalOrder) {
   std::vector<Statement> batch;
   while (delivered.size() < kTotal) {
     batch.clear();
-    size_t n = q.PopBatch(&batch, 13);
-    ASSERT_GT(n, 0u);
+    if (q.TryPopBatch(&batch, 13) == 0) std::this_thread::yield();
     for (const Statement& s : batch) delivered.push_back(s.sql);
   }
   for (auto& t : producers) t.join();
@@ -191,11 +211,11 @@ TEST(IngestQueueTest, PushWithDeadlineTimesOutAndTombstonesItsTicket) {
   // it, and a later push (seq 3) is still deliverable — the sequence
   // domain never wedges on the abandoned slot.
   std::vector<Statement> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 10), 2u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
   EXPECT_EQ(Tags(batch), (std::vector<std::string>{"a", "b"}));
   EXPECT_TRUE(q.Push(Tagged("c")));
   batch.clear();
-  EXPECT_EQ(q.PopBatch(&batch, 10), 1u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 1u);
   EXPECT_EQ(Tags(batch), (std::vector<std::string>{"c"}));
 }
 
@@ -216,12 +236,12 @@ TEST(IngestQueueTest, PushAtWithDeadlineLeavesSeqRetryable) {
                     std::chrono::milliseconds(30)),
             PushAtResult::kWouldBlock);
   std::vector<Statement> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 1), 1u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 1), 1u);
   EXPECT_EQ(q.PushAtWithDeadline(2, Tagged("2"),
                                  std::chrono::steady_clock::now()),
             PushAtResult::kAccepted);
   batch.clear();
-  EXPECT_EQ(q.PopBatch(&batch, 10), 2u);
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
   EXPECT_EQ(Tags(batch), (std::vector<std::string>{"1", "2"}));
   // Duplicate of a delivered seq stays a duplicate through the deadline
   // path (exactly-once).

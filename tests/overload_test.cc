@@ -77,7 +77,7 @@ TEST(OverloadTest, ControllerDegradesAndRecoversWithHysteresis) {
   options.overload.sample_floor = 0.25;
   options.overload.sample_seed = 7;
   TunerService service(MakeTuner(db), options);
-  service.StartDetached();
+  service.Start();
 
   for (size_t i = 0; i < 8; ++i) ASSERT_TRUE(service.SubmitAt(i, w[i]));
 
@@ -127,7 +127,7 @@ TEST(OverloadTest, SheddingDropsOnlyDuplicateTemplates) {
   options.overload.low_watermark = 0.01;
   options.overload.sample_floor = 0.25;
   TunerService service(MakeTuner(db), options);
-  service.StartDetached();
+  service.Start();
 
   // Four copies of one template. Post-pop fills: .75 (enter Shedding —
   // the first copy is novel, kept, and remembered), .5 and .25 (still
@@ -163,7 +163,7 @@ TEST(OverloadTest, EnabledControllerAtRateOneIsBitIdentical) {
     options.record_history = true;
     options.overload.enabled = enabled == 1;
     TunerService service(MakeTuner(db), options);
-    service.StartDetached();
+    service.Start();
     for (size_t i = 0; i < kTotal; ++i) ASSERT_TRUE(service.SubmitAt(i, w[i]));
     while (service.ProcessBatch() > 0) {
     }
@@ -226,7 +226,7 @@ void CheckMidSamplingRecovery(bool snapshots) {
     if (snapshots) options.checkpoint_every_statements = 10;
     auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-    (*service)->StartDetached();
+    (*service)->Start();
     RunRounds(**service, w, 0, kRounds);
     (*service)->Shutdown();
     reference = (*service)->History();
@@ -249,7 +249,7 @@ void CheckMidSamplingRecovery(bool snapshots) {
     Workload w = BuildWorkload(db, kTotal);
     auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-    (*service)->StartDetached();
+    (*service)->Start();
     RunRounds(**service, w, 0, kCrashRound);
     MetricsSnapshot m = (*service)->Metrics();
     EXPECT_EQ(m.overload_mode, 2u) << "crash point is not mid-Sampling";
@@ -267,7 +267,7 @@ void CheckMidSamplingRecovery(bool snapshots) {
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   EXPECT_EQ(stats.analyzed, 8 * kCrashRound);
   EXPECT_EQ(stats.snapshot_loaded, snapshots);
-  (*service)->StartDetached();
+  (*service)->Start();
   RunRounds(**service, w, 0, kRounds);
   (*service)->Shutdown();
   std::vector<IndexSet> recovered = (*service)->History();

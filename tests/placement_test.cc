@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "persist/codec.h"
+
 namespace wfit::cluster {
 namespace {
 
@@ -130,8 +132,6 @@ TEST(PlacementTest, ConfigCodecRejectsOutOfRangeQos) {
       {.weight = inf},          {.weight = nan},
       {.weight = 1e6 * 1.5},    {.sample_floor = 2.0},
       {.sample_floor = -0.5},   {.sample_floor = nan},
-      {.p99_budget_ms = -1.0},  {.p99_budget_ms = inf},
-      {.p99_budget_ms = nan},
   };
   for (size_t i = 0; i < hostile.size(); ++i) {
     ClusterConfig config = ThreeNodes();
@@ -142,13 +142,52 @@ TEST(PlacementTest, ConfigCodecRejectsOutOfRangeQos) {
   }
   // The boundaries themselves are legal.
   ClusterConfig config = ThreeNodes();
-  config.tenant_qos["tenant-1"] = {.weight = 1e6, .p99_budget_ms = 0.0,
-                                   .sample_floor = 1.0};
+  config.tenant_qos["tenant-1"] = {.weight = 1e6, .sample_floor = 1.0};
   config.tenant_qos["tenant-2"] = {.weight = 1e-3, .sample_floor = 0.0};
   ClusterConfig decoded;
   ASSERT_TRUE(
       DecodeClusterConfig(EncodeClusterConfig(config), &decoded).ok());
   EXPECT_EQ(decoded.tenant_qos.size(), 2u);
+}
+
+/// ThreeNodes() plus one QoS entry in the QoS trailer's layout, with the
+/// two retired slots (a u64 and a double) set to the given values — what
+/// an older writer emitted for a tenant with a byte and latency budget.
+std::string QosTrailerBlob(uint64_t retired_u64, double retired_double) {
+  persist::Encoder e;
+  e.PutU64(7);
+  e.PutU32(3);
+  const std::pair<const char*, const char*> nodes[] = {
+      {"a", "10.0.0.1"}, {"b", "10.0.0.2"}, {"c", "10.0.0.3"}};
+  for (const auto& [id, host] : nodes) {
+    e.PutString(id);
+    e.PutString(host);
+    e.PutU32(7601);
+  }
+  e.PutU32(0);  // no overrides
+  e.PutU32(1);
+  e.PutString("tenant-1");
+  e.PutDouble(2.5);
+  e.PutU64(retired_u64);
+  e.PutDouble(retired_double);
+  e.PutDouble(0.5);
+  return e.Release();
+}
+
+TEST(PlacementTest, ConfigCodecDropsRetiredQosSlots) {
+  // The encoder writes zeros into the retired slots, so its bytes match
+  // the older layout for every config the QoS struct can still express.
+  ClusterConfig config = ThreeNodes();
+  config.tenant_qos["tenant-1"] = {.weight = 2.5, .sample_floor = 0.5};
+  EXPECT_EQ(EncodeClusterConfig(config), QosTrailerBlob(0, 0.0));
+  // An older blob with non-zero retired slots decodes; the slots are
+  // discarded and re-encode as zeros.
+  ClusterConfig decoded;
+  ASSERT_TRUE(DecodeClusterConfig(QosTrailerBlob(4096, 25.0), &decoded).ok());
+  ASSERT_EQ(decoded.tenant_qos.size(), 1u);
+  EXPECT_EQ(decoded.tenant_qos.at("tenant-1").weight, 2.5);
+  EXPECT_EQ(decoded.tenant_qos.at("tenant-1").sample_floor, 0.5);
+  EXPECT_EQ(EncodeClusterConfig(decoded), QosTrailerBlob(0, 0.0));
 }
 
 TEST(PlacementTest, ParsesNodeListSpec) {

@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/wfa_plus.h"
@@ -103,20 +102,19 @@ TunerServiceOptions BaseOptions() {
   return options;
 }
 
-/// Submits w[first, last) from two producers with explicit sequence
-/// numbers (stale sequences are dropped by the exactly-once contract).
+/// Submits w[first, last) with explicit sequence numbers (stale sequences
+/// are dropped by the exactly-once contract) and analyzes all of it. The
+/// test thread is the service's drainer: it drains a batch whenever the
+/// queue is full, and the rest at the end.
 void Produce(TunerService& service, const Workload& w, size_t first,
              size_t last) {
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 2; ++p) {
-    producers.emplace_back([&, p] {
-      for (size_t seq = first + static_cast<size_t>(p); seq < last;
-           seq += 2) {
-        service.SubmitAt(seq, w[seq]);
-      }
-    });
+  const size_t capacity = service.Metrics().queue_capacity;
+  for (size_t seq = first; seq < last; ++seq) {
+    while (service.QueueDepth() >= capacity) service.ProcessBatch();
+    service.SubmitAt(seq, w[seq]);
   }
-  for (auto& t : producers) t.join();
+  while (service.ProcessBatch() > 0) {
+  }
 }
 
 std::vector<IndexSet> ReferenceHistory(Kind kind) {
@@ -331,10 +329,10 @@ TEST(RecoveryTest, WalAheadOfAnalysisRequeuesIntakeAndKeepsVoteBoundaries) {
   EXPECT_EQ(stats.analyzed, 6u);
   EXPECT_EQ(stats.replayed_statements, 6u);
   EXPECT_EQ(stats.requeued_statements, 4u);
-  // Re-pin the vote BEFORE Start(): statements 6..9 are requeued intake
-  // the worker analyzes the moment it spawns, and a vote registered after
-  // that may land past its boundary (the driver contract: votes for
-  // boundaries >= the recovery point re-register before analysis resumes).
+  // Re-pin the vote BEFORE analysis resumes: statements 6..9 are requeued
+  // intake the next batch analyzes, and a vote registered after that may
+  // land past its boundary (the driver contract: votes for boundaries >=
+  // the recovery point re-register before analysis resumes).
   (*service)->FeedbackAfter(7, IndexSet{ids[0]}, IndexSet{ids[1]});
   (*service)->Start();
   // The producer replays the whole workload: 0..5 are dropped as already
@@ -529,7 +527,7 @@ TEST(RecoveryTest, DefaultPathSyncsJournalTwicePerBatch) {
   auto service =
       TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  (*service)->StartDetached();
+  (*service)->Start();
   EXPECT_EQ((*service)->Metrics().journal_syncs, 0u);
   // Votes inside the second and third batches ride their tail syncs.
   (*service)->FeedbackAfter(7, IndexSet{ids[0]}, IndexSet{});

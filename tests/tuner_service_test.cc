@@ -1,3 +1,7 @@
+// The single-service contract: a TunerService drained by a one-tenant
+// TenantRouter (concurrent producers) or inline by the test thread
+// reproduces the serial tuner's trajectory, publishes monotone snapshots,
+// bounds its queue and counts what it did.
 #include "service/tuner_service.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +14,7 @@
 
 #include "core/wfit.h"
 #include "service/metrics.h"
+#include "service/tenant_router.h"
 #include "tests/test_util.h"
 
 namespace wfit::service {
@@ -66,30 +71,50 @@ std::vector<IndexSet> SerialHistory(
   return history;
 }
 
-/// Replays `w` through a service from `threads` producers, each submitting
-/// its strided share with explicit sequence numbers.
+constexpr char kTenant[] = "db";
+
+/// A one-tenant router over `db`: the standalone deployment of a service,
+/// drained by `drain_threads` scheduler threads (0 = stepped via
+/// DrainOne).
+std::unique_ptr<TenantRouter> OneTenantRouter(TestDb& db,
+                                              TunerServiceOptions shard,
+                                              size_t drain_threads = 1) {
+  TenantRouterOptions options;
+  options.shard = shard;
+  options.drain_threads = drain_threads;
+  auto router = std::make_unique<TenantRouter>(
+      [&db](const std::string&) {
+        TenantTuner made;
+        made.tuner = std::make_unique<Wfit>(&db.pool(), &db.optimizer(),
+                                            IndexSet{}, FastOptions());
+        made.pool = &db.pool();
+        return made;
+      },
+      options);
+  router->Start();
+  return router;
+}
+
+/// Replays `w` through a one-tenant router from `threads` producers, each
+/// submitting its strided share with explicit sequence numbers.
 std::vector<IndexSet> ConcurrentHistory(TestDb& db, const Workload& w,
                                         int threads, size_t queue_capacity) {
   TunerServiceOptions options;
   options.queue_capacity = queue_capacity;
   options.max_batch = 5;
   options.record_history = true;
-  TunerService service(
-      std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
-                             FastOptions()),
-      options);
-  service.Start();
+  std::unique_ptr<TenantRouter> router = OneTenantRouter(db, options);
   std::vector<std::thread> producers;
   for (int p = 0; p < threads; ++p) {
-    producers.emplace_back([&service, &w, p, threads] {
+    producers.emplace_back([&router, &w, p, threads] {
       for (size_t seq = p; seq < w.size(); seq += threads) {
-        ASSERT_TRUE(service.SubmitAt(seq, w[seq]));
+        ASSERT_TRUE(router->SubmitAt(kTenant, seq, w[seq]));
       }
     });
   }
   for (auto& t : producers) t.join();
-  service.Shutdown();
-  return service.History();
+  router->Shutdown();
+  return router->History(kTenant);
 }
 
 TEST(TunerServiceTest, ConcurrentIngestionMatchesSerialReplay) {
@@ -122,31 +147,27 @@ TEST(TunerServiceTest, DeterministicFeedbackInterleaving) {
   TunerServiceOptions options;
   options.queue_capacity = 8;
   options.record_history = true;
-  TunerService service(
-      std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
-                             FastOptions()),
-      options);
+  std::unique_ptr<TenantRouter> router = OneTenantRouter(db, options);
   // Votes registered before any statement is analyzed: interleaving is
   // fully determined by the sequence keys, not by registration time.
-  service.FeedbackAfter(10, IndexSet{ib}, IndexSet{});
-  service.FeedbackAfter(30, IndexSet{}, IndexSet{ia});
-  service.Start();
+  router->FeedbackAfter(kTenant, 10, IndexSet{ib}, IndexSet{});
+  router->FeedbackAfter(kTenant, 30, IndexSet{}, IndexSet{ia});
   std::vector<std::thread> producers;
   for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&service, &w, p] {
+    producers.emplace_back([&router, &w, p] {
       for (size_t seq = p; seq < w.size(); seq += 3) {
-        ASSERT_TRUE(service.SubmitAt(seq, w[seq]));
+        ASSERT_TRUE(router->SubmitAt(kTenant, seq, w[seq]));
       }
     });
   }
   for (auto& t : producers) t.join();
-  service.Shutdown();
-  std::vector<IndexSet> concurrent = service.History();
+  router->Shutdown();
+  std::vector<IndexSet> concurrent = router->History(kTenant);
   ASSERT_EQ(concurrent.size(), serial.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(concurrent[i], serial[i]) << "divergence at statement " << i;
   }
-  EXPECT_EQ(service.Metrics().feedback_applied, 2u);
+  EXPECT_EQ(router->Metrics().aggregate.feedback_applied, 2u);
 }
 
 TEST(TunerServiceTest, SnapshotReadsAreVersionedAndMonotone) {
@@ -163,6 +184,7 @@ TEST(TunerServiceTest, SnapshotReadsAreVersionedAndMonotone) {
   ASSERT_NE(initial, nullptr);
   EXPECT_EQ(initial->analyzed, 0u);
   EXPECT_TRUE(initial->configuration.empty());
+  for (const Statement& q : w) ASSERT_TRUE(service.Submit(q));
 
   std::atomic<bool> done{false};
   std::atomic<bool> ok{true};
@@ -179,7 +201,9 @@ TEST(TunerServiceTest, SnapshotReadsAreVersionedAndMonotone) {
       last_analyzed = snap->analyzed;
     }
   });
-  for (const Statement& q : w) ASSERT_TRUE(service.Submit(q));
+  // The test thread drains while the reader polls snapshots.
+  while (service.ProcessBatch() > 0) {
+  }
   ASSERT_TRUE(service.WaitUntilAnalyzed(w.size()));
   done.store(true);
   reader.join();
@@ -193,15 +217,14 @@ TEST(TunerServiceTest, BackpressureBoundsQueueAndRejectsTrySubmit) {
   Workload w = BuildWorkload(db, 40);
   TunerServiceOptions options;
   options.queue_capacity = 8;
-  TunerService service(
-      std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
-                             FastOptions()),
-      options);
-  // Not started yet: nothing drains, so TrySubmit must hit the bound.
+  // Stepped router: nothing drains until the test calls DrainOne, so
+  // TrySubmit must hit the bound.
+  std::unique_ptr<TenantRouter> router =
+      OneTenantRouter(db, options, /*drain_threads=*/0);
   size_t accepted = 0;
   size_t rejected = 0;
   for (const Statement& q : w) {
-    if (service.TrySubmit(q)) {
+    if (router->TrySubmit(kTenant, q)) {
       ++accepted;
     } else {
       ++rejected;
@@ -209,17 +232,22 @@ TEST(TunerServiceTest, BackpressureBoundsQueueAndRejectsTrySubmit) {
   }
   EXPECT_EQ(accepted, 8u);
   EXPECT_EQ(rejected, w.size() - 8u);
-  MetricsSnapshot before = service.Metrics();
+  MetricsSnapshot before = router->Metrics().tenants.at(0).service;
   EXPECT_EQ(before.queue_depth, 8u);
   EXPECT_EQ(before.queue_high_water, 8u);
   EXPECT_EQ(before.submit_rejected, rejected);
 
-  service.Start();
-  ASSERT_TRUE(service.WaitUntilAnalyzed(accepted));
-  // Blocking submissions now make progress and stay within the bound.
-  for (const Statement& q : w) ASSERT_TRUE(service.Submit(q));
-  service.Shutdown();
-  MetricsSnapshot after = service.Metrics();
+  // Blocking submissions now make progress while the test steps the
+  // scheduler, and stay within the bound.
+  std::thread producer([&] {
+    for (const Statement& q : w) ASSERT_TRUE(router->Submit(kTenant, q));
+  });
+  while (router->analyzed(kTenant) < accepted + w.size()) {
+    if (router->DrainOne().empty()) std::this_thread::yield();
+  }
+  producer.join();
+  router->Shutdown();
+  MetricsSnapshot after = router->Metrics().tenants.at(0).service;
   EXPECT_EQ(after.statements_analyzed, accepted + w.size());
   EXPECT_LE(after.queue_high_water, 8u);
   EXPECT_EQ(after.queue_depth, 0u);
@@ -227,7 +255,7 @@ TEST(TunerServiceTest, BackpressureBoundsQueueAndRejectsTrySubmit) {
 
 TEST(TunerServiceTest, MetricsCountersAndTextExport) {
   TestDb db;
-  // Interned before the worker starts: the pool is not synchronized, so
+  // Interned before analysis starts: the pool is not synchronized, so
   // voting threads must not intern concurrently with analysis.
   IndexId voted = db.Ix("t1", {"a"});
   Workload w = BuildWorkload(db, 32);
@@ -284,6 +312,8 @@ TEST(TunerServiceTest, LateFeedbackAppliesBeforeShutdownCompletes) {
       &db.pool(), &db.optimizer(), IndexSet{}, FastOptions()));
   service.Start();
   for (const Statement& q : w) ASSERT_TRUE(service.Submit(q));
+  while (service.ProcessBatch() > 0) {
+  }
   ASSERT_TRUE(service.WaitUntilAnalyzed(w.size()));
   IndexSet rec = service.Recommendation()->configuration;
   ASSERT_FALSE(rec.empty()) << "workload should have earned an index";

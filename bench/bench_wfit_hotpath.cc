@@ -22,7 +22,8 @@
 //
 // Determinism gates (process exits nonzero on violation): trajectories
 // bit-for-bit identical with the cross-statement cache cold, warm and
-// disabled, and with tracing off and on.
+// disabled, and with tracing off and on. The WFIT-auto trajectory's
+// FNV-1a digest is printed, so two builds compare with a one-line diff.
 //
 // Set WFIT_BENCH_FAST=1 for a scaled-down smoke run.
 #include <algorithm>
@@ -87,6 +88,26 @@ bool Check(bool ok, const char* what) {
   return ok;
 }
 
+/// FNV-1a over the trajectory: each recommendation's ids (little-endian
+/// 32-bit) followed by a 0xff terminator byte, so two builds' trajectories
+/// compare with a one-line diff.
+uint64_t TrajectoryDigest(const std::vector<IndexSet>& trajectory) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto byte = [&h](uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  for (const IndexSet& rec : trajectory) {
+    for (IndexId id : rec) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        byte(static_cast<uint8_t>(id >> shift));
+      }
+    }
+    byte(0xff);
+  }
+  return h;
+}
+
 bool SameTrajectory(const std::vector<IndexSet>& a,
                     const std::vector<IndexSet>& b) {
   if (a.size() != b.size()) return false;
@@ -136,6 +157,10 @@ int main() {
     RunStats on = Replay(&tuner, workload, env.optimizer());
     print_row("on", on);
     json.emplace_back("wfit_auto_stmts_per_min", on.stmts_per_minute);
+    std::cout << "trajectory digest (FNV-1a, " << on.trajectory.size()
+              << " recommendations): " << std::hex << std::setw(16)
+              << std::setfill('0') << TrajectoryDigest(on.trajectory)
+              << std::dec << std::setfill(' ') << "\n";
 
     // Cross-statement cache disabled: identical trajectory.
     WfitOptions no_cache = options;

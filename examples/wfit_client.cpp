@@ -5,9 +5,10 @@
 // then stitches each tenant's recommendation trajectory back together
 // from per-node kGetHistory segments and verifies it bit-for-bit against
 // a reference file produced by `tuning_service_demo --tenants=N`.
+// Indented lines continue the command above them:
 //
-//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2 \
-//       --statements=260 --migrate=tenant-0:120 \
+//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2
+//       --statements=260 --migrate=tenant-0:120
 //       --trajectory_out=got --reference=ref [--shutdown_nodes]
 //
 // Producers are crash-tolerant: when a node dies mid-workload they

@@ -1,13 +1,13 @@
 // One node of a tuning fleet: a TunerNode (TenantRouter + RPC server +
 // placement) serving the shared demo environment, so any number of these
 // processes plus one wfit_client form a live multi-node deployment on
-// one machine:
+// one machine (indented lines continue the command above them):
 //
-//   wfit_server --node_id=a --listen=127.0.0.1:7601 \
+//   wfit_server --node_id=a --listen=127.0.0.1:7601
 //       --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --checkpoint_root=na &
-//   wfit_server --node_id=b --listen=127.0.0.1:7602 \
+//   wfit_server --node_id=b --listen=127.0.0.1:7602
 //       --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --checkpoint_root=nb &
-//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2 \
+//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2
 //       --migrate=tenant-0:120 --trajectory_out=got --reference=ref
 //
 // SIGTERM/SIGINT (or a kShutdownNode RPC) shut the node down gracefully:

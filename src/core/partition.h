@@ -38,7 +38,8 @@ void CanonicalizePartition(std::vector<IndexSet>* parts);
 /// Fig. 7: chooses a partition of `indices` minimizing loss, considering
 /// the (restricted) current partition as a baseline plus rand_cnt
 /// randomized merge searches. Requires 2·|indices| ≤ state_cnt (the
-/// all-singletons partition must be feasible).
+/// all-singletons partition must be feasible) and doi ≥ 0 for every pair
+/// (the merge search visits only positive-doi pairs; aborts otherwise).
 std::vector<IndexSet> ChoosePartition(
     const std::vector<IndexId>& indices,
     const std::vector<IndexSet>& current_partition, const DoiFn& doi,

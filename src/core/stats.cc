@@ -21,17 +21,17 @@ double RecencyWindow::CurrentValue(uint64_t now) const {
   if (buf_.empty()) return 0.0;
   double best = 0.0;
   double sum = 0.0;
-  const size_t count = buf_.size();
-  size_t idx = newest_;
-  for (size_t i = 0; i < count; ++i) {  // newest -> oldest
-    const auto& [n, v] = buf_[idx];
-    sum += v;
+  auto visit = [&](const std::pair<uint64_t, double>& entry) {
+    sum += entry.second;
     // now >= n always holds; the window spans the most recent now-n+1
     // statements.
-    double denom = static_cast<double>(now - n + 1);
+    double denom = static_cast<double>(now - entry.first + 1);
     best = std::max(best, sum / denom);
-    idx = (idx + count - 1) % count;
-  }
+  };
+  // Newest -> oldest: from newest_ down to slot 0, then from the end of
+  // the ring down to the slot after newest_ (the oldest once it wrapped).
+  for (size_t idx = newest_ + 1; idx-- > 0;) visit(buf_[idx]);
+  for (size_t idx = buf_.size(); idx-- > newest_ + 1;) visit(buf_[idx]);
   return best;
 }
 

@@ -125,8 +125,8 @@ void PrintServiceMetrics(std::ostream& os, const std::string& title,
   }
   if (m.journal_records > 0 || m.checkpoints_written > 0) {
     os << std::setw(26) << "journal records" << std::setw(14)
-       << m.journal_records << "   (" << m.journal_bytes << " bytes, "
-       << m.journal_syncs << " fsync batches)\n";
+       << m.journal_records << "   (" << m.journal_bytes
+       << " bytes appended, " << m.journal_syncs << " fsync batches)\n";
     os << std::setw(26) << "checkpoints written" << std::setw(14)
        << m.checkpoints_written << "   (last @" << m.last_checkpoint_seq
        << ", " << m.last_snapshot_bytes << " bytes, failures "

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <string>
-#include <thread>
 
 #include "obs/trace.h"
 
@@ -105,19 +104,6 @@ bool IndexBenefitGraph::TryBuild(const Statement& q,
   return true;
 }
 
-void IndexBenefitGraph::CheckSingleReader() const {
-  const uint64_t id =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1;
-  uint64_t expected = 0;
-  if (reader_.compare_exchange_strong(expected, id,
-                                      std::memory_order_relaxed)) {
-    return;  // first memoizing reader claims the graph
-  }
-  WFIT_CHECK(expected == id,
-             "IndexBenefitGraph: memoizing reads from two threads (cost "
-             "lookups mutate the memo caches; give each thread its own IBG)");
-}
-
 const IndexBenefitGraph::Node& IndexBenefitGraph::Covering(
     Mask subset) const {
   Mask y = root_;
@@ -135,18 +121,10 @@ double IndexBenefitGraph::CostOf(Mask subset) const {
   // Only plan-relevant bits can change the answer; projecting first makes
   // the memo caches dense.
   const Mask key = subset & relevant_used_;
-  if (enum_ready_ && IsSubset(key, enum_universe_)) {
+  if (InDenseDomain(key)) {
     // Dense fast path: the benefit/doi enumeration domain.
-    Mask rest = key;
-    size_t idx = 0;
-    while (rest != 0) {
-      int bit = LowestBit(rest);
-      rest &= rest - 1;
-      idx |= size_t{1} << enum_pos_[bit];
-    }
-    return enum_costs_[idx];
+    return DenseCost(DenseMask(key));
   }
-  CheckSingleReader();
   if (const double* cached = cost_cache_.Find(key)) return *cached;
   double cost = Covering(key).cost;
   cost_cache_.Insert(key, cost);
@@ -166,7 +144,6 @@ double IndexBenefitGraph::BenefitOf(int bit, Mask context) const {
 
 void IndexBenefitGraph::PrepareEnumeration() const {
   if (enum_ready_) return;
-  CheckSingleReader();
   enum_universe_ = KeepLowestBits(relevant_used_, kMaxEnumerationBits);
   int k = 0;
   for (Mask rest = enum_universe_; rest != 0; rest &= rest - 1) {
@@ -207,6 +184,17 @@ double IndexBenefitGraph::MaxBenefit(int bit) const {
   // path instead of the dense array.
   Mask universe = KeepLowestBits(relevant_used_ & ~self, kMaxEnumerationBits);
   double best = -std::numeric_limits<double>::infinity();
+  if (InDenseDomain(universe | self)) {
+    // Every context is a dense-table read: sweep the compressed universe
+    // directly. A max does not depend on the order contexts are visited
+    // in, and each benefit is the same cost(X) − cost(X ∪ {bit}).
+    const Mask dense_self = DenseMask(self);
+    for (SubmaskIterator it(DenseMask(universe)); !it.done(); it.Next()) {
+      const Mask x = it.mask();
+      best = std::max(best, DenseCost(x) - DenseCost(x | dense_self));
+    }
+    return best;
+  }
   for (SubmaskIterator it(universe); !it.done(); it.Next()) {
     best = std::max(best, BenefitOf(bit, it.mask()));
   }

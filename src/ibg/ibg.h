@@ -12,14 +12,12 @@
 //
 // Thread safety after construction: the node table is immutable, but cost
 // lookups memoize into mutable caches, so an IBG must be read by ONE thread
-// at a time. This is enforced (cheaply, always on): the first memoizing
-// read pins the reader thread and any other thread aborts. Analysis
-// builds and consumes every IBG on the thread that analyzes the
-// statement.
+// at a time. Analysis is serial: every IBG is built and consumed on the
+// thread that analyzes its statement, so this holds by construction and
+// is not checked at run time.
 #ifndef WFIT_IBG_IBG_H_
 #define WFIT_IBG_IBG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -83,8 +81,28 @@ class IndexBenefitGraph {
   /// dense array, turning the O(2^k) context searches of MaxBenefit and
   /// DegreeOfInteraction into array reads instead of per-context hashed
   /// descents. Idempotent; called automatically by MaxBenefit and the doi
-  /// code. Counts as a memoizing read (single-reader contract).
+  /// code. Counts as a memoizing read (one reader at a time).
   void PrepareEnumeration() const;
+
+  /// True once PrepareEnumeration has run and every bit of `domain` lies
+  /// in the dense enumeration domain, so the cost of any X ⊆ `domain` is
+  /// DenseCost(DenseMask(X)).
+  bool InDenseDomain(Mask domain) const {
+    return enum_ready_ && IsSubset(domain, enum_universe_);
+  }
+  /// Compresses X ⊆ the dense domain to its index in the dense table. The
+  /// compression is a bitwise bijection: DenseMask(X ∪ Y) ==
+  /// DenseMask(X) | DenseMask(Y), so contexts can be enumerated directly
+  /// as submasks of a compressed universe.
+  Mask DenseMask(Mask subset) const {
+    Mask dense = 0;
+    for (Mask rest = subset; rest != 0; rest &= rest - 1) {
+      dense |= Mask{1} << enum_pos_[LowestBit(rest)];
+    }
+    return dense;
+  }
+  /// cost(q, X) for the X with DenseMask(X) == `dense`.
+  double DenseCost(Mask dense) const { return enum_costs_[dense]; }
 
   /// Local bit of a global index id, or -1 if not a candidate.
   int BitOf(IndexId id) const;
@@ -113,9 +131,6 @@ class IndexBenefitGraph {
   /// Descends from the root to the covering node of `subset` (no memo).
   const Node& Covering(Mask subset) const;
 
-  /// Aborts if a second thread issues memoizing reads (see file comment).
-  void CheckSingleReader() const;
-
   std::vector<IndexId> candidates_;
   std::vector<IndexId> truncated_;
   std::unordered_map<IndexId, int> bit_of_;
@@ -130,9 +145,6 @@ class IndexBenefitGraph {
   mutable bool enum_ready_ = false;
   /// Dense rank of each universe bit, for mask compression.
   mutable uint8_t enum_pos_[32] = {};
-  /// Hashed id of the single thread allowed to issue memoizing reads;
-  /// 0 = unclaimed.
-  mutable std::atomic<uint64_t> reader_{0};
   Mask root_ = 0;
   Mask relevant_used_ = 0;
   uint64_t build_calls_ = 0;

@@ -360,7 +360,8 @@ void Server::SweepConns() {
       const bool want_out = !conn->dead && !conn->out.empty();
       if (want_out != conn->want_out) {
         epoll_event ev{};
-        ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0);
+        ev.events = EPOLLIN;
+        if (want_out) ev.events |= EPOLLOUT;
         ev.data.fd = fd;
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
         conn->want_out = want_out;

@@ -179,7 +179,7 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
   Counter(os, "journal_records_total", s.journal_records,
           "Records in the write-ahead journal");
   Counter(os, "journal_bytes_total", s.journal_bytes,
-          "Bytes in the write-ahead journal");
+          "Bytes appended to the write-ahead journal");
   Counter(os, "journal_syncs_total", s.journal_syncs,
           "fsync batches applied to the journal");
   Counter(os, "journal_failures_total", s.journal_failures,

@@ -67,6 +67,8 @@ struct MetricsSnapshot {
   double last_checkpoint_unix_seconds = 0.0;  // wall time of last snapshot
   uint64_t last_snapshot_bytes = 0;
   uint64_t journal_records = 0;           // records in the journal file
+  /// Bytes this service appended to the journal; compaction does not
+  /// lower it (see journal_compacted_bytes).
   uint64_t journal_bytes = 0;
   uint64_t journal_syncs = 0;
   /// Journal prefix rewrites after a checkpoint, and the bytes they
@@ -197,11 +199,15 @@ class ServiceMetrics : public obs::StageSink {
     journal_compacted_bytes_.fetch_add(reclaimed_bytes,
                                        std::memory_order_relaxed);
   }
-  /// Journal gauges are pushed by the drain path after each batch (the
-  /// writer is single-threaded; readers just need a coherent snapshot).
-  void SetJournal(uint64_t records, uint64_t bytes) {
+  /// The journal's record count is pushed by the drain path after each
+  /// batch (the writer is single-threaded; readers just need a coherent
+  /// snapshot).
+  void SetJournalRecords(uint64_t records) {
     journal_records_.store(records, std::memory_order_relaxed);
-    journal_bytes_.store(bytes, std::memory_order_relaxed);
+  }
+  /// Bytes one successful journal append wrote.
+  void OnJournalAppend(uint64_t bytes) {
+    journal_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
   /// One successful journal sync by the service.
   void OnJournalSync() {

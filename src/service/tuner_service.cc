@@ -638,6 +638,7 @@ bool TunerService::ApplyAllFeedback() {
 template <typename Fn>
 void TunerService::JournalAppend(Fn&& fn) {
   if (journal_ == nullptr) return;
+  const uint64_t bytes_before = journal_->bytes();
   Status st = fn(journal_.get());
   if (!st.ok()) {
     // Durability degrades but the service stays up; a stale journal tail
@@ -649,6 +650,9 @@ void TunerService::JournalAppend(Fn&& fn) {
     journal_dirty_ = false;
     return;
   }
+  // Counted here, not read from the writer: compaction shrinks the file,
+  // and the exported counter must keep counting appended bytes.
+  metrics_.OnJournalAppend(journal_->bytes() - bytes_before);
   journal_dirty_ = true;
 }
 
@@ -759,7 +763,7 @@ void TunerService::MaybeCompactJournal(uint64_t cover_lsn) {
 
 void TunerService::PushJournalMetrics() {
   if (journal_ == nullptr) return;
-  metrics_.SetJournal(journal_->lsn(), journal_->bytes());
+  metrics_.SetJournalRecords(journal_->lsn());
 }
 
 void TunerService::Publish() {

@@ -274,6 +274,41 @@ TEST(CompactionTest, JournalSyncCounterSurvivesCompaction) {
   (*service)->Shutdown();
 }
 
+TEST(CompactionTest, JournalBytesCounterSurvivesCompaction) {
+  // wfit_service_journal_bytes_total counts appended bytes: compaction
+  // shrinks the file but must not lower the counter, and what compaction
+  // reclaimed accounts exactly for the difference to the file on disk.
+  const std::string dir = FreshDir("bytes");
+  TunerServiceOptions options = CompactingOptions(dir);
+  TestDb db;
+  Workload w = BuildWorkload(db, kTotal);
+  auto tuner = std::make_unique<Wfit>(&db.pool(), &db.optimizer(),
+                                      IndexSet{}, FastOptions());
+  auto service = TunerService::Open(std::move(tuner), &db.pool(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  (*service)->Start();
+  uint64_t batches = 0;
+  uint64_t last_bytes = 0;
+  for (size_t seq = 0; seq < kTotal; ++seq) {
+    ASSERT_TRUE((*service)->SubmitAt(seq, w[seq]));
+    if ((seq + 1) % options.max_batch != 0) continue;
+    ASSERT_EQ((*service)->ProcessBatch(), options.max_batch);
+    ++batches;
+    const uint64_t bytes = (*service)->Metrics().journal_bytes;
+    ASSERT_GT(bytes, last_bytes) << "counter did not grow in batch "
+                                 << batches;
+    last_bytes = bytes;
+  }
+  MetricsSnapshot m = (*service)->Metrics();
+  EXPECT_GE(m.journal_compactions, 2u);
+  EXPECT_EQ(m.journal_bytes - m.journal_compacted_bytes,
+            fs::file_size(fs::path(dir) / "journal.wfj"));
+  EXPECT_NE(ExportText(m).find("wfit_service_journal_bytes_total " +
+                               std::to_string(m.journal_bytes) + "\n"),
+            std::string::npos);
+  (*service)->Shutdown();
+}
+
 TEST(CompactionTest, CompactionRacesConcurrentCheckpointWrite) {
   // The service serializes checkpointing and compaction on its drain
   // path, but the two touch DIFFERENT files (snapshot tmp+rename vs

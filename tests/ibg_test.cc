@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "tests/test_util.h"
@@ -170,21 +169,6 @@ TEST(IbgTest, NodeBudgetSweepShedsTheTailHalf) {
   }
   EXPECT_TRUE(saw_truncation)
       << "the budget sweep must exercise the retry-with-half path";
-}
-
-TEST(IbgSingleReaderDeathTest, SecondThreadMemoizingReadAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  TestDb db;
-  Statement q = db.Bind("SELECT count(*) FROM t1 WHERE a = 3 AND b = 4");
-  std::vector<IndexId> cands = {db.Ix("t1", {"a"}), db.Ix("t1", {"b"})};
-  EXPECT_DEATH(
-      {
-        IndexBenefitGraph ibg(q, db.optimizer(), cands);
-        ibg.CostOf(1);  // claims the graph for this thread
-        std::thread other([&] { ibg.CostOf(2); });
-        other.join();
-      },
-      "memoizing reads from two threads");
 }
 
 TEST(IbgDeathTest, TooManyCandidatesAborts) {

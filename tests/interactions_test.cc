@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+
+#include "common/rng.h"
 #include "tests/test_util.h"
 
 namespace wfit {
@@ -109,6 +115,111 @@ TEST(InteractionsTest, DoiMatchesBruteForceDefinition) {
     brute = std::max(brute, std::abs(v));
   }
   EXPECT_NEAR(doi, brute, 1e-6 * std::max(1.0, brute));
+}
+
+/// What-if optimizer with seeded random plans, so IBGs take shapes the
+/// cost model never produces: the plan for X uses a hash-chosen subset of
+/// X (at most four indices) at a hash-chosen cost from a small value set,
+/// so benefits tie and interactions cancel.
+class RandomPlanOptimizer : public WhatIfOptimizer {
+ public:
+  RandomPlanOptimizer(const CostModel* model, uint64_t seed)
+      : WhatIfOptimizer(model), seed_(seed) {}
+
+  PlanSummary Optimize(const Statement&, const IndexSet& x) const override {
+    uint64_t h = Mix(seed_);
+    for (IndexId id : x) h = Mix(h ^ id);
+    PlanSummary plan;
+    for (IndexId id : x) {
+      if (plan.used.size() < 4 && Mix(h ^ (uint64_t{id} << 32)) % 3 == 0) {
+        plan.used.Add(id);
+      }
+    }
+    plan.cost = 100.0 + static_cast<double>(Mix(h) % 16) * 12.5;
+    return plan;
+  }
+
+ private:
+  static uint64_t Mix(uint64_t z) {  // splitmix64 finalizer
+    z += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  uint64_t seed_;
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// DegreeOfInteraction and MaxBenefit sweep the dense cost table when their
+// whole context domain lies in it. Both must return exactly the double of
+// the per-context definition, evaluated here on a twin IBG whose dense
+// table is never built (every cost is a memoized covering-node descent).
+// More than 12 plan-relevant indices push some domains past the dense
+// table, covering the truncated enumeration and the memoized fallback.
+TEST(InteractionsTest, DenseSweepMatchesPerContextDefinition) {
+  TestDb db;
+  Statement q = db.Bind("SELECT count(*) FROM t1 WHERE a = 1");
+  constexpr uint64_t kBaseSeed = 0xd01d0000;
+  constexpr int kCases = 300;
+  int dense_doi = 0, fallback_doi = 0, wide = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const uint64_t seed = kBaseSeed + static_cast<uint64_t>(c);
+    Rng rng(seed);
+    RandomPlanOptimizer optimizer(&db.model(), seed);
+    std::vector<IndexId> cands(static_cast<size_t>(rng.UniformInt(2, 20)));
+    for (size_t i = 0; i < cands.size(); ++i) {
+      cands[i] = static_cast<IndexId>(i + 1);
+    }
+    IndexBenefitGraph ibg(q, optimizer, cands, /*max_nodes=*/3000);
+    IndexBenefitGraph ref(q, optimizer, cands, /*max_nodes=*/3000);
+    const Mask relevant = ref.relevant_used();
+    ASSERT_EQ(ibg.relevant_used(), relevant) << "seed " << seed;
+    if (std::popcount(relevant) > IndexBenefitGraph::kMaxEnumerationBits) {
+      ++wide;
+    }
+    const int k = static_cast<int>(ibg.candidates().size());
+    for (int a = 0; a < k; ++a) {
+      const Mask ma = Mask{1} << a;
+      double want_benefit = -std::numeric_limits<double>::infinity();
+      if ((relevant & ma) == 0) {
+        want_benefit = ref.BenefitOf(a, 0);
+      } else {
+        const Mask universe = KeepLowestBits(
+            relevant & ~ma, IndexBenefitGraph::kMaxEnumerationBits);
+        for (SubmaskIterator it(universe); !it.done(); it.Next()) {
+          want_benefit = std::max(
+              want_benefit, ref.CostOf(it.mask()) - ref.CostOf(it.mask() | ma));
+        }
+      }
+      ASSERT_EQ(Bits(ibg.MaxBenefit(a)), Bits(want_benefit))
+          << "MaxBenefit of bit " << a << "; seed " << seed;
+      for (int b = a + 1; b < k; ++b) {
+        const Mask mb = Mask{1} << b;
+        double want = 0.0;
+        if ((relevant & ma) != 0 && (relevant & mb) != 0) {
+          const Mask universe =
+              KeepLowestBits(relevant & ~(ma | mb),
+                             IndexBenefitGraph::kMaxEnumerationBits - 2);
+          for (SubmaskIterator it(universe); !it.done(); it.Next()) {
+            const Mask x = it.mask();
+            double v = ref.CostOf(x) - ref.CostOf(x | ma) -
+                       ref.CostOf(x | mb) + ref.CostOf(x | ma | mb);
+            want = std::max(want, std::abs(v));
+          }
+          ibg.PrepareEnumeration();
+          ++(ibg.InDenseDomain(universe | ma | mb) ? dense_doi : fallback_doi);
+        }
+        ASSERT_EQ(Bits(DegreeOfInteraction(ibg, a, b)), Bits(want))
+            << "doi of bits " << a << "," << b << "; seed " << seed;
+        ASSERT_EQ(Bits(DegreeOfInteraction(ibg, b, a)), Bits(want))
+            << "doi of bits " << b << "," << a << "; seed " << seed;
+      }
+    }
+  }
+  EXPECT_GT(dense_doi, 0);
+  EXPECT_GT(fallback_doi, 0) << "no pair reached the memoized fallback";
+  EXPECT_GT(wide, 0) << "no IBG had more than 12 plan-relevant indices";
 }
 
 TEST(InteractionsDeathTest, SelfInteractionAborts) {

@@ -291,9 +291,15 @@ TEST(TenantRouterTest, DeficitRoundRobinHonorsWeights) {
   RouterMetricsSnapshot m = router.Metrics();
   EXPECT_EQ(m.empty_turns, 0u) << "emptied tenants go idle in-turn";
   for (const TenantMetricsEntry& e : m.tenants) {
-    if (e.id == heavy) EXPECT_DOUBLE_EQ(e.qos_weight, 2.0);
-    if (e.id == light2) EXPECT_DOUBLE_EQ(e.qos_weight, 0.5);
-    if (e.id == light1) EXPECT_DOUBLE_EQ(e.qos_weight, 1.0);
+    if (e.id == heavy) {
+      EXPECT_DOUBLE_EQ(e.qos_weight, 2.0);
+    }
+    if (e.id == light2) {
+      EXPECT_DOUBLE_EQ(e.qos_weight, 0.5);
+    }
+    if (e.id == light1) {
+      EXPECT_DOUBLE_EQ(e.qos_weight, 1.0);
+    }
     EXPECT_DOUBLE_EQ(e.drr_deficit, 0.0) << e.id << " drained dry";
   }
   router.Shutdown();

@@ -215,10 +215,11 @@ SkewResult RunSkewed(Catalog* catalog, const Workload& workload,
   return result;
 }
 
-/// 10x spike into an overload-enabled shard, producers on 2-second
-/// deadline submits: the server may shed (kBusy) but a producer call can
-/// never block past its deadline. Recovery = seconds from the end of the
-/// spike until the controller walks back to Normal under trickle load.
+/// 10x spike into an overload-enabled shard. Producers submit with
+/// TrySubmit and retry a refusal (the server's kBusy) for at most 2 s, then
+/// give the statement up, so a producer call never blocks past 2 s.
+/// Recovery = seconds from the end of the spike until the controller walks
+/// back to Normal under trickle load.
 struct SpikeResult {
   double recovery_s = 0.0;
   double max_submit_block_s = 0.0;
@@ -249,20 +250,23 @@ SpikeResult RunSpike(Catalog* catalog, const Workload& workload,
   const std::string id = TenantName(0);
 
   SpikeResult result;
-  auto deadline_submit = [&](const Statement& stmt) {
+  auto bounded_submit = [&](const Statement& stmt) {
     const Clock::time_point begin = Clock::now();
-    const service::PushAtResult r = router.SubmitWithDeadline(
-        id, stmt, begin + std::chrono::seconds(2));
+    bool accepted = router.TrySubmit(id, stmt);
+    while (!accepted && Clock::now() - begin < std::chrono::seconds(2)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      accepted = router.TrySubmit(id, stmt);
+    }
     const double blocked =
         std::chrono::duration<double>(Clock::now() - begin).count();
     result.max_submit_block_s =
         std::max(result.max_submit_block_s, blocked);
-    if (r == service::PushAtResult::kWouldBlock) ++result.ingress_shed;
+    if (!accepted) ++result.ingress_shed;
   };
 
   // The spike: 10x queue capacity as fast as the producer can push.
   for (size_t i = 0; i < spike_statements; ++i) {
-    deadline_submit(workload[i % workload.size()]);
+    bounded_submit(workload[i % workload.size()]);
   }
   const Clock::time_point spike_end = Clock::now();
 
@@ -275,7 +279,7 @@ SpikeResult RunSpike(Catalog* catalog, const Workload& workload,
       recovered = true;
       break;
     }
-    deadline_submit(workload[i % workload.size()]);
+    bounded_submit(workload[i % workload.size()]);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   result.recovered = recovered;
@@ -380,7 +384,7 @@ int main() {
             << "  lights complete      "
             << (skew.lights_complete ? "yes" : "NO") << "\n";
 
-  // 10x spike into an overload-enabled shard with 2s deadline submits.
+  // 10x spike into an overload-enabled shard; producers retry for <= 2 s.
   SpikeResult spike =
       RunSpike(&env.catalog(), env.workload(), fast ? 640 : 1280);
   std::cout << "\noverload spike (10x queue capacity):\n"

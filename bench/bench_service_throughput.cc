@@ -8,7 +8,7 @@
 //                    machinery (the service's intrinsic ceiling);
 //   WFIT           — end-to-end analysis on the benchmark workload.
 //
-// Headline numbers (sustained stmts/min, what-if cache hit rate) are merged
+// Headline numbers (sustained stmts/min, snapshot-read latency) are merged
 // into BENCH_service.json for the perf trajectory. Exits 1 when a run
 // analyzed fewer statements than were submitted or its queue outgrew its
 // capacity.
@@ -188,12 +188,6 @@ int main() {
 
     json.emplace_back("service_wfit_serial_stmts_per_min",
                       wfit.statements_per_minute);
-    json.emplace_back("what_if_cache_hit_rate",
-                      wfit.metrics.what_if_cache_hit_rate());
-    json.emplace_back("what_if_cache_hits",
-                      static_cast<double>(wfit.metrics.what_if_cache_hits));
-    json.emplace_back("what_if_cache_misses",
-                      static_cast<double>(wfit.metrics.what_if_cache_misses));
   }
 
   harness::UpdateBenchJson("BENCH_service.json", json);

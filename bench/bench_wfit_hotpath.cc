@@ -10,20 +10,16 @@
 //                                   ~9.4k/min in the same container);
 //   ibg_build_us                  — mean statement-wide IBG build latency
 //                                   at selector scale;
-//   whatif_cross_stmt_hit_rate    — cross-statement cache hit rate on a
-//                                   repeated-template workload (the OLTP /
-//                                   prepared-statement regime), plus the
-//                                   cached-vs-uncached speedup there;
 //   tracing_overhead_pct          — median over alternating tracing
 //                                   off/on replay pairs.
 //
 // One untimed replay runs first, so allocator growth and cold caches do
 // not land on whichever series is timed first.
 //
-// Determinism gates (process exits nonzero on violation): trajectories
-// bit-for-bit identical with the cross-statement cache cold, warm and
-// disabled, and with tracing off and on. The WFIT-auto trajectory's
-// FNV-1a digest is printed, so two builds compare with a one-line diff.
+// Determinism gate (process exits nonzero on violation): trajectories
+// bit-for-bit identical with tracing off and on. The WFIT-auto
+// trajectory's FNV-1a digest is printed, so two builds compare with a
+// one-line diff.
 //
 // Set WFIT_BENCH_FAST=1 for a scaled-down smoke run.
 #include <algorithm>
@@ -49,18 +45,16 @@ struct RunStats {
   double seconds = 0.0;
   double stmts_per_minute = 0.0;
   uint64_t what_if_calls = 0;
-  WhatIfCacheCounters cache;
   std::vector<IndexSet> trajectory;
 };
 
 /// Replays the workload with deterministic interleaved feedback (a fixed
 /// cadence, so the stmts/min series is comparable across PRs).
 RunStats Replay(Tuner* tuner, const Workload& w,
-                const WhatIfOptimizer& real_optimizer) {
+                const WhatIfOptimizer& optimizer) {
   RunStats stats;
   stats.trajectory.reserve(w.size());
-  uint64_t calls_before = real_optimizer.num_calls();
-  const WhatIfCacheCounters cache_before = tuner->WhatIfCache();
+  uint64_t calls_before = optimizer.num_calls();
   Clock::time_point t0 = Clock::now();
   for (size_t i = 0; i < w.size(); ++i) {
     tuner->AnalyzeQuery(w[i]);
@@ -75,11 +69,7 @@ RunStats Replay(Tuner* tuner, const Workload& w,
   stats.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   stats.stmts_per_minute =
       60.0 * static_cast<double>(w.size()) / stats.seconds;
-  stats.what_if_calls = real_optimizer.num_calls() - calls_before;
-  const WhatIfCacheCounters cache_after = tuner->WhatIfCache();
-  stats.cache = {cache_after.hits - cache_before.hits,
-                 cache_after.misses - cache_before.misses,
-                 cache_after.cross_hits - cache_before.cross_hits};
+  stats.what_if_calls = optimizer.num_calls() - calls_before;
   return stats;
 }
 
@@ -136,40 +126,21 @@ int main() {
     (void)Replay(&warmup, workload, env.optimizer());
   }
 
-  // --- WFIT auto on the benchmark trace: cache on and off ---------------
+  // --- WFIT auto on the benchmark trace --------------------------------
   {
     WfitOptions options;  // paper defaults: idxCnt 40, stateCnt 500
-    std::cout << "WFIT auto (idxCnt " << options.candidates.idx_cnt
-              << ", stateCnt " << options.candidates.state_cnt << ")\n"
-              << std::setw(10) << "cache" << std::setw(12) << "wall s"
-              << std::setw(16) << "stmts/min" << std::setw(14) << "what-if"
-              << std::setw(12) << "hit rate" << std::setw(12) << "cross"
-              << "\n";
-    auto print_row = [](const char* label, const RunStats& r) {
-      std::cout << std::setw(10) << label << std::setw(12) << std::fixed
-                << std::setprecision(2) << r.seconds << std::setw(16)
-                << static_cast<uint64_t>(r.stmts_per_minute) << std::setw(14)
-                << r.what_if_calls << std::setw(12) << std::setprecision(3)
-                << r.cache.hit_rate() << std::setw(12)
-                << r.cache.cross_hit_rate() << "\n";
-    };
     Wfit tuner(&env.pool(), &env.optimizer(), IndexSet{}, options);
-    RunStats on = Replay(&tuner, workload, env.optimizer());
-    print_row("on", on);
-    json.emplace_back("wfit_auto_stmts_per_min", on.stmts_per_minute);
-    std::cout << "trajectory digest (FNV-1a, " << on.trajectory.size()
+    RunStats run = Replay(&tuner, workload, env.optimizer());
+    std::cout << "WFIT auto (idxCnt " << options.candidates.idx_cnt
+              << ", stateCnt " << options.candidates.state_cnt << "): "
+              << std::fixed << std::setprecision(2) << run.seconds << " s, "
+              << static_cast<uint64_t>(run.stmts_per_minute)
+              << " stmts/min, " << run.what_if_calls << " what-if calls\n";
+    json.emplace_back("wfit_auto_stmts_per_min", run.stmts_per_minute);
+    std::cout << "trajectory digest (FNV-1a, " << run.trajectory.size()
               << " recommendations): " << std::hex << std::setw(16)
-              << std::setfill('0') << TrajectoryDigest(on.trajectory)
+              << std::setfill('0') << TrajectoryDigest(run.trajectory)
               << std::dec << std::setfill(' ') << "\n";
-
-    // Cross-statement cache disabled: identical trajectory.
-    WfitOptions no_cache = options;
-    no_cache.cross_cache.max_templates = 0;
-    Wfit uncached(&env.pool(), &env.optimizer(), IndexSet{}, no_cache);
-    RunStats off = Replay(&uncached, workload, env.optimizer());
-    print_row("off", off);
-    ok &= Check(SameTrajectory(on.trajectory, off.trajectory),
-                "disabled cross-statement cache trajectory mismatch");
   }
 
   // --- Statement-wide IBG build latency at selector scale ---------------
@@ -205,56 +176,6 @@ int main() {
               << " nodes): " << std::fixed << std::setprecision(1) << us
               << " us\n";
     json.emplace_back("ibg_build_us", us);
-  }
-
-  // --- Cross-statement cache on a repeated-template workload ------------
-  {
-    // The OLTP regime: a fixed set of templates cycling (prepared
-    // statements). Sampled from the benchmark trace for realistic shapes.
-    const size_t num_templates = 24;
-    const size_t repeats = fast ? 20 : 60;
-    Workload templated;
-    templated.reserve(num_templates * repeats);
-    for (size_t r = 0; r < repeats; ++r) {
-      for (size_t t = 0; t < num_templates && t < workload.size(); ++t) {
-        templated.push_back(workload[t]);
-      }
-    }
-    // Three runs that must agree: the cache starting cold (it warms from
-    // each template's second occurrence), the same tuner rewound to its
-    // initial state with its cache kept (the cache is not part of the
-    // state, so this replay is warm from the first statement), and the
-    // cache disabled.
-    WfitOptions options;
-    Wfit cached(&env.pool(), &env.optimizer(), IndexSet{}, options);
-    const WfitState initial = cached.ExportState();
-    RunStats with_cache = Replay(&cached, templated, env.optimizer());
-    WFIT_CHECK(cached.RestoreState(initial).ok(), "rewind failed");
-    RunStats warm = Replay(&cached, templated, env.optimizer());
-    WfitOptions no_cache = options;
-    no_cache.cross_cache.max_templates = 0;
-    Wfit uncached(&env.pool(), &env.optimizer(), IndexSet{}, no_cache);
-    RunStats without = Replay(&uncached, templated, env.optimizer());
-    ok &= Check(SameTrajectory(with_cache.trajectory, without.trajectory),
-                "templated-workload cold cache trajectory mismatch");
-    ok &= Check(SameTrajectory(warm.trajectory, without.trajectory),
-                "templated-workload warm cache trajectory mismatch");
-    std::cout << "\nrepeated templates (" << num_templates << " x " << repeats
-              << "): cached " << static_cast<uint64_t>(
-                     with_cache.stmts_per_minute)
-              << " stmts/min vs uncached "
-              << static_cast<uint64_t>(without.stmts_per_minute)
-              << " (speedup " << std::setprecision(2)
-              << with_cache.stmts_per_minute / without.stmts_per_minute
-              << "), cross hit rate " << std::setprecision(3)
-              << with_cache.cache.cross_hit_rate() << " (warm "
-              << warm.cache.cross_hit_rate() << "), real what-if "
-              << with_cache.what_if_calls << " vs " << without.what_if_calls
-              << "\n";
-    json.emplace_back("whatif_cross_stmt_hit_rate",
-                      with_cache.cache.cross_hit_rate());
-    json.emplace_back("whatif_cross_stmt_speedup",
-                      with_cache.stmts_per_minute / without.stmts_per_minute);
   }
 
   // --- Tracing overhead: the same single-threaded replay with runtime
@@ -303,7 +224,7 @@ int main() {
   json.emplace_back("wfit_hotpath_trajectories_identical", ok ? 1.0 : 0.0);
   json.emplace_back("wfit_hotpath_fast_mode", fast ? 1.0 : 0.0);
   harness::UpdateBenchJson("BENCH_service.json", json);
-  std::cout << "\ntrajectory determinism (cache x tracing): "
+  std::cout << "\ntrajectory determinism (tracing off/on): "
             << (ok ? "yes" : "NO") << "\nwrote BENCH_service.json\n";
   return ok ? 0 : 1;
 }

@@ -271,26 +271,6 @@ Response TunerNode::HandleFast(const Request& req) {
         return net::ErrResp(
             Status::InvalidArgument("kSubmit without a statement"));
       }
-      if (options_.submit_deadline_ms > 0) {
-        // Bounded wait for queue space; a full tenant costs at most the
-        // deadline before the client hears kBusy — the server never wedges.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(options_.submit_deadline_ms);
-        switch (router_->SubmitWithDeadline(req.tenant, req.statement,
-                                            deadline)) {
-          case service::PushAtResult::kAccepted:
-          case service::PushAtResult::kDuplicate:
-            return resp;
-          case service::PushAtResult::kWouldBlock:
-            resp.kind = RespKind::kBusy;
-            return resp;
-          case service::PushAtResult::kClosed:
-            return net::ErrResp(
-                Status::FailedPrecondition("node is shutting down"));
-        }
-        return resp;
-      }
       if (!router_->TrySubmit(req.tenant, req.statement)) {
         resp.kind = RespKind::kBusy;
       }
@@ -301,26 +281,6 @@ Response TunerNode::HandleFast(const Request& req) {
       if (!req.has_statement) {
         return net::ErrResp(
             Status::InvalidArgument("kSubmitAt without a statement"));
-      }
-      if (options_.submit_deadline_ms > 0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(options_.submit_deadline_ms);
-        switch (router_->SubmitAtWithDeadline(req.tenant, req.seq,
-                                              req.statement, deadline)) {
-          case service::PushAtResult::kAccepted:
-            return resp;
-          case service::PushAtResult::kDuplicate:
-            resp.count = 1;  // exactly-once success; already covered
-            return resp;
-          case service::PushAtResult::kWouldBlock:
-            resp.kind = RespKind::kBusy;
-            return resp;
-          case service::PushAtResult::kClosed:
-            return net::ErrResp(
-                Status::FailedPrecondition("node is shutting down"));
-        }
-        return resp;
       }
       switch (router_->TrySubmitAt(req.tenant, req.seq, req.statement)) {
         case service::PushAtResult::kAccepted:

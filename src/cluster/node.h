@@ -63,10 +63,6 @@ struct TunerNodeOptions {
   MembershipOptions membership;
   /// Bounds the server's admin queue (kBusy shed beyond it).
   size_t max_admin_queue = 128;
-  /// When > 0, kSubmit/kSubmitAt wait up to this long for queue space
-  /// before answering kBusy, instead of shedding instantly. Bounded by
-  /// construction: the server thread can never wedge on a full tenant.
-  uint32_t submit_deadline_ms = 0;
 };
 
 class TunerNode {

@@ -13,31 +13,6 @@
 
 namespace wfit {
 
-/// What-if memoization counters exposed by tuners that deduplicate
-/// optimizer probes (hit_rate is the paper-relevant savings: every hit is
-/// one optimizer invocation avoided).
-struct WhatIfCacheCounters {
-  /// Statement-scoped tier: identical probes within one statement.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  /// Cross-statement tier: probes answered from an earlier structurally
-  /// identical statement (repeated templates).
-  uint64_t cross_hits = 0;
-
-  uint64_t probes() const { return hits + cross_hits + misses; }
-  double hit_rate() const {
-    uint64_t p = probes();
-    return p == 0 ? 0.0
-                  : static_cast<double>(hits + cross_hits) /
-                        static_cast<double>(p);
-  }
-  double cross_hit_rate() const {
-    uint64_t p = probes();
-    return p == 0 ? 0.0
-                  : static_cast<double>(cross_hits) / static_cast<double>(p);
-  }
-};
-
 class Tuner {
  public:
   virtual ~Tuner() = default;
@@ -62,10 +37,6 @@ class Tuner {
   /// repartitions). Drivers — the experiment harness and the online
   /// tuning service — report it; tuners without the notion return 0.
   virtual uint64_t RepartitionCount() const { return 0; }
-
-  /// Cumulative what-if memoization counters; zeros for tuners without a
-  /// probe cache.
-  virtual WhatIfCacheCounters WhatIfCache() const { return {}; }
 
   /// Weight applied to the NEXT statements' contribution to windowed
   /// statistics. The overload controller sets 1/sample_rate while it

@@ -39,8 +39,7 @@ std::vector<IndexId> RelevantCandidates(const Statement& q,
 WfaPlus::WfaPlus(const IndexPool* pool, const WhatIfOptimizer* optimizer,
                  std::vector<IndexSet> partition,
                  const IndexSet& initial_config, std::string display_name,
-                 size_t ibg_node_budget,
-                 const CrossStatementCacheOptions& cross_cache)
+                 size_t ibg_node_budget)
     : pool_(pool),
       optimizer_(optimizer),
       partition_(std::move(partition)),
@@ -48,7 +47,6 @@ WfaPlus::WfaPlus(const IndexPool* pool, const WhatIfOptimizer* optimizer,
       ibg_node_budget_(ibg_node_budget) {
   WFIT_CHECK(pool != nullptr && optimizer != nullptr,
              "WfaPlus requires pool and optimizer");
-  memo_ = std::make_unique<CachingWhatIfOptimizer>(optimizer, cross_cache);
   std::set<IndexId> seen;
   for (const IndexSet& part : partition_) {
     WFIT_CHECK(!part.empty(), "empty part in stable partition");
@@ -75,8 +73,7 @@ void WfaPlus::AnalyzeQuery(const Statement& q) {
   // part's statement-relevant members get their own (small) benefit graph.
   // This keeps every candidate's signal exact — a single statement-wide
   // graph would have to shed candidates under the mask/node budgets.
-  memo_->BeginStatement(&q);
-  AnalyzePartitioned(q, *pool_, *memo_, ibg_node_budget_, &instances_);
+  AnalyzePartitioned(q, *pool_, *optimizer_, ibg_node_budget_, &instances_);
 }
 
 void AnalyzePartitioned(const Statement& q, const IndexPool& pool,

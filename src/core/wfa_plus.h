@@ -11,14 +11,14 @@
 #ifndef WFIT_CORE_WFA_PLUS_H_
 #define WFIT_CORE_WFA_PLUS_H_
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/tuner.h"
 #include "core/work_function.h"
 #include "ibg/ibg.h"
-#include "optimizer/caching_what_if.h"
+#include "optimizer/what_if.h"
 
 namespace wfit {
 
@@ -67,17 +67,12 @@ class WfaPlus : public Tuner {
   /// shed last when the budget forces truncation.
   WfaPlus(const IndexPool* pool, const WhatIfOptimizer* optimizer,
           std::vector<IndexSet> partition, const IndexSet& initial_config,
-          std::string display_name = "WFA+", size_t ibg_node_budget = 300,
-          const CrossStatementCacheOptions& cross_cache = {});
+          std::string display_name = "WFA+", size_t ibg_node_budget = 300);
 
   void AnalyzeQuery(const Statement& q) override;
   IndexSet Recommendation() const override;
   void Feedback(const IndexSet& f_plus, const IndexSet& f_minus) override;
   std::string name() const override { return name_; }
-
-  WhatIfCacheCounters WhatIfCache() const override {
-    return {memo_->hits(), memo_->misses(), memo_->cross_hits()};
-  }
 
   const std::vector<IndexSet>& partition() const { return partition_; }
   const std::vector<WfaInstance>& instances() const { return instances_; }
@@ -101,9 +96,6 @@ class WfaPlus : public Tuner {
  private:
   const IndexPool* pool_;
   const WhatIfOptimizer* optimizer_;
-  /// Statement-scoped probe memo layered over optimizer_; per-part IBGs of
-  /// one statement dedupe their configuration probes through it.
-  std::unique_ptr<CachingWhatIfOptimizer> memo_;
   std::vector<IndexSet> partition_;
   std::vector<WfaInstance> instances_;
   std::vector<IndexId> all_members_;

@@ -16,12 +16,8 @@ Wfit::Wfit(IndexPool* pool, const WhatIfOptimizer* optimizer,
       initial_materialized_(initial_materialized) {
   WFIT_CHECK(pool != nullptr && optimizer != nullptr,
              "Wfit requires pool and optimizer");
-  memo_ = std::make_unique<CachingWhatIfOptimizer>(optimizer,
-                                                   options.cross_cache);
-  // The selector probes through the memo too: its statement-wide IBG and
-  // the per-part IBGs of the same statement share configuration probes.
   selector_ = std::make_unique<CandidateSelector>(
-      pool, memo_.get(), options.candidates, options.seed);
+      pool, optimizer, options.candidates, options.seed);
   // Fig. 4 initialization: C = S0, one singleton part per initial index.
   for (IndexId a : initial_materialized) {
     partition_.push_back(IndexSet{a});
@@ -108,10 +104,6 @@ void Wfit::Repartition(const std::vector<IndexSet>& new_partition) {
 }
 
 void Wfit::AnalyzeQuery(const Statement& q) {
-  // Scope the what-if memo to this statement: chooseCands' statement-wide
-  // IBG and the per-part IBGs below dedupe identical configuration probes.
-  memo_->BeginStatement(&q);
-
   // Fig. 6: chooseCands; M = what the DBA has materialized (the adopted
   // recommendation in this library's harness convention).
   CandidateAnalysis analysis = [&] {
@@ -139,7 +131,7 @@ void Wfit::AnalyzeQuery(const Statement& q) {
     if (span.trace_id() != 0) {
       span.SetDetail(std::to_string(instances_.size()) + " parts");
     }
-    AnalyzePartitioned(q, *pool_, *memo_,
+    AnalyzePartitioned(q, *pool_, *optimizer_,
                        options_.candidates.ibg_node_budget, &instances_);
   }
   rec_valid_ = false;

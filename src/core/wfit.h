@@ -19,7 +19,7 @@
 #include "core/candidates.h"
 #include "core/tuner.h"
 #include "core/work_function.h"
-#include "optimizer/caching_what_if.h"
+#include "optimizer/what_if.h"
 
 namespace wfit {
 
@@ -28,12 +28,6 @@ struct WfitOptions {
   std::string name = "WFIT";
   /// Seed for choosePartition's randomized search.
   uint64_t seed = 20120402;
-  /// Cross-statement what-if memoization (templates repeat in generator and
-  /// OLTP workloads). Purely a probe-avoidance layer: trajectories are
-  /// bit-for-bit identical with it cold, warm, or disabled
-  /// (max_templates = 0), and it is never persisted — recovery restarts
-  /// cold.
-  CrossStatementCacheOptions cross_cache;
 };
 
 /// The complete mutable state of a Wfit tuner (persist/ snapshots). The
@@ -75,9 +69,6 @@ class Wfit : public Tuner {
 
   std::string name() const override { return options_.name; }
 
-  WhatIfCacheCounters WhatIfCache() const override {
-    return {memo_->hits(), memo_->misses(), memo_->cross_hits()};
-  }
   /// Honest-sampling support: scales the benefit each analyzed statement
   /// records into the selector's recency windows (see Tuner).
   void SetStatementWeight(double weight) override {
@@ -111,11 +102,6 @@ class Wfit : public Tuner {
 
   IndexPool* pool_;
   const WhatIfOptimizer* optimizer_;
-  /// Statement-scoped what-if memo layered over optimizer_. The selector's
-  /// statement-wide IBG and every per-part IBG probe through it, so
-  /// identical configuration probes within one statement cost one real
-  /// optimizer call.
-  std::unique_ptr<CachingWhatIfOptimizer> memo_;
   WfitOptions options_;
   std::unique_ptr<CandidateSelector> selector_;
   std::vector<IndexSet> partition_;      // {C1, ..., CK}

@@ -22,7 +22,6 @@ ExperimentSeries ExperimentDriver::Run(
   WFIT_CHECK(options.lag >= 1, "lag must be at least 1");
   ExperimentSeries series;
   series.name = tuner->name();
-  const WhatIfCacheCounters cache_before = tuner->WhatIfCache();
 
   TotalWorkMeter meter(optimizer_, initial);
   IndexSet materialized = initial;
@@ -77,10 +76,6 @@ ExperimentSeries ExperimentDriver::Run(
   }
   series.cumulative = meter.cumulative();
   series.final_total = meter.total();
-  const WhatIfCacheCounters cache_after = tuner->WhatIfCache();
-  series.what_if_cache_hits = cache_after.hits - cache_before.hits;
-  series.what_if_cache_misses = cache_after.misses - cache_before.misses;
-  series.what_if_cross_hits = cache_after.cross_hits - cache_before.cross_hits;
   return series;
 }
 

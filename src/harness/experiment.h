@@ -32,15 +32,9 @@ struct ExperimentSeries {
   std::vector<size_t> checkpoints;
   std::vector<double> total_at_checkpoint;
   double final_total = 0.0;
-  /// Tuner-only analysis time (seconds) and what-if calls (real optimizer
-  /// invocations; memoized probes do not count).
+  /// Tuner-only analysis time (seconds) and what-if optimizer calls.
   double analyze_seconds = 0.0;
   uint64_t what_if_calls = 0;
-  /// What-if memo counters (zero for tuners without one): statement-scoped
-  /// tier, cross-statement template tier, and real optimizer calls.
-  uint64_t what_if_cache_hits = 0;
-  uint64_t what_if_cache_misses = 0;
-  uint64_t what_if_cross_hits = 0;
 };
 
 class ExperimentDriver {

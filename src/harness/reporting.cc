@@ -61,8 +61,7 @@ void PrintOverheadTable(std::ostream& os,
                         const std::vector<ExperimentSeries>& series,
                         size_t num_statements) {
   os << std::setw(14) << "tuner" << std::setw(18) << "ms/statement"
-     << std::setw(18) << "what-if/stmt" << std::setw(18) << "cache hit%"
-     << "\n";
+     << std::setw(18) << "what-if/stmt" << "\n";
   for (const ExperimentSeries& s : series) {
     double ms = num_statements == 0
                     ? 0.0
@@ -72,15 +71,9 @@ void PrintOverheadTable(std::ostream& os,
                        ? 0.0
                        : static_cast<double>(s.what_if_calls) /
                              static_cast<double>(num_statements);
-    uint64_t memo_hits = s.what_if_cache_hits + s.what_if_cross_hits;
-    uint64_t probes = memo_hits + s.what_if_cache_misses;
-    double hit_pct = probes == 0
-                         ? 0.0
-                         : 100.0 * static_cast<double>(memo_hits) /
-                               static_cast<double>(probes);
     os << std::setw(14) << s.name << std::setw(18) << std::fixed
        << std::setprecision(3) << ms << std::setw(18) << std::setprecision(1)
-       << calls << std::setw(18) << std::setprecision(1) << hit_pct << "\n";
+       << calls << "\n";
   }
   os.flush();
 }
@@ -104,11 +97,6 @@ void PrintServiceMetrics(std::ostream& os, const std::string& title,
      << m.feedback_applied << "\n";
   os << std::setw(26) << "repartitions" << std::setw(14) << m.repartitions
      << "\n";
-  os << std::setw(26) << "what-if cache" << std::setw(14)
-     << m.what_if_cache_hits << "   (stmt hits; cross "
-     << m.what_if_cross_hits << ", misses " << m.what_if_cache_misses
-     << ", hit rate " << std::setprecision(3)
-     << m.what_if_cache_hit_rate() << ")\n";
   os << std::setw(26) << "snapshot version" << std::setw(14)
      << m.snapshot_version << "\n";
   os << std::setw(26) << "analysis latency mean" << std::setw(14)

@@ -2,7 +2,7 @@
 // HISTOGRAMS (a metrics concern, always on) survive even when tracing is
 // compiled out. A StageSink is installed thread-locally for the duration
 // of one statement's analysis; code anywhere below — the IBG builder, the
-// what-if decorator, the checkpoint writer — records stage durations into
+// what-if optimizer, the checkpoint writer — records stage durations into
 // whichever sink is current on its thread.
 //
 // Recording is one TLS pointer read when no sink is installed; sinks must
@@ -18,7 +18,7 @@ namespace wfit::obs {
 enum class Stage : int {
   kQueueWait = 0,    // ingest enqueue -> batch pop
   kIbgBuild = 1,     // level-synchronous IBG construction
-  kProbe = 2,        // real (cache-missing) what-if optimizer calls
+  kProbe = 2,        // what-if optimizer calls (WhatIfOptimizer::Optimize)
   kCheckpointWrite = 3,  // durable snapshot writes
 };
 inline constexpr int kStageCount = 4;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/trace.h"
 #include "optimizer/selectivity.h"
 
 namespace wfit {
@@ -422,6 +423,8 @@ PlanSummary WhatIfOptimizer::OptimizeUpdate(const Statement& q,
 
 PlanSummary WhatIfOptimizer::Optimize(const Statement& q,
                                       const IndexSet& x) const {
+  obs::StageTimer timer(obs::Stage::kProbe);
+  obs::SpanGuard span("probe.real");
   num_calls_.fetch_add(1, std::memory_order_relaxed);
   if (q.kind == StatementKind::kSelect) return OptimizeSelect(q, x);
   return OptimizeUpdate(q, x);

@@ -32,10 +32,10 @@ struct PlanSummary {
   IndexSet used;
 };
 
-/// The interface is virtual so decorators (CachingWhatIfOptimizer) can be
-/// layered over the real optimizer; Optimize is safe to call concurrently
-/// from multiple threads (cost arithmetic is pure, the call counter is
-/// atomic).
+/// Optimize is virtual so test and benchmark doubles can stand in for the
+/// real optimizer (interactions_test's RandomPlanOptimizer replaces it,
+/// bench_e2e's TimedWhatIf times it). It is safe to call concurrently from
+/// multiple threads (cost arithmetic is pure, the call counter is atomic).
 class WhatIfOptimizer {
  public:
   explicit WhatIfOptimizer(const CostModel* model) : model_(model) {
@@ -47,7 +47,9 @@ class WhatIfOptimizer {
   WhatIfOptimizer& operator=(const WhatIfOptimizer&) = delete;
 
   /// cost(q, X) with used-index reporting. Increments the what-if call
-  /// counter (the paper reports calls/query as the main overhead metric).
+  /// counter (the paper reports calls/query as the main overhead metric)
+  /// and records the call as one obs::Stage::kProbe sample and one
+  /// "probe.real" span: every probe WFIT and the baselines make ends here.
   virtual PlanSummary Optimize(const Statement& q, const IndexSet& x) const;
 
   /// Convenience: cost only.
@@ -61,11 +63,6 @@ class WhatIfOptimizer {
   void ResetCallCount() { num_calls_.store(0, std::memory_order_relaxed); }
 
   const CostModel& cost_model() const { return *model_; }
-
- protected:
-  /// Calls served by this layer (decorators count probes; the concrete
-  /// optimizer counts real optimizations).
-  mutable std::atomic<uint64_t> num_calls_{0};
 
  private:
   struct AccessPath {
@@ -93,6 +90,7 @@ class WhatIfOptimizer {
   PlanSummary OptimizeUpdate(const Statement& q, const IndexSet& x) const;
 
   const CostModel* model_;
+  mutable std::atomic<uint64_t> num_calls_{0};
 };
 
 }  // namespace wfit

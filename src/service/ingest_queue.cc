@@ -10,30 +10,13 @@ IngestQueue::IngestQueue(size_t capacity) : capacity_(capacity) {
 }
 
 bool IngestQueue::PushLocked(std::unique_lock<std::mutex>& lock, uint64_t seq,
-                             Statement&& stmt, bool drop_duplicate,
-                             const std::chrono::steady_clock::time_point*
-                                 deadline,
-                             bool abandon_on_timeout, bool* timed_out) {
+                             Statement&& stmt, bool drop_duplicate) {
   // A producer may enter while its slot is still occupied by an
   // undelivered predecessor lap; wait until the slot's lap is ours.
   bool waited = false;
   while (!closed_ && seq >= next_pop_seq_ + capacity_) {
     waited = true;
-    if (deadline == nullptr) {
-      not_full_.wait(lock);
-      continue;
-    }
-    if (not_full_.wait_until(lock, *deadline) == std::cv_status::timeout &&
-        !closed_ && seq >= next_pop_seq_ + capacity_) {
-      ++push_waits_;
-      if (timed_out != nullptr) *timed_out = true;
-      if (abandon_on_timeout) {
-        // The implicit ticket is already assigned; tombstone it so the
-        // consumer drains past the hole instead of stalling forever.
-        abandoned_.insert(seq);
-      }
-      return false;
-    }
+    not_full_.wait(lock);
   }
   if (closed_) {
     // The ticket was already assigned; leave a tombstone so the consumer
@@ -106,35 +89,6 @@ PushAtResult IngestQueue::TryPushAt(uint64_t seq, Statement stmt) {
   // Preconditions above guarantee PushLocked cannot wait or collide.
   PushLocked(lock, seq, std::move(stmt), /*drop_duplicate=*/true);
   return PushAtResult::kAccepted;
-}
-
-PushAtResult IngestQueue::PushWithDeadline(
-    Statement stmt, std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return PushAtResult::kClosed;
-  uint64_t seq = next_ticket_++;
-  bool timed_out = false;
-  if (PushLocked(lock, seq, std::move(stmt), /*drop_duplicate=*/false,
-                 &deadline, /*abandon_on_timeout=*/true, &timed_out)) {
-    return PushAtResult::kAccepted;
-  }
-  return timed_out ? PushAtResult::kWouldBlock : PushAtResult::kClosed;
-}
-
-PushAtResult IngestQueue::PushAtWithDeadline(
-    uint64_t seq, Statement stmt,
-    std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return PushAtResult::kClosed;
-  if (seq < next_pop_seq_) return PushAtResult::kDuplicate;
-  if (seq >= next_ticket_) next_ticket_ = seq + 1;
-  bool timed_out = false;
-  if (PushLocked(lock, seq, std::move(stmt), /*drop_duplicate=*/true,
-                 &deadline, /*abandon_on_timeout=*/false, &timed_out)) {
-    return PushAtResult::kAccepted;
-  }
-  if (timed_out) return PushAtResult::kWouldBlock;
-  return closed_ ? PushAtResult::kClosed : PushAtResult::kDuplicate;
 }
 
 size_t IngestQueue::TryPopBatch(std::vector<Statement>* out, size_t max_batch,

@@ -19,7 +19,6 @@
 #ifndef WFIT_SERVICE_INGEST_QUEUE_H_
 #define WFIT_SERVICE_INGEST_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -84,22 +83,6 @@ class IngestQueue {
   /// first push wins), kClosed after Close().
   PushAtResult TryPushAt(uint64_t seq, Statement stmt);
 
-  /// Bounded-wait Push: blocks for ring space at most until `deadline`,
-  /// then gives up with kWouldBlock. The implicit ticket taken on entry is
-  /// tombstoned on timeout (the consumer drains past it), so a timed-out
-  /// producer can never wedge the sequence domain — the fix for the
-  /// unbounded full-queue wait that could block a producer forever while
-  /// its shard sat evicted.
-  PushAtResult PushWithDeadline(Statement stmt,
-                                std::chrono::steady_clock::time_point deadline);
-
-  /// Bounded-wait PushAt: same give-up-at-deadline semantics, but the
-  /// caller owns `seq` and may retry it later, so no tombstone is left
-  /// (identical contract to TryPushAt's kWouldBlock).
-  PushAtResult PushAtWithDeadline(
-      uint64_t seq, Statement stmt,
-      std::chrono::steady_clock::time_point deadline);
-
   /// Repositions the sequence domain so the first delivered statement is
   /// `seq` (recovery: statements below `seq` were already analyzed from
   /// the journal). Must be called before any push.
@@ -144,10 +127,7 @@ class IngestQueue {
     IngestMeta meta;
   };
   bool PushLocked(std::unique_lock<std::mutex>& lock, uint64_t seq,
-                  Statement&& stmt, bool drop_duplicate,
-                  const std::chrono::steady_clock::time_point* deadline =
-                      nullptr,
-                  bool abandon_on_timeout = false, bool* timed_out = nullptr);
+                  Statement&& stmt, bool drop_duplicate);
   size_t PopBatchLocked(std::vector<Statement>* out, size_t max_batch,
                         uint64_t* first_seq, std::vector<IngestMeta>* meta);
   bool SlotReady(uint64_t seq) const {
@@ -161,9 +141,10 @@ class IngestQueue {
   uint64_t next_ticket_ = 0;   // next implicit sequence number
   uint64_t next_pop_seq_ = 0;  // consumer cursor
   size_t buffered_ = 0;        // slots currently occupied
-  /// Sequence numbers whose push was abandoned — at Close(), or when a
-  /// deadline push timed out after taking its implicit ticket. The
-  /// consumer drains past them.
+  /// Implicit tickets whose blocked Push was woken by Close(). Another
+  /// push can be accepted behind such a ticket in the window between the
+  /// pop that freed its slot and Close() (TryPush, or a later ticket whose
+  /// owner won the lock race), so the consumer drains past these holes.
   std::set<uint64_t> abandoned_;
   bool closed_ = false;
   // Stats.

@@ -26,23 +26,6 @@ double MetricsSnapshot::mean_batch() const {
                    static_cast<double>(batches);
 }
 
-double MetricsSnapshot::what_if_cache_hit_rate() const {
-  uint64_t probes =
-      what_if_cache_hits + what_if_cross_hits + what_if_cache_misses;
-  return probes == 0
-             ? 0.0
-             : static_cast<double>(what_if_cache_hits + what_if_cross_hits) /
-                   static_cast<double>(probes);
-}
-
-double MetricsSnapshot::what_if_cross_hit_rate() const {
-  uint64_t probes =
-      what_if_cache_hits + what_if_cross_hits + what_if_cache_misses;
-  return probes == 0 ? 0.0
-                     : static_cast<double>(what_if_cross_hits) /
-                           static_cast<double>(probes);
-}
-
 uint64_t MetricsSnapshot::stage_count(obs::Stage stage) const {
   uint64_t n = 0;
   for (uint64_t c : stage_counts[static_cast<int>(stage)]) n += c;
@@ -136,12 +119,6 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
           "DBA feedback events applied");
   Counter(os, "repartitions_total", s.repartitions,
           "Tuner state repartitions");
-  Counter(os, "what_if_cache_hits_total", s.what_if_cache_hits,
-          "What-if probes served from the statement-scoped memo");
-  Counter(os, "what_if_cache_misses_total", s.what_if_cache_misses,
-          "What-if probes that reached the real optimizer");
-  Counter(os, "what_if_cross_hits_total", s.what_if_cross_hits,
-          "What-if probes served from the cross-statement template cache");
   Counter(os, "overload_shed_total", s.overload_shed,
           "Statements shed as duplicate templates under overload");
   Counter(os, "overload_sampled_out_total", s.overload_sampled_out,
@@ -281,9 +258,6 @@ void AccumulateCounters(MetricsSnapshot* into, const MetricsSnapshot& from) {
   into->max_batch = std::max(into->max_batch, from.max_batch);
   into->feedback_applied += from.feedback_applied;
   into->repartitions += from.repartitions;
-  into->what_if_cache_hits += from.what_if_cache_hits;
-  into->what_if_cache_misses += from.what_if_cache_misses;
-  into->what_if_cross_hits += from.what_if_cross_hits;
   into->overload_shed += from.overload_shed;
   into->overload_sampled_out += from.overload_sampled_out;
   into->overload_transitions += from.overload_transitions;
@@ -367,15 +341,6 @@ void ExportTenantText(
           &MetricsSnapshot::feedback_applied);
   counter("repartitions_total", "Tuner state repartitions",
           &MetricsSnapshot::repartitions);
-  counter("what_if_cache_hits_total",
-          "What-if probes served from the statement-scoped memo",
-          &MetricsSnapshot::what_if_cache_hits);
-  counter("what_if_cache_misses_total",
-          "What-if probes that reached the real optimizer",
-          &MetricsSnapshot::what_if_cache_misses);
-  counter("what_if_cross_hits_total",
-          "What-if probes served from the cross-statement template cache",
-          &MetricsSnapshot::what_if_cross_hits);
   counter("overload_shed_total",
           "Statements shed as duplicate templates under overload",
           &MetricsSnapshot::overload_shed);
@@ -500,9 +465,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
   s.feedback_applied = feedback_.load(std::memory_order_relaxed);
   s.repartitions = repartitions_.load(std::memory_order_relaxed);
-  s.what_if_cache_hits = wi_hits_.load(std::memory_order_relaxed);
-  s.what_if_cache_misses = wi_misses_.load(std::memory_order_relaxed);
-  s.what_if_cross_hits = wi_cross_hits_.load(std::memory_order_relaxed);
   s.overload_shed = shed_.load(std::memory_order_relaxed);
   s.overload_sampled_out = sampled_out_.load(std::memory_order_relaxed);
   s.overload_transitions = transitions_.load(std::memory_order_relaxed);

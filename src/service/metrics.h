@@ -40,13 +40,6 @@ struct MetricsSnapshot {
   uint64_t feedback_applied = 0;
   uint64_t repartitions = 0;  // from Tuner::RepartitionCount()
 
-  // What-if memoization (two-tier cache inside the tuner; from
-  // Tuner::WhatIfCache()). Every hit — statement-scoped or
-  // cross-statement — is one avoided optimizer call.
-  uint64_t what_if_cache_hits = 0;
-  uint64_t what_if_cache_misses = 0;
-  uint64_t what_if_cross_hits = 0;  // cross-statement (template) tier
-
   // Overload control (QoS): the three-state Normal → Shedding → Sampling
   // controller's decisions. Skipped statements still advance the sequence
   // (they are journaled and markered); they just never reach the tuner.
@@ -106,10 +99,6 @@ struct MetricsSnapshot {
   uint64_t latency_count() const;
   double mean_latency_us() const;
   double mean_batch() const;
-  /// (hits + cross_hits) / all probes; 0 when no probes were memoized.
-  double what_if_cache_hit_rate() const;
-  /// cross_hits / all probes (the cross-statement tier's contribution).
-  double what_if_cross_hit_rate() const;
   /// Smallest bucket upper bound covering quantile `q` of latencies (a
   /// conservative estimate; exact values are not retained).
   double LatencyQuantileUpperUs(double q) const;
@@ -173,11 +162,6 @@ class ServiceMetrics : public obs::StageSink {
   void OnPublish() { version_.fetch_add(1, std::memory_order_relaxed); }
   void SetRepartitions(uint64_t n) {
     repartitions_.store(n, std::memory_order_relaxed);
-  }
-  void SetWhatIfCache(uint64_t hits, uint64_t misses, uint64_t cross_hits) {
-    wi_hits_.store(hits, std::memory_order_relaxed);
-    wi_misses_.store(misses, std::memory_order_relaxed);
-    wi_cross_hits_.store(cross_hits, std::memory_order_relaxed);
   }
   void OnCheckpoint(uint64_t analyzed_seq, uint64_t bytes,
                     double unix_seconds) {
@@ -245,9 +229,6 @@ class ServiceMetrics : public obs::StageSink {
   std::atomic<uint64_t> overload_mode_{0};
   std::atomic<uint64_t> sample_rate_ppm_{1000000};
   std::atomic<uint64_t> repartitions_{0};
-  std::atomic<uint64_t> wi_hits_{0};
-  std::atomic<uint64_t> wi_misses_{0};
-  std::atomic<uint64_t> wi_cross_hits_{0};
   std::atomic<uint64_t> version_{0};
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> checkpoint_failures_{0};

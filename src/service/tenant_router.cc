@@ -173,10 +173,22 @@ void TenantRouter::Shutdown() {
       GetOrAdmitLocked(id, /*admit_while_stopping=*/true);
     }
   }
+  // Drain each shard with the router lock released, so Recommendation,
+  // analyzed and Metrics readers never wait out a backlog. The pin keeps
+  // the shard from being evicted meanwhile; routed submissions and votes
+  // are already refused (stopping_).
+  std::vector<Tenant*> resident;
   for (auto& [id, tenant] : tenants_) {
     if (tenant->service != nullptr) {
-      tenant->service->Shutdown();
+      ++tenant->refs;
+      resident.push_back(tenant.get());
     }
+  }
+  for (Tenant* t : resident) {
+    lock.unlock();
+    t->service->Shutdown();
+    lock.lock();
+    --t->refs;
   }
 }
 
@@ -500,28 +512,6 @@ PushAtResult TenantRouter::TrySubmitAt(const std::string& tenant,
   return RouteSubmit(
       tenant, PushAtResult::kClosed,
       [&](TunerService* s) { return s->TrySubmitAt(seq, std::move(stmt)); },
-      IsAccepted);
-}
-
-PushAtResult TenantRouter::SubmitWithDeadline(
-    const std::string& tenant, Statement stmt,
-    std::chrono::steady_clock::time_point deadline) {
-  return RouteSubmit(
-      tenant, PushAtResult::kClosed,
-      [&](TunerService* s) {
-        return s->SubmitWithDeadline(std::move(stmt), deadline);
-      },
-      IsAccepted);
-}
-
-PushAtResult TenantRouter::SubmitAtWithDeadline(
-    const std::string& tenant, uint64_t seq, Statement stmt,
-    std::chrono::steady_clock::time_point deadline) {
-  return RouteSubmit(
-      tenant, PushAtResult::kClosed,
-      [&](TunerService* s) {
-        return s->SubmitAtWithDeadline(seq, std::move(stmt), deadline);
-      },
       IsAccepted);
 }
 

@@ -32,7 +32,6 @@
 #ifndef WFIT_SERVICE_TENANT_ROUTER_H_
 #define WFIT_SERVICE_TENANT_ROUTER_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -186,7 +185,9 @@ class TenantRouter {
 
   /// Stops the scheduler, then drains and closes every resident shard
   /// (applying pending feedback, taking shutdown checkpoints per the shard
-  /// options). Idempotent. Routed operations fail afterwards.
+  /// options). Idempotent. Routed operations fail afterwards. Each drain
+  /// runs without the router lock, so Recommendation, analyzed and Metrics
+  /// keep answering while a backlog drains.
   void Shutdown();
 
   // --- Routed operations (create the shard on first touch) --------------
@@ -207,18 +208,6 @@ class TenantRouter {
   /// shut down or admission failed.
   PushAtResult TrySubmitAt(const std::string& tenant, uint64_t seq,
                            Statement stmt);
-  /// Bounded-wait submission: blocks on the tenant's backpressure at most
-  /// until `deadline`, then reports kWouldBlock — a producer can never
-  /// wedge past its deadline no matter how overloaded the shard is.
-  PushAtResult SubmitWithDeadline(const std::string& tenant, Statement stmt,
-                                  std::chrono::steady_clock::time_point
-                                      deadline);
-  /// Bounded-wait SubmitAt (kWouldBlock after `deadline`; the caller owns
-  /// the sequence and may retry it).
-  PushAtResult SubmitAtWithDeadline(const std::string& tenant, uint64_t seq,
-                                    Statement stmt,
-                                    std::chrono::steady_clock::time_point
-                                        deadline);
 
   /// Replaces the tenant's QoS class. The weight takes effect at the
   /// shard's next scheduler turn; the sampling floor configures the shard
@@ -317,8 +306,8 @@ class TenantRouter {
     std::string id;
     std::unique_ptr<TunerService> service;  // null when evicted / failed
     enum class Sched { kIdle, kReady, kRunning } sched = Sched::kIdle;
-    /// In-flight routed calls holding `service` outside the router lock;
-    /// eviction requires 0.
+    /// In-flight routed calls (and Shutdown's drain) holding `service`
+    /// outside the router lock; eviction requires 0.
     int refs = 0;
     uint64_t last_active = 0;  // logical LRU stamp
     uint64_t evictions = 0;

@@ -427,30 +427,6 @@ PushAtResult TunerService::TrySubmitAt(uint64_t seq, Statement stmt) {
   return result;
 }
 
-PushAtResult TunerService::SubmitWithDeadline(
-    Statement stmt, std::chrono::steady_clock::time_point deadline) {
-  PushAtResult result = queue_.PushWithDeadline(std::move(stmt), deadline);
-  if (result == PushAtResult::kAccepted) {
-    metrics_.OnSubmit();
-  } else if (result == PushAtResult::kWouldBlock) {
-    metrics_.OnSubmitRejected();
-  }
-  return result;
-}
-
-PushAtResult TunerService::SubmitAtWithDeadline(
-    uint64_t seq, Statement stmt,
-    std::chrono::steady_clock::time_point deadline) {
-  PushAtResult result =
-      queue_.PushAtWithDeadline(seq, std::move(stmt), deadline);
-  if (result == PushAtResult::kAccepted) {
-    metrics_.OnSubmit();
-  } else if (result == PushAtResult::kWouldBlock) {
-    metrics_.OnSubmitRejected();
-  }
-  return result;
-}
-
 void TunerService::Feedback(IndexSet f_plus, IndexSet f_minus) {
   std::lock_guard<std::mutex> lock(feedback_mu_);
   asap_feedback_.emplace_back(std::move(f_plus), std::move(f_minus));
@@ -854,8 +830,6 @@ void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
       analyze_us = MicrosSince(start);
       metrics_.OnAnalyzed(analyze_us);
       metrics_.SetRepartitions(tuner_->RepartitionCount());
-      WhatIfCacheCounters cache = tuner_->WhatIfCache();
-      metrics_.SetWhatIfCache(cache.hits, cache.misses, cache.cross_hits);
     } else {
       metrics_.OnOverloadDrop(shed);
       obs::RecordInstant(shed ? "overload.shed" : "overload.sample_drop",

@@ -36,7 +36,6 @@
 #ifndef WFIT_SERVICE_TUNER_SERVICE_H_
 #define WFIT_SERVICE_TUNER_SERVICE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -242,19 +241,6 @@ class TunerService {
   /// kWouldBlock instead of backpressure blocking, kDuplicate when `seq`
   /// is already covered (dropped — exactly-once), kClosed when shut down.
   PushAtResult TrySubmitAt(uint64_t seq, Statement stmt);
-  /// Bounded-wait submission: blocks on backpressure at most until
-  /// `deadline`, then reports kWouldBlock (counted as a rejection) — the
-  /// queue-full answer for callers that must never wedge, e.g. the cluster
-  /// node's request threads. kClosed when shut down.
-  PushAtResult SubmitWithDeadline(Statement stmt,
-                                  std::chrono::steady_clock::time_point
-                                      deadline);
-  /// Bounded-wait SubmitAt: kWouldBlock after `deadline` (the caller owns
-  /// `seq` and may retry), kDuplicate when already covered (exactly-once),
-  /// kClosed when shut down.
-  PushAtResult SubmitAtWithDeadline(uint64_t seq, Statement stmt,
-                                    std::chrono::steady_clock::time_point
-                                        deadline);
 
   /// Registers a DBA vote applied at the next statement boundary (i.e.
   /// before the next AnalyzeQuery), serialized with analysis.

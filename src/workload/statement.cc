@@ -59,45 +59,6 @@ uint64_t Statement::Fingerprint() const {
   return h;
 }
 
-bool SameCostShape(const Statement& a, const Statement& b) {
-  auto same_pred = [](const ScanPredicate& x, const ScanPredicate& y) {
-    return x.column == y.column && x.equality == y.equality &&
-           x.sargable == y.sargable && x.selectivity == y.selectivity;
-  };
-  if (a.kind != b.kind || a.tables.size() != b.tables.size() ||
-      a.joins.size() != b.joins.size() ||
-      a.order_by.size() != b.order_by.size() ||
-      a.group_by.size() != b.group_by.size() ||
-      a.set_columns != b.set_columns || a.insert_rows != b.insert_rows) {
-    return false;
-  }
-  for (size_t i = 0; i < a.tables.size(); ++i) {
-    const StatementTable& ta = a.tables[i];
-    const StatementTable& tb = b.tables[i];
-    if (ta.table != tb.table ||
-        ta.referenced_columns != tb.referenced_columns ||
-        ta.predicates.size() != tb.predicates.size()) {
-      return false;
-    }
-    for (size_t j = 0; j < ta.predicates.size(); ++j) {
-      if (!same_pred(ta.predicates[j], tb.predicates[j])) return false;
-    }
-  }
-  for (size_t i = 0; i < a.joins.size(); ++i) {
-    if (a.joins[i].left != b.joins[i].left ||
-        a.joins[i].right != b.joins[i].right) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.order_by.size(); ++i) {
-    if (a.order_by[i] != b.order_by[i]) return false;
-  }
-  for (size_t i = 0; i < a.group_by.size(); ++i) {
-    if (a.group_by[i] != b.group_by[i]) return false;
-  }
-  return true;
-}
-
 std::string ToString(const Statement& stmt, const Catalog& catalog) {
   std::ostringstream os;
   switch (stmt.kind) {

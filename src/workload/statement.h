@@ -61,7 +61,7 @@ struct Statement {
   /// with the same bound parameters, so the optimizer's answer for any
   /// configuration is interchangeable between them. Computed lazily and
   /// cached (statements are immutable once bound). Collisions are possible
-  /// (it is a hash); exact users must confirm with SameCostShape().
+  /// (it is a hash); overload shedding tolerates them.
   uint64_t Fingerprint() const;
 
   /// The table slice for `id`, or nullptr if the statement doesn't touch it.
@@ -84,12 +84,6 @@ struct Statement {
   /// statement hashes to 0).
   mutable uint64_t fingerprint_cache_ = 0;
 };
-
-/// True when `a` and `b` are structurally identical in every cost-relevant
-/// field — the exact relation Fingerprint() approximates. The cross-statement
-/// what-if cache verifies candidates with this before serving a memoized
-/// plan, so a fingerprint collision can never surface a wrong cost.
-bool SameCostShape(const Statement& a, const Statement& b);
 
 /// A workload: the paper's stream Q, materialized as a vector.
 using Workload = std::vector<Statement>;

@@ -146,12 +146,10 @@ TEST(ExperimentDriverTest, WhatIfCallsAttributedToTuner) {
   WfaPlus tuner(&db.pool(), &db.optimizer(), {part}, IndexSet{});
   ExperimentDriver driver(&w, &db.optimizer());
   ExperimentSeries series = driver.Run(&tuner, IndexSet{}, {});
-  // The first statement builds one IBG (>= 1 real call); the four repeats
-  // are absorbed by the cross-statement template cache. The meter's own
-  // calls must not be attributed to the tuner (meter adds 1 per statement).
-  EXPECT_GE(series.what_if_calls, 1u);
-  EXPECT_GT(series.what_if_cross_hits, 0u)
-      << "identical statements must hit the cross-statement tier";
+  // Every statement builds one IBG (>= 1 optimizer call each). The meter's
+  // own calls must not be attributed to the tuner (meter adds 1 per
+  // statement).
+  EXPECT_GE(series.what_if_calls, 5u);
   EXPECT_LT(series.what_if_calls, db.optimizer().num_calls());
 }
 

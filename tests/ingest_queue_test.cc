@@ -117,28 +117,48 @@ TEST(IngestQueueTest, CloseDrainsThenReportsEndOfStream) {
   EXPECT_EQ(q.TryPopBatch(&batch, 10), 0u);  // drained
 }
 
-TEST(IngestQueueTest, CanPopLooksPastTombstones) {
+TEST(IngestQueueTest, RefusedTryPushLeavesNoHoleForALaterPush) {
+  // A refused submission takes no ticket, so after the consumer frees the
+  // slot a blocking Push returns at once and is the next delivered
+  // statement. A ticket left behind by the refusal would park this Push
+  // forever; the ctest TIMEOUT on this binary turns that into a failure.
+  IngestQueue q(1);
+  EXPECT_TRUE(q.Push(Tagged("a")));
+  EXPECT_FALSE(q.TryPush(Tagged("refused")));
+  std::vector<Statement> batch;
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), 1u);
+  EXPECT_TRUE(q.Push(Tagged("b")));
+  batch.clear();
+  uint64_t first_seq = 0;
+  EXPECT_EQ(q.TryPopBatch(&batch, 10, &first_seq), 1u);
+  EXPECT_EQ(first_seq, 1u);
+  EXPECT_EQ(Tags(batch), (std::vector<std::string>{"b"}));
+  EXPECT_FALSE(q.CanPop());
+}
+
+TEST(IngestQueueTest, AcceptedPushBehindATicketAbandonedAtCloseDrains) {
   IngestQueue q(2);
   EXPECT_TRUE(q.Push(Tagged("a")));
   EXPECT_TRUE(q.Push(Tagged("b")));
-  // Full ring: the deadline push times out and tombstones its ticket 2.
-  EXPECT_EQ(q.PushWithDeadline(Tagged("never"),
-                               std::chrono::steady_clock::now() +
-                                   std::chrono::milliseconds(10)),
-            PushAtResult::kWouldBlock);
+  bool blocked_push_accepted = false;
+  std::thread producer([&] { blocked_push_accepted = q.Push(Tagged("c")); });
+  // Let the producer take ticket 2 and block on the full ring.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   std::vector<Statement> batch;
-  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
-  // Only the tombstone is left at the head: nothing to deliver.
-  EXPECT_FALSE(q.CanPop());
-  EXPECT_TRUE(q.Push(Tagged("c")));
-  // The accepted statement behind the tombstone wakes the consumer...
+  EXPECT_EQ(q.TryPopBatch(&batch, 2), 2u);
+  // The pop opened the window for tickets 2 and 3. Unless the woken
+  // producer wins the lock first, ticket 3 is accepted here and Close()
+  // then leaves ticket 2 as a hole in front of it.
+  EXPECT_TRUE(q.TryPush(Tagged("d")));
+  q.Close();
+  producer.join();
   EXPECT_TRUE(q.CanPop());
   batch.clear();
-  uint64_t first_seq = 0;
-  // ...and the pop drains past the tombstone to deliver it.
-  EXPECT_EQ(q.TryPopBatch(&batch, 10, &first_seq), 1u);
-  EXPECT_EQ(first_seq, 3u);
-  EXPECT_EQ(Tags(batch), (std::vector<std::string>{"c"}));
+  const std::vector<std::string> expected =
+      blocked_push_accepted ? std::vector<std::string>{"c", "d"}
+                            : std::vector<std::string>{"d"};
+  EXPECT_EQ(q.TryPopBatch(&batch, 10), expected.size());
+  EXPECT_EQ(Tags(batch), expected);
   EXPECT_FALSE(q.CanPop());
 }
 
@@ -192,62 +212,6 @@ TEST(IngestQueueTest, MultiProducerExplicitSequenceRestoresTotalOrder) {
   for (uint64_t i = 0; i < kTotal; ++i) {
     ASSERT_EQ(delivered[i], std::to_string(i));
   }
-}
-
-TEST(IngestQueueTest, PushWithDeadlineTimesOutAndTombstonesItsTicket) {
-  IngestQueue q(2);
-  EXPECT_EQ(q.PushWithDeadline(Tagged("a"), std::chrono::steady_clock::now()),
-            PushAtResult::kAccepted);
-  EXPECT_TRUE(q.Push(Tagged("b")));
-  // Full ring: the bounded wait gives up at the deadline instead of
-  // blocking the producer forever.
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(q.PushWithDeadline(Tagged("never"),
-                               start + std::chrono::milliseconds(30)),
-            PushAtResult::kWouldBlock);
-  EXPECT_LT(std::chrono::steady_clock::now() - start,
-            std::chrono::seconds(2));
-  // The timed-out implicit ticket is tombstoned: the consumer drains past
-  // it, and a later push (seq 3) is still deliverable — the sequence
-  // domain never wedges on the abandoned slot.
-  std::vector<Statement> batch;
-  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
-  EXPECT_EQ(Tags(batch), (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(q.Push(Tagged("c")));
-  batch.clear();
-  EXPECT_EQ(q.TryPopBatch(&batch, 10), 1u);
-  EXPECT_EQ(Tags(batch), (std::vector<std::string>{"c"}));
-}
-
-TEST(IngestQueueTest, PushAtWithDeadlineLeavesSeqRetryable) {
-  IngestQueue q(2);
-  EXPECT_EQ(q.PushAtWithDeadline(0, Tagged("0"),
-                                 std::chrono::steady_clock::now()),
-            PushAtResult::kAccepted);
-  EXPECT_EQ(q.PushAtWithDeadline(1, Tagged("1"),
-                                 std::chrono::steady_clock::now()),
-            PushAtResult::kAccepted);
-  // seq 2 is a full capacity ahead of the consumer: bounded wait, then
-  // kWouldBlock — and because the caller owns the sequence number, no
-  // tombstone is left and the same seq succeeds on retry after a pop.
-  EXPECT_EQ(q.PushAtWithDeadline(
-                2, Tagged("2"),
-                std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(30)),
-            PushAtResult::kWouldBlock);
-  std::vector<Statement> batch;
-  EXPECT_EQ(q.TryPopBatch(&batch, 1), 1u);
-  EXPECT_EQ(q.PushAtWithDeadline(2, Tagged("2"),
-                                 std::chrono::steady_clock::now()),
-            PushAtResult::kAccepted);
-  batch.clear();
-  EXPECT_EQ(q.TryPopBatch(&batch, 10), 2u);
-  EXPECT_EQ(Tags(batch), (std::vector<std::string>{"1", "2"}));
-  // Duplicate of a delivered seq stays a duplicate through the deadline
-  // path (exactly-once).
-  EXPECT_EQ(q.PushAtWithDeadline(0, Tagged("0"),
-                                 std::chrono::steady_clock::now()),
-            PushAtResult::kDuplicate);
 }
 
 }  // namespace

@@ -352,6 +352,25 @@ TEST(MetricsExportTest, StageHistogramsExportAndValidate) {
       << tenant_text;
 }
 
+TEST(MetricsExportTest, ProbeStageCountsEveryOptimizerCall) {
+  TestDb db;
+  Workload w = BuildWorkload(db, 24);
+  TunerService service(
+      std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
+                             FastOptions()));
+  service.Start();
+  db.optimizer().ResetCallCount();
+  for (const Statement& q : w) ASSERT_TRUE(service.Submit(q));
+  service.Shutdown();
+  const uint64_t calls = db.optimizer().num_calls();
+  ASSERT_GT(calls, w.size());
+  EXPECT_EQ(service.Metrics().stage_count(obs::Stage::kProbe), calls);
+  EXPECT_NE(ExportText(service.Metrics())
+                .find("wfit_service_stage_latency_us_count{stage=\"probe\"} " +
+                      std::to_string(calls)),
+            std::string::npos);
+}
+
 TEST(MetricsExportTest, CountersAreMonotoneAcrossScrapesAndEviction) {
   TestDb db;
   Workload w = BuildWorkload(db, 30);

@@ -242,54 +242,6 @@ TEST(RecoveryTest, JournalOnlyColdStartReplaysEverything) {
   CheckRecoveryMatchesReference(Kind::kWfit, /*drop_snapshots=*/true);
 }
 
-TEST(RecoveryTest, CrossStatementCacheIsSnapshotExemptAndRecoverySafe) {
-  // The cross-statement what-if cache is deliberately NOT part of the
-  // persisted state: a recovered process starts with a cold cache while
-  // the uninterrupted reference ran fully warm. The bit-for-bit recovery
-  // tests above already exercise this implicitly; here it is pinned down
-  // explicitly: (1) the uninterrupted run takes cross-tier hits, (2) a
-  // tuner with the tier disabled produces the identical trajectory, so a
-  // cold post-recovery cache can never change the replayed trajectory.
-  TestDb db;
-  std::vector<IndexId> ids = SeedIds(db);
-  Workload w = BuildWorkload(db, 80);
-
-  Wfit warm(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
-  WfitOptions no_cache_options = FastOptions();
-  no_cache_options.cross_cache.max_templates = 0;
-  TestDb db2;
-  std::vector<IndexId> ids2 = SeedIds(db2);
-  Workload w2 = BuildWorkload(db2, 80);
-  Wfit cold(&db2.pool(), &db2.optimizer(), IndexSet{}, no_cache_options);
-
-  for (size_t i = 0; i < w.size(); ++i) {
-    warm.AnalyzeQuery(w[i]);
-    cold.AnalyzeQuery(w2[i]);
-    if (i == 30) {
-      warm.Feedback(IndexSet{ids[0]}, IndexSet{ids[1]});
-      cold.Feedback(IndexSet{ids2[0]}, IndexSet{ids2[1]});
-    }
-    ASSERT_EQ(warm.Recommendation(), cold.Recommendation())
-        << "cache warmth changed the trajectory at statement " << i;
-  }
-  EXPECT_GT(warm.WhatIfCache().cross_hits, 0u)
-      << "the workload repeats templates, so the warm run must differ from "
-         "the cold one in probe counts";
-  EXPECT_EQ(cold.WhatIfCache().cross_hits, 0u);
-  // And the persisted state of the warm tuner says nothing about its
-  // cache: exporting + restoring onto a fresh (cold-cache) tuner continues
-  // identically — the exact recovery situation.
-  WfitState state = warm.ExportState();
-  Wfit restored(&db2.pool(), &db2.optimizer(), IndexSet{}, no_cache_options);
-  ASSERT_TRUE(restored.RestoreState(state).ok());
-  for (size_t i = 0; i < 40; ++i) {
-    warm.AnalyzeQuery(w[i]);
-    restored.AnalyzeQuery(w2[i]);
-    ASSERT_EQ(warm.Recommendation(), restored.Recommendation())
-        << "restored cold-cache tuner diverged at statement " << i;
-  }
-}
-
 TEST(RecoveryTest, WalAheadOfAnalysisRequeuesIntakeAndKeepsVoteBoundaries) {
   // The crash window the analyzed markers exist for: the batch WAL made
   // statements 0..9 durable, but only 0..5 finished analysis (markers)

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -670,6 +672,55 @@ TEST(TenantRouterTest, RoutedOpsAfterShutdownFailFast) {
   EXPECT_EQ(router.Recommendation(TenantName(1)), nullptr);
   EXPECT_FALSE(router.WaitUntilAnalyzed(TenantName(1), 1));
   EXPECT_EQ(router.analyzed(TenantName(1)), 0u);
+}
+
+/// A tuner that spends a fixed time per statement and counts what it
+/// analyzed, so a test can see a drain in progress from outside.
+class SlowTuner : public Tuner {
+ public:
+  explicit SlowTuner(std::atomic<uint64_t>* analyzed) : analyzed_(analyzed) {}
+  void AnalyzeQuery(const Statement&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    analyzed_->fetch_add(1);
+  }
+  IndexSet Recommendation() const override { return {}; }
+  std::string name() const override { return "slow"; }
+
+ private:
+  std::atomic<uint64_t>* analyzed_;
+};
+
+TEST(TenantRouterTest, ReadersAreServedWhileShutdownDrainsABacklog) {
+  constexpr uint64_t kBacklog = 300;
+  std::atomic<uint64_t> analyzed{0};
+  TenantRouterOptions options;
+  options.shard.queue_capacity = kBacklog;
+  options.drain_threads = 0;  // nothing drains before Shutdown
+  TenantRouter router(
+      [&](const std::string&) {
+        TenantTuner made;
+        made.tuner = std::make_unique<SlowTuner>(&analyzed);
+        return made;
+      },
+      options);
+  router.Start();
+  const std::string id = TenantName(0);
+  Statement q;
+  q.sql = "q";
+  for (uint64_t i = 0; i < kBacklog; ++i) ASSERT_TRUE(router.Submit(id, q));
+
+  std::thread stopper([&] { router.Shutdown(); });
+  while (analyzed.load() == 0) std::this_thread::yield();
+  // Shutdown is draining the backlog now; readers must not wait it out.
+  std::shared_ptr<const RecommendationSnapshot> rec = router.Recommendation(id);
+  router.analyzed(id);
+  router.Metrics();
+  const uint64_t drained_when_served = analyzed.load();
+  stopper.join();
+  ASSERT_NE(rec, nullptr);
+  EXPECT_LT(drained_when_served, kBacklog)
+      << "readers were blocked until Shutdown finished draining";
+  EXPECT_EQ(router.analyzed(id), kBacklog);
 }
 
 TEST(TenantRouterTest, TenantDirEncodingIsSafeAndReversible) {

@@ -65,8 +65,7 @@ struct Flags {
   uint64_t checkpoint_every = 200;
   uint64_t kill_after = 0;  // 0 = never
   size_t tenants = 1;
-  bool overload = false;    // tiny queue + adaptive overload controller
-  std::string trace_out;    // Chrome trace JSON written at exit
+  std::string trace_out;  // Chrome trace JSON written at exit
 };
 
 Flags ParseFlags(int argc, char** argv) {
@@ -96,8 +95,6 @@ Flags ParseFlags(int argc, char** argv) {
         std::cerr << "--tenants must be at least 1\n";
         std::exit(64);
       }
-    } else if (arg == "--overload") {
-      flags.overload = true;
     } else if (const char* v = value("trace_out")) {
       flags.trace_out = v;
     } else {
@@ -105,8 +102,7 @@ Flags ParseFlags(int argc, char** argv) {
                 << "usage: tuning_service_demo [--checkpoint_dir=DIR] "
                    "[--statements=N] [--checkpoint_every=N] "
                    "[--kill_after=K] [--trajectory_out=F] "
-                   "[--reference=F] [--tenants=N] [--overload] "
-                   "[--trace_out=PATH]\n";
+                   "[--reference=F] [--tenants=N] [--trace_out=PATH]\n";
       std::exit(64);
     }
   }
@@ -127,8 +123,8 @@ void InstallSignalHandlers() {
 std::string TenantName(size_t t) { return DemoFleetEnv::TenantName(t); }
 
 /// --trace_out: the run executes with tracing on and leaves one Chrome
-/// trace JSON document behind. The CI overload smoke greps it for the
-/// overload.shed / overload.sample_drop / overload.transition instants.
+/// trace JSON document behind. The CI trace smoke greps it for the
+/// `analyze` and `ibg.build` spans.
 void MaybeDumpTrace(const Flags& flags) {
   if (flags.trace_out.empty()) return;
   std::ofstream out(flags.trace_out, std::ios::trunc);
@@ -153,16 +149,6 @@ int RunMultiTenant(const Flags& flags) {
   options.shard.queue_capacity = 64;
   options.shard.max_batch = 16;
   options.shard.record_history = true;
-  if (flags.overload) {
-    // Overload smoke: a queue small enough that free-running producers
-    // push the fill past the high watermark, so the controller walks
-    // Normal → Shedding → Sampling and back while the run still
-    // completes (dropped statements keep their analyzed markers).
-    options.shard.queue_capacity = 16;
-    options.shard.max_batch = 4;
-    options.shard.overload.enabled = true;
-    options.shard.overload.sample_floor = 0.25;
-  }
   options.shard.checkpoint_every_statements = flags.checkpoint_every;
   options.checkpoint_root = flags.checkpoint_dir;
   options.drain_threads = 2;
@@ -216,11 +202,7 @@ int RunMultiTenant(const Flags& flags) {
       const Workload& workload = fleet.Env(t).workload;
       for (size_t seq = 0; seq < workload.size(); ++seq) {
         if (g_stop.load()) return;
-        // Overload runs repeat each template 4x in a row: a duplicate-heavy
-        // burst is exactly the load Shedding exists for, so the smoke
-        // exercises overload.shed as well as the sampling drops.
-        const size_t idx = flags.overload ? seq - (seq % 4) : seq;
-        router.SubmitAt(TenantName(t), seq, workload[idx]);
+        router.SubmitAt(TenantName(t), seq, workload[seq]);
       }
     });
   }

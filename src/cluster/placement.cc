@@ -76,8 +76,9 @@ std::string EncodeClusterConfig(const ClusterConfig& config) {
   }
   // QoS trailer, emitted only when present so configs without QoS stay
   // byte-identical to the pre-QoS encoding (version compares rely on it).
-  // Two retired slots (a u64 and a double) keep the layout older nodes
-  // read; they are always written as zero.
+  // Three retired slots (a u64 and two doubles; the last was the
+  // overload sample_floor) keep the layout older nodes read; they are
+  // always written as zero.
   if (!config.tenant_qos.empty()) {
     e.PutU32(static_cast<uint32_t>(config.tenant_qos.size()));
     for (const auto& [tenant, qos] : config.tenant_qos) {
@@ -85,7 +86,7 @@ std::string EncodeClusterConfig(const ClusterConfig& config) {
       e.PutDouble(qos.weight);
       e.PutU64(0);
       e.PutDouble(0.0);
-      e.PutDouble(qos.sample_floor);
+      e.PutDouble(0.0);
     }
   }
   return e.Release();
@@ -132,7 +133,7 @@ Status DecodeClusterConfig(std::string_view blob, ClusterConfig* out) {
       // The retired slots: whatever an older writer put there is dropped.
       WFIT_RETURN_IF_ERROR(d.GetU64(&retired_u64));
       WFIT_RETURN_IF_ERROR(d.GetDouble(&retired_double));
-      WFIT_RETURN_IF_ERROR(d.GetDouble(&qos.sample_floor));
+      WFIT_RETURN_IF_ERROR(d.GetDouble(&retired_double));
       // A config that passes here installs through SetTenantQos cleanly.
       Status valid = service::ValidateTenantQos(qos);
       if (!valid.ok()) {

@@ -131,13 +131,8 @@ CandidateAnalysis CandidateSelector::ChooseCands(
       q, *optimizer_, relevant_scratch_, options_.ibg_node_budget);
 
   // Line 3: updateStats — benefits βn and pairwise doi from the IBG.
-  // Sampling honesty: benefits are scaled by the statement weight
-  // (1/sample_rate), so window averages estimate the full stream even
-  // when overload control analyzes only a sample. doi is a ratio of
-  // costs within one statement, not a per-statement magnitude, so it is
-  // deliberately left unscaled.
   for (size_t bit = 0; bit < ibg->candidates().size(); ++bit) {
-    double beta = ibg->MaxBenefit(static_cast<int>(bit)) * statement_weight_;
+    double beta = ibg->MaxBenefit(static_cast<int>(bit));
     idx_stats_.Record(ibg->candidates()[bit], position_, beta);
   }
   for (const InteractionEntry& entry : ComputeInteractions(*ibg)) {

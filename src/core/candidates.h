@@ -86,12 +86,6 @@ class CandidateSelector {
   /// index) so the next statement can consider it.
   void AddToUniverse(IndexId id) { universe_.Add(id); }
 
-  /// Statement weight for honest sampling: each analyzed statement's
-  /// benefit contribution to idxStats is multiplied by `weight`
-  /// (1/sample_rate under uniform sampling, so windowed averages remain
-  /// unbiased for the full stream). 1.0 is bit-identical to unscaled.
-  void SetStatementWeight(double weight) { statement_weight_ = weight; }
-
   uint64_t statements_seen() const { return position_; }
   const IndexSet& universe() const { return universe_; }
   const BenefitStats& benefit_stats() const { return idx_stats_; }
@@ -125,7 +119,6 @@ class CandidateSelector {
   BenefitStats idx_stats_;     // idxStats
   InteractionStats int_stats_; // intStats
   uint64_t position_ = 0;      // statements analyzed (1-based after ++)
-  double statement_weight_ = 1.0;
   // Per-statement scratch, hoisted so ChooseCands is allocation-stable:
   // current benefit per universe id (computed once per statement — the
   // ranking sort and topIndices both read it instead of re-walking the

@@ -37,15 +37,6 @@ class Tuner {
   /// repartitions). Drivers — the experiment harness and the online
   /// tuning service — report it; tuners without the notion return 0.
   virtual uint64_t RepartitionCount() const { return 0; }
-
-  /// Weight applied to the NEXT statements' contribution to windowed
-  /// statistics. The overload controller sets 1/sample_rate while it
-  /// uniformly samples the workload, so per-statement benefit averages
-  /// stay unbiased estimates of the full stream (WFIT's windows are
-  /// means over recent statements; scaling the surviving samples keeps
-  /// the expectation honest). Weight 1.0 is bit-identical to no scaling.
-  /// Tuners without windowed statistics ignore it.
-  virtual void SetStatementWeight(double weight) { (void)weight; }
 };
 
 }  // namespace wfit

@@ -69,12 +69,6 @@ class Wfit : public Tuner {
 
   std::string name() const override { return options_.name; }
 
-  /// Honest-sampling support: scales the benefit each analyzed statement
-  /// records into the selector's recency windows (see Tuner).
-  void SetStatementWeight(double weight) override {
-    selector_->SetStatementWeight(weight);
-  }
-
   const std::vector<IndexSet>& partition() const { return partition_; }
   const IndexSet& candidate_set() const { return candidate_set_; }
   const std::vector<WfaInstance>& instances() const { return instances_; }

@@ -32,8 +32,7 @@ IndexBenefitGraph::IndexBenefitGraph(const Statement& q,
   WFIT_CHECK(candidates_.size() <= 25, "IBG: too many candidates for a mask");
   WFIT_CHECK(max_nodes >= 1, "IBG: node budget must allow the root");
   {
-    obs::StageTimer timer(obs::Stage::kIbgBuild);
-    obs::SpanGuard span("ibg.build");
+    obs::StageSpan span(obs::Stage::kIbgBuild, "ibg.build");
     while (!TryBuild(q, optimizer, max_nodes, &build_calls_)) {
       // Budget exceeded: shed the tail half of the candidate list (callers
       // rank by benefit) and rebuild.

@@ -3,14 +3,14 @@
 // compiled out. A StageSink is installed thread-locally for the duration
 // of one statement's analysis; code anywhere below — the IBG builder, the
 // what-if optimizer, the checkpoint writer — records stage durations into
-// whichever sink is current on its thread.
+// whichever sink is current on its thread. obs::StageSpan (obs/trace.h)
+// times one stage boundary for both the histogram and the trace.
 //
 // Recording is one TLS pointer read when no sink is installed; sinks must
 // be internally thread-safe (metrics scrapes read them concurrently).
 #ifndef WFIT_OBS_STAGES_H_
 #define WFIT_OBS_STAGES_H_
 
-#include <chrono>
 #include <cstdint>
 
 namespace wfit::obs {
@@ -51,31 +51,6 @@ class ScopedStageSink {
 
 /// Records `ns` against the current sink; no-op (one TLS read) without one.
 void RecordStage(Stage stage, uint64_t ns);
-
-/// RAII stage timer. Reads the clock only when a sink is installed, so an
-/// uninstrumented path pays one TLS load per construction.
-class StageTimer {
- public:
-  explicit StageTimer(Stage stage) : stage_(stage), sink_(CurrentStageSink()) {
-    if (sink_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~StageTimer() {
-    if (sink_ != nullptr) {
-      sink_->RecordStage(
-          stage_, static_cast<uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count()));
-    }
-  }
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
- private:
-  Stage stage_;
-  StageSink* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace wfit::obs
 

@@ -19,7 +19,8 @@
 // default), a SpanGuard is one relaxed atomic load. Compiling with
 // WFIT_DISABLE_TRACING turns every tracing entry point into an empty
 // inline so the fast path is checked to cost nothing at build time.
-// Stage histograms (obs/stages.h) are metrics and stay on either way.
+// Stage histograms (obs/stages.h, recorded through StageSpan) are metrics
+// and stay on either way.
 #ifndef WFIT_OBS_TRACE_H_
 #define WFIT_OBS_TRACE_H_
 
@@ -155,6 +156,35 @@ inline TraceCounters CollectTraceCounters() { return {}; }
 inline void ClearTraceForTest() {}
 
 #endif  // WFIT_DISABLE_TRACING
+
+/// The one RAII site per stage boundary: always records the stage's
+/// duration into the current StageSink (a metrics histogram, on whether or
+/// not tracing is compiled in) and opens a span named `name` only when
+/// tracing is on. Reads the clock for the histogram only when a sink is
+/// installed.
+class StageSpan {
+ public:
+  StageSpan(Stage stage, const char* name)
+      : span_(name),
+        stage_(stage),
+        sink_(CurrentStageSink()),
+        start_ns_(sink_ != nullptr ? NowNs() : 0) {}
+  ~StageSpan() {
+    if (sink_ != nullptr) sink_->RecordStage(stage_, NowNs() - start_ns_);
+  }
+  StageSpan(const StageSpan&) = delete;
+  StageSpan& operator=(const StageSpan&) = delete;
+
+  void SetDetail(std::string_view detail) { span_.SetDetail(detail); }
+  /// Zero when not tracing.
+  uint64_t trace_id() const { return span_.trace_id(); }
+
+ private:
+  SpanGuard span_;
+  Stage stage_;
+  StageSink* sink_;
+  uint64_t start_ns_;
+};
 
 }  // namespace wfit::obs
 

@@ -423,8 +423,7 @@ PlanSummary WhatIfOptimizer::OptimizeUpdate(const Statement& q,
 
 PlanSummary WhatIfOptimizer::Optimize(const Statement& q,
                                       const IndexSet& x) const {
-  obs::StageTimer timer(obs::Stage::kProbe);
-  obs::SpanGuard span("probe.real");
+  obs::StageSpan span(obs::Stage::kProbe, "probe.real");
   num_calls_.fetch_add(1, std::memory_order_relaxed);
   if (q.kind == StatementKind::kSelect) return OptimizeSelect(q, x);
   return OptimizeUpdate(q, x);

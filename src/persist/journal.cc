@@ -184,17 +184,6 @@ Status JournalWriter::AppendAnalyzed(uint64_t seq) {
   return AppendRecord(e.data());
 }
 
-Status JournalWriter::AppendEpoch(uint64_t seq, uint8_t overload_mode,
-                                  double sample_rate, uint64_t sample_seed) {
-  Encoder e;
-  e.PutU8(static_cast<uint8_t>(JournalRecordType::kEpoch));
-  e.PutU64(seq);
-  e.PutU8(overload_mode);
-  e.PutDouble(sample_rate);
-  e.PutU64(sample_seed);
-  return AppendRecord(e.data());
-}
-
 Status JournalWriter::Sync() {
   WFIT_CHECK(file_ != nullptr, "journal not open");
   if (std::fflush(file_) != 0) return Status::Internal("journal fflush");
@@ -259,13 +248,19 @@ StatusOr<JournalReadResult> ReadJournal(const std::string& path) {
             continue;  // metadata, not a replayable record
           }
           break;
-        case JournalRecordType::kEpoch:
+        case JournalRecordType::kEpoch: {
+          // Legacy controller state: surfaced (so recovery can refuse the
+          // journal) with its payload checked but dropped.
           record.type = JournalRecordType::kEpoch;
+          uint8_t mode = 0;
+          double rate = 0.0;
+          uint64_t seed = 0;
           st = d.GetU64(&record.seq);
-          if (st.ok()) st = d.GetU8(&record.overload_mode);
-          if (st.ok()) st = d.GetDouble(&record.sample_rate);
-          if (st.ok()) st = d.GetU64(&record.sample_seed);
+          if (st.ok()) st = d.GetU8(&mode);
+          if (st.ok()) st = d.GetDouble(&rate);
+          if (st.ok()) st = d.GetU64(&seed);
           break;
+        }
         case JournalRecordType::kFeedback: {
           record.type = JournalRecordType::kFeedback;
           st = d.GetU64(&record.boundary);

@@ -40,12 +40,12 @@ enum class JournalRecordType : uint8_t {
   /// batch WAL fsync and a vote's application can never push the replay
   /// past a boundary whose vote died in memory.
   kAnalyzed = 3,
-  /// Overload-control epoch transition: from statement `seq` onward the
-  /// service analyzes intake in `overload_mode` (0 = Normal, 1 = Shedding,
-  /// 2 = Sampling) at `sample_rate`, with sampling decisions drawn from
-  /// the deterministic per-tenant `sample_seed`. Replay re-derives every
-  /// shed/sample decision from these records, so a recovered tenant's
-  /// trajectory is bit-identical to the uninterrupted run.
+  /// Reserved: an overload-controller epoch transition, written only by
+  /// older builds whose controller skipped or reweighted statements. No
+  /// writer emits it; the reader still decodes it (seq, then u8 mode, f64
+  /// rate and u64 seed, which it discards) so that recovery can refuse a
+  /// journal holding one rather than stop replay there and let the
+  /// reopened writer truncate the tail.
   kEpoch = 4,
   /// Compaction base marker: only ever the FIRST record of a journal,
   /// written by CompactJournal when it drops a prefix already covered by
@@ -57,8 +57,8 @@ enum class JournalRecordType : uint8_t {
 
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kStatement;
-  /// kStatement / kAnalyzed: the statement's sequence number in the
-  /// analysis order.
+  /// kStatement / kAnalyzed / kEpoch: the statement's sequence number in
+  /// the analysis order.
   uint64_t seq = 0;
   Statement statement;
   /// kFeedback: the vote took effect when `boundary` statements had been
@@ -74,10 +74,6 @@ struct JournalRecord {
   bool post = false;
   IndexSet f_plus;
   IndexSet f_minus;
-  /// kEpoch: overload-control state effective from statement `seq`.
-  uint8_t overload_mode = 0;
-  double sample_rate = 1.0;
-  uint64_t sample_seed = 0;
 };
 
 /// Statement wire codec (shared with snapshots and tests). IndexIds do not
@@ -104,8 +100,6 @@ class JournalWriter {
   Status AppendFeedback(uint64_t boundary, bool post, const IndexSet& f_plus,
                         const IndexSet& f_minus);
   Status AppendAnalyzed(uint64_t seq);
-  Status AppendEpoch(uint64_t seq, uint8_t overload_mode, double sample_rate,
-                     uint64_t sample_seed);
 
   /// Makes every appended record durable (fflush + fsync).
   Status Sync();

@@ -59,27 +59,37 @@ void EncodePool(const IndexPool& pool, Encoder* e) {
   }
 }
 
-/// Re-interns the recorded definitions in id order. The pool is
-/// append-only, so a pool that already holds a prefix (or all) of them
-/// verifies instead of growing; an id mismatch means the pool diverged
-/// from the one the snapshot was taken against.
-Status DecodePool(Decoder* d, IndexPool* pool) {
+/// Decodes the recorded definitions in id order, checked against the
+/// catalog but not yet interned (InternPool does that once the whole file
+/// has validated).
+Status DecodePool(Decoder* d, const Catalog& catalog,
+                  std::vector<IndexDef>* defs) {
   uint32_t count = 0;
   WFIT_RETURN_IF_ERROR(d->GetU32(&count));
-  for (uint32_t expected = 0; expected < count; ++expected) {
+  for (uint32_t i = 0; i < count; ++i) {
     IndexDef def;
     WFIT_RETURN_IF_ERROR(d->GetU32(&def.table));
     WFIT_RETURN_IF_ERROR(d->GetU32Vector(&def.columns));
-    if (def.columns.empty() ||
-        def.table >= pool->catalog().num_tables()) {
+    if (def.columns.empty() || def.table >= catalog.num_tables()) {
       return Status::InvalidArgument("snapshot: bad index definition");
     }
     for (uint32_t col : def.columns) {
-      if (col >= pool->catalog().table(def.table).columns.size()) {
+      if (col >= catalog.table(def.table).columns.size()) {
         return Status::InvalidArgument("snapshot: bad index column");
       }
     }
-    if (pool->Intern(def) != expected) {
+    defs->push_back(std::move(def));
+  }
+  return Status::Ok();
+}
+
+/// Re-interns the decoded definitions in id order. The pool is
+/// append-only, so a pool that already holds a prefix (or all) of them
+/// verifies instead of growing; an id mismatch means the pool diverged
+/// from the one the snapshot was taken against.
+Status InternPool(const std::vector<IndexDef>& defs, IndexPool* pool) {
+  for (IndexId expected = 0; expected < defs.size(); ++expected) {
+    if (pool->Intern(defs[expected]) != expected) {
       return Status::InvalidArgument(
           "snapshot: pool interning order diverged");
     }
@@ -234,16 +244,17 @@ Status EncodeTuner(const Tuner& tuner, Encoder* e) {
                                     "\" is not snapshottable");
 }
 
-Status DecodeTuner(Decoder* d, Tuner* tuner) {
+/// A decoded tuner payload, held until the whole file has validated.
+struct TunerPayload {
   uint8_t kind = 0;
-  WFIT_RETURN_IF_ERROR(d->GetU8(&kind));
-  if (kind == kTunerWfit) {
-    Wfit* wfit = dynamic_cast<Wfit*>(tuner);
-    if (wfit == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot: holds WFIT state but the service tuner is not WFIT");
-    }
-    WfitState state;
+  WfitState wfit;
+  WfaPlusState wfa_plus;
+};
+
+Status DecodeTuner(Decoder* d, TunerPayload* out) {
+  WFIT_RETURN_IF_ERROR(d->GetU8(&out->kind));
+  if (out->kind == kTunerWfit) {
+    WfitState& state = out->wfit;
     WFIT_RETURN_IF_ERROR(DecodeParts(d, &state.instance_members,
                                      &state.work_values,
                                      &state.current_recs));
@@ -251,60 +262,61 @@ Status DecodeTuner(Decoder* d, Tuner* tuner) {
     WFIT_RETURN_IF_ERROR(d->GetIndexSet(&state.initial_materialized));
     WFIT_RETURN_IF_ERROR(d->GetU64(&state.repartitions));
     WFIT_RETURN_IF_ERROR(d->GetU64(&state.feedback_events));
-    WFIT_RETURN_IF_ERROR(DecodeSelector(d, &state.selector));
-    return wfit->RestoreState(state);
+    return DecodeSelector(d, &state.selector);
   }
-  if (kind == kTunerWfaPlus) {
-    WfaPlus* wfa = dynamic_cast<WfaPlus*>(tuner);
-    if (wfa == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot: holds WFA+ state but the service tuner is not WFA+");
-    }
-    WfaPlusState state;
+  if (out->kind == kTunerWfaPlus) {
+    WfaPlusState& state = out->wfa_plus;
     WFIT_RETURN_IF_ERROR(DecodeParts(d, &state.instance_members,
                                      &state.work_values,
                                      &state.current_recs));
-    WFIT_RETURN_IF_ERROR(d->GetU64(&state.feedback_events));
-    return wfa->RestoreState(state);
+    return d->GetU64(&state.feedback_events);
   }
   return Status::InvalidArgument("snapshot: unknown tuner kind");
 }
 
-// --- overload trailer ---------------------------------------------------
-//
-// Appended after the tuner payload. Pre-overload snapshots simply end at
-// the tuner payload (the decoder sees d.done() and keeps the defaults), so
-// version 1 files from older builds stay loadable.
-
-void EncodeOverload(const OverloadPersist& o, Encoder* e) {
-  e->PutU8(o.mode);
-  e->PutDouble(o.sample_rate);
-  e->PutU64(o.sample_seed);
-  e->PutU32(static_cast<uint32_t>(o.dup_window.size()));
-  for (uint64_t fp : o.dup_window) e->PutU64(fp);
+Status RestoreTuner(const TunerPayload& payload, Tuner* tuner) {
+  if (payload.kind == kTunerWfit) {
+    Wfit* wfit = dynamic_cast<Wfit*>(tuner);
+    if (wfit == nullptr) {
+      return Status::InvalidArgument(
+          "snapshot: holds WFIT state but the service tuner is not WFIT");
+    }
+    return wfit->RestoreState(payload.wfit);
+  }
+  WfaPlus* wfa = dynamic_cast<WfaPlus*>(tuner);
+  if (wfa == nullptr) {
+    return Status::InvalidArgument(
+        "snapshot: holds WFA+ state but the service tuner is not WFA+");
+  }
+  return wfa->RestoreState(payload.wfa_plus);
 }
 
-Status DecodeOverload(Decoder* d, OverloadPersist* out) {
-  WFIT_RETURN_IF_ERROR(d->GetU8(&out->mode));
-  if (out->mode > 2) {
-    return Status::InvalidArgument("snapshot: bad overload mode");
+// --- legacy overload trailer --------------------------------------------
+//
+// Builds that had an overload controller appended its state after the
+// tuner payload: u8 mode, f64 sample rate, u64 sample seed, u32 count and
+// that many u64 template fingerprints. A Normal-mode (0) trailer describes
+// a tuner that analyzed every statement, so it is skipped; a Shedding (1)
+// or Sampling (2) one is refused, and LoadLatestSnapshot falls back past
+// the file. Snapshots without a trailer are the current format.
+
+Status SkipLegacyOverloadTrailer(Decoder* d) {
+  uint8_t mode = 0;
+  WFIT_RETURN_IF_ERROR(d->GetU8(&mode));
+  if (mode != 0) {
+    return Status::InvalidArgument(
+        "snapshot: taken while the overload controller was in mode " +
+        std::to_string(mode) + "; only Normal-mode state can be resumed");
   }
-  WFIT_RETURN_IF_ERROR(d->GetDouble(&out->sample_rate));
-  if (!(out->sample_rate > 0.0) || out->sample_rate > 1.0) {
-    return Status::InvalidArgument("snapshot: bad sample rate");
-  }
-  WFIT_RETURN_IF_ERROR(d->GetU64(&out->sample_seed));
+  double rate = 0.0;
+  uint64_t seed = 0;
   uint32_t count = 0;
-  WFIT_RETURN_IF_ERROR(d->GetU32(&count));
-  if (count > 1 << 16) {
-    return Status::InvalidArgument("snapshot: dup window too large");
-  }
-  out->dup_window.clear();
-  out->dup_window.reserve(count);
+  WFIT_RETURN_IF_ERROR(d->GetDouble(&rate));
+  WFIT_RETURN_IF_ERROR(d->GetU64(&seed));
+  WFIT_RETURN_IF_ERROR(d->GetCount(&count, 8));
   for (uint32_t i = 0; i < count; ++i) {
-    uint64_t fp = 0;
-    WFIT_RETURN_IF_ERROR(d->GetU64(&fp));
-    out->dup_window.push_back(fp);
+    uint64_t fingerprint = 0;
+    WFIT_RETURN_IF_ERROR(d->GetU64(&fingerprint));
   }
   return Status::Ok();
 }
@@ -328,7 +340,6 @@ Status WriteSnapshotFile(const std::string& path, const Tuner& tuner,
   payload.PutU64(meta.journal_lsn);
   EncodePool(pool, &payload);
   WFIT_RETURN_IF_ERROR(EncodeTuner(tuner, &payload));
-  EncodeOverload(meta.overload, &payload);
 
   const std::string header = EncodeHeader(payload.data());
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -416,14 +427,16 @@ Status ReadSnapshot(const std::string& path, Tuner* tuner, IndexPool* pool,
   SnapshotMeta decoded;
   WFIT_RETURN_IF_ERROR(d.GetU64(&decoded.analyzed));
   WFIT_RETURN_IF_ERROR(d.GetU64(&decoded.journal_lsn));
-  WFIT_RETURN_IF_ERROR(DecodePool(&d, pool));
-  WFIT_RETURN_IF_ERROR(DecodeTuner(&d, tuner));
-  if (!d.done()) {
-    WFIT_RETURN_IF_ERROR(DecodeOverload(&d, &decoded.overload));
-  }
+  std::vector<IndexDef> defs;
+  WFIT_RETURN_IF_ERROR(DecodePool(&d, pool->catalog(), &defs));
+  TunerPayload tuner_payload;
+  WFIT_RETURN_IF_ERROR(DecodeTuner(&d, &tuner_payload));
+  if (!d.done()) WFIT_RETURN_IF_ERROR(SkipLegacyOverloadTrailer(&d));
   if (!d.done()) {
     return Status::InvalidArgument("snapshot: trailing bytes");
   }
+  WFIT_RETURN_IF_ERROR(InternPool(defs, pool));
+  WFIT_RETURN_IF_ERROR(RestoreTuner(tuner_payload, tuner));
   *meta = decoded;
   return Status::Ok();
 }

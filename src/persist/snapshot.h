@@ -30,28 +30,12 @@ namespace wfit::persist {
 inline constexpr uint32_t kSnapshotMagic = 0x4E534657u;  // "WFSN" (LE)
 inline constexpr uint32_t kSnapshotVersion = 1;
 
-/// Overload-control state persisted with a snapshot so a recovered shard
-/// resumes shedding/sampling exactly where the crashed one left off.
-/// mode: 0 = Normal, 1 = Shedding, 2 = Sampling.
-struct OverloadPersist {
-  uint8_t mode = 0;
-  double sample_rate = 1.0;
-  uint64_t sample_seed = 0;
-  /// Recent analyzed-statement fingerprints (oldest first) — the
-  /// duplicate-template window Shedding consults. Restoring it keeps
-  /// shed decisions deterministic across a crash mid-Shedding.
-  std::vector<uint64_t> dup_window;
-};
-
 struct SnapshotMeta {
   /// Statements analyzed when the snapshot was taken (the paper's n).
   uint64_t analyzed = 0;
   /// Journal records already reflected in this state; recovery replays
   /// only records past this point — exactly once.
   uint64_t journal_lsn = 0;
-  /// Written as an optional payload trailer: snapshots from before the
-  /// overload controller existed decode with the defaults (Normal).
-  OverloadPersist overload;
 };
 
 /// Serializes `tuner` (Wfit or WfaPlus; FailedPrecondition otherwise) and
@@ -68,9 +52,11 @@ StatusOr<uint64_t> WriteSnapshot(const std::string& dir, const Tuner& tuner,
                                  const SnapshotMeta& meta, size_t keep = 2);
 
 /// Restores `path` into a tuner constructed with the same configuration
-/// (and the pool it references). Rejects corruption and version mismatches
-/// with InvalidArgument before touching the tuner; the pool may gain
-/// re-interned definitions (append-only, ids verified).
+/// (and the pool it references). Rejects corruption, version mismatches
+/// and legacy overload-controller state taken outside Normal mode with
+/// InvalidArgument before touching the pool or the tuner; a file that
+/// validates may then add re-interned definitions to the pool
+/// (append-only, ids verified).
 Status ReadSnapshot(const std::string& path, Tuner* tuner, IndexPool* pool,
                     SnapshotMeta* meta);
 

@@ -45,45 +45,22 @@ double MetricsSnapshot::checkpoint_age_seconds(
   return std::max(0.0, now_unix_seconds - last_checkpoint_unix_seconds);
 }
 
-double MetricsSnapshot::LatencyQuantileUpperUs(double q) const {
-  uint64_t n = latency_count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t target = static_cast<uint64_t>(std::ceil(q * n));
-  target = std::max<uint64_t>(target, 1);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < latency_counts.size(); ++i) {
-    seen += latency_counts[i];
-    if (seen >= target) {
-      return i < kLatencyBucketUpperUs.size()
-                 ? kLatencyBucketUpperUs[i]
-                 : std::numeric_limits<double>::infinity();
-    }
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
-double MetricsSnapshot::StageQuantileUpperUs(obs::Stage stage,
-                                             double q) const {
-  const int idx = static_cast<int>(stage);
-  uint64_t n = stage_count(stage);
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t target = static_cast<uint64_t>(std::ceil(q * n));
-  target = std::max<uint64_t>(target, 1);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < stage_counts[idx].size(); ++i) {
-    seen += stage_counts[idx][i];
-    if (seen >= target) {
-      return i < kLatencyBucketUpperUs.size()
-                 ? kLatencyBucketUpperUs[i]
-                 : std::numeric_limits<double>::infinity();
-    }
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
 namespace {
+
+/// Smallest bucket upper bound covering quantile `q` of one histogram
+/// (`n` = its total count); 0 for an empty histogram.
+double QuantileUpperUs(const std::array<uint64_t, kLatencyBucketCount>& counts,
+                       uint64_t n, double q) {
+  if (n == 0) return 0.0;
+  const uint64_t target = std::max<uint64_t>(
+      static_cast<uint64_t>(std::ceil(std::clamp(q, 0.0, 1.0) * n)), 1);
+  uint64_t seen = 0;
+  for (size_t i = 0; i < kLatencyBucketUpperUs.size(); ++i) {
+    seen += counts[i];
+    if (seen >= target) return kLatencyBucketUpperUs[i];
+  }
+  return std::numeric_limits<double>::infinity();
+}
 
 void Counter(std::ostream& os, const char* name, uint64_t v,
              const char* help) {
@@ -99,6 +76,16 @@ void Gauge(std::ostream& os, const char* name, uint64_t v, const char* help) {
 }
 
 }  // namespace
+
+double MetricsSnapshot::LatencyQuantileUpperUs(double q) const {
+  return QuantileUpperUs(latency_counts, latency_count(), q);
+}
+
+double MetricsSnapshot::StageQuantileUpperUs(obs::Stage stage,
+                                             double q) const {
+  return QuantileUpperUs(stage_counts[static_cast<int>(stage)],
+                         stage_count(stage), q);
+}
 
 void ExportText(const MetricsSnapshot& s, std::ostream& os) {
   Counter(os, "statements_submitted_total", s.statements_submitted,
@@ -119,18 +106,6 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
           "DBA feedback events applied");
   Counter(os, "repartitions_total", s.repartitions,
           "Tuner state repartitions");
-  Counter(os, "overload_shed_total", s.overload_shed,
-          "Statements shed as duplicate templates under overload");
-  Counter(os, "overload_sampled_out_total", s.overload_sampled_out,
-          "Statements dropped by uniform sampling under overload");
-  Counter(os, "overload_transitions_total", s.overload_transitions,
-          "Overload-controller epoch transitions journaled");
-  Gauge(os, "overload_mode", s.overload_mode,
-        "Overload state: 0 Normal, 1 Shedding, 2 Sampling");
-  os << "# HELP wfit_service_sample_rate Current uniform sampling rate"
-        " (1 outside Sampling)\n"
-     << "# TYPE wfit_service_sample_rate gauge\n"
-     << "wfit_service_sample_rate " << s.sample_rate << "\n";
   Gauge(os, "recommendation_version", s.snapshot_version,
         "Version of the published recommendation snapshot");
   Counter(os, "checkpoints_written_total", s.checkpoints_written,
@@ -258,14 +233,6 @@ void AccumulateCounters(MetricsSnapshot* into, const MetricsSnapshot& from) {
   into->max_batch = std::max(into->max_batch, from.max_batch);
   into->feedback_applied += from.feedback_applied;
   into->repartitions += from.repartitions;
-  into->overload_shed += from.overload_shed;
-  into->overload_sampled_out += from.overload_sampled_out;
-  into->overload_transitions += from.overload_transitions;
-  // The aggregate reports the most-degraded member: deepest overload mode,
-  // lowest sampling rate. Evicted tenants are reset to Normal/1.0 in the
-  // carried counters, so retired state never pins the aggregate.
-  into->overload_mode = std::max(into->overload_mode, from.overload_mode);
-  into->sample_rate = std::min(into->sample_rate, from.sample_rate);
   into->snapshot_version += from.snapshot_version;
   into->checkpoints_written += from.checkpoints_written;
   into->checkpoint_failures += from.checkpoint_failures;
@@ -341,20 +308,6 @@ void ExportTenantText(
           &MetricsSnapshot::feedback_applied);
   counter("repartitions_total", "Tuner state repartitions",
           &MetricsSnapshot::repartitions);
-  counter("overload_shed_total",
-          "Statements shed as duplicate templates under overload",
-          &MetricsSnapshot::overload_shed);
-  counter("overload_sampled_out_total",
-          "Statements dropped by uniform sampling under overload",
-          &MetricsSnapshot::overload_sampled_out);
-  counter("overload_transitions_total",
-          "Overload-controller epoch transitions journaled",
-          &MetricsSnapshot::overload_transitions);
-  gauge("overload_mode", "Overload state: 0 Normal, 1 Shedding, 2 Sampling",
-        &MetricsSnapshot::overload_mode);
-  TenantFamily(tenants, os, "sample_rate", "gauge",
-               "Current uniform sampling rate (1 outside Sampling)",
-               [](const MetricsSnapshot& s) { return s.sample_rate; });
   counter("checkpoints_written_total", "Durable state snapshots written",
           &MetricsSnapshot::checkpoints_written);
   counter("journal_records_total", "Records in the tenant's WAL",
@@ -465,13 +418,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
   s.feedback_applied = feedback_.load(std::memory_order_relaxed);
   s.repartitions = repartitions_.load(std::memory_order_relaxed);
-  s.overload_shed = shed_.load(std::memory_order_relaxed);
-  s.overload_sampled_out = sampled_out_.load(std::memory_order_relaxed);
-  s.overload_transitions = transitions_.load(std::memory_order_relaxed);
-  s.overload_mode = overload_mode_.load(std::memory_order_relaxed);
-  s.sample_rate =
-      static_cast<double>(sample_rate_ppm_.load(std::memory_order_relaxed)) /
-      1e6;
   s.snapshot_version = version_.load(std::memory_order_relaxed);
   s.checkpoints_written = checkpoints_.load(std::memory_order_relaxed);
   s.checkpoint_failures =

@@ -40,15 +40,6 @@ struct MetricsSnapshot {
   uint64_t feedback_applied = 0;
   uint64_t repartitions = 0;  // from Tuner::RepartitionCount()
 
-  // Overload control (QoS): the three-state Normal → Shedding → Sampling
-  // controller's decisions. Skipped statements still advance the sequence
-  // (they are journaled and markered); they just never reach the tuner.
-  uint64_t overload_shed = 0;         // duplicate templates shed
-  uint64_t overload_sampled_out = 0;  // dropped by uniform sampling
-  uint64_t overload_transitions = 0;  // journaled epoch changes
-  uint64_t overload_mode = 0;         // gauge: 0 Normal, 1 Shed, 2 Sample
-  double sample_rate = 1.0;           // gauge: current sampling rate
-
   // Snapshot publication.
   uint64_t snapshot_version = 0;
 
@@ -147,18 +138,6 @@ class ServiceMetrics : public obs::StageSink {
   /// obs::StageSink: buckets `ns` into the stage's latency histogram.
   void RecordStage(obs::Stage stage, uint64_t ns) override;
   void OnFeedback() { feedback_.fetch_add(1, std::memory_order_relaxed); }
-  void OnOverloadDrop(bool shed) {
-    (shed ? shed_ : sampled_out_).fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnOverloadTransition(uint64_t mode, double sample_rate) {
-    transitions_.fetch_add(1, std::memory_order_relaxed);
-    SetOverloadState(mode, sample_rate);
-  }
-  void SetOverloadState(uint64_t mode, double sample_rate) {
-    overload_mode_.store(mode, std::memory_order_relaxed);
-    sample_rate_ppm_.store(static_cast<uint64_t>(sample_rate * 1e6),
-                           std::memory_order_relaxed);
-  }
   void OnPublish() { version_.fetch_add(1, std::memory_order_relaxed); }
   void SetRepartitions(uint64_t n) {
     repartitions_.store(n, std::memory_order_relaxed);
@@ -223,11 +202,6 @@ class ServiceMetrics : public obs::StageSink {
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> max_batch_{0};
   std::atomic<uint64_t> feedback_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> sampled_out_{0};
-  std::atomic<uint64_t> transitions_{0};
-  std::atomic<uint64_t> overload_mode_{0};
-  std::atomic<uint64_t> sample_rate_ppm_{1000000};
   std::atomic<uint64_t> repartitions_{0};
   std::atomic<uint64_t> version_{0};
   std::atomic<uint64_t> checkpoints_{0};

@@ -49,25 +49,11 @@ bool IsAccepted(PushAtResult result) {
 
 bool IsTrue(bool ok) { return ok; }
 
-/// FNV-1a of the tenant id: the default per-tenant sampling seed, so a
-/// tenant's shed/sample decisions are reproducible from its id alone.
-uint64_t TenantSampleSeed(const std::string& id) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : id) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h == 0 ? 1 : h;
-}
-
 }  // namespace
 
 Status ValidateTenantQos(const TenantQos& qos) {
   if (!(qos.weight > 0.0 && qos.weight <= kMaxQosWeight)) {
     return Status::InvalidArgument("qos weight outside (0, 1e6]");
-  }
-  if (!(qos.sample_floor >= 0.0 && qos.sample_floor <= 1.0)) {
-    return Status::InvalidArgument("qos sample_floor outside [0, 1]");
   }
   return Status::Ok();
 }
@@ -219,15 +205,6 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
     return nullptr;
   }
   TunerServiceOptions shard_options = options_.shard;
-  // QoS → shard service configuration. The sampling seed is derived from
-  // the tenant id (unless the template pinned one), so a tenant's overload
-  // decisions are reproducible across incarnations and nodes.
-  if (shard_options.overload.sample_seed == 0) {
-    shard_options.overload.sample_seed = TenantSampleSeed(id);
-  }
-  if (t->qos.sample_floor > 0.0) {
-    shard_options.overload.sample_floor = t->qos.sample_floor;
-  }
   if (!options_.checkpoint_root.empty()) {
     shard_options.checkpoint_dir =
         persist::TenantCheckpointDir(options_.checkpoint_root, id);
@@ -331,10 +308,6 @@ bool TenantRouter::EvictLocked(Tenant* t) {
   metrics.queue_capacity = 0;
   metrics.last_snapshot_bytes = 0;
   metrics.snapshot_version = 0;
-  // Overload state describes the live shard too; a retired Shedding/
-  // Sampling reading must not pin the tenant's (max/min-merged) gauges.
-  metrics.overload_mode = 0;
-  metrics.sample_rate = 1.0;
   AccumulateCounters(&t->retired, metrics);
   if (options_.shard.record_history) {
     std::vector<IndexSet> history = t->service->History();

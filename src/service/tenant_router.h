@@ -99,15 +99,11 @@ struct TenantQos {
   /// Relative drain share. Quantum per turn =
   /// max(1, round(weight × shard.max_batch)).
   double weight = 1.0;
-  /// Overload sampling floor for this tenant (overrides the shard
-  /// template's OverloadOptions::sample_floor when positive).
-  double sample_floor = 0.0;
 };
 
-/// The ranges the router and its shards rely on: the weight scales the DRR
-/// quantum (converted to size_t) and must lie in (0, 1e6]; a sample floor
-/// above 1 would fail the shard's construction check. InvalidArgument
-/// names the first field out of range.
+/// The range the router relies on: the weight scales the DRR quantum
+/// (converted to size_t) and must lie in (0, 1e6]. InvalidArgument
+/// otherwise.
 Status ValidateTenantQos(const TenantQos& qos);
 
 struct TenantRouterOptions {

@@ -34,31 +34,6 @@ constexpr char kJournalFile[] = "journal.wfj";
 /// publication) reaches this emit one structured `slow_statement` record
 /// with the per-stage breakdown.
 constexpr uint64_t kSlowStatementNs = 250'000'000;
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic uniform draw in [0, 1) for the sampling decision of
-/// statement `seq`: a pure function of (seed, seq), so replay re-derives
-/// the exact keep/drop outcome with no RNG state to persist.
-double SampleUnit(uint64_t seed, uint64_t seq) {
-  return static_cast<double>(SplitMix64(seed ^ seq) >> 11) * 0x1.0p-53;
-}
-
-const char* OverloadModeName(uint8_t mode) {
-  switch (mode) {
-    case 1:
-      return "shedding";
-    case 2:
-      return "sampling";
-    default:
-      return "normal";
-  }
-}
 }  // namespace
 
 TunerService::TunerService(std::unique_ptr<Tuner> tuner,
@@ -70,13 +45,6 @@ TunerService::TunerService(std::unique_ptr<Tuner> tuner,
   WFIT_CHECK(options_.max_batch > 0, "max_batch must be positive");
   WFIT_CHECK(options_.checkpoint_dir.empty(),
              "checkpointing services must be created via TunerService::Open");
-  WFIT_CHECK(options_.overload.sample_floor > 0.0 &&
-                 options_.overload.sample_floor <= 1.0,
-             "overload.sample_floor must be in (0, 1]");
-  WFIT_CHECK(options_.overload.low_watermark <
-                 options_.overload.high_watermark,
-             "overload watermarks must satisfy low < high");
-  sample_seed_ = options_.overload.sample_seed;
 }
 
 StatusOr<std::unique_ptr<TunerService>> TunerService::Open(
@@ -115,19 +83,6 @@ Status TunerService::Recover(RecoveryStats* stats) {
   stats->snapshot_analyzed = loaded.meta.analyzed;
   stats->snapshots_skipped = loaded.skipped;
   newest_snapshot_lsn_ = loaded.meta.journal_lsn;  // 0 on a cold start
-  if (loaded.loaded) {
-    // Overload-controller state at the snapshot point; journaled epoch
-    // records past the snapshot LSN override it below as replay reaches
-    // their effect sequences. A zero persisted seed (pre-overload
-    // snapshot) keeps the configured per-tenant seed.
-    overload_mode_ = loaded.meta.overload.mode;
-    sample_rate_ = loaded.meta.overload.sample_rate;
-    if (loaded.meta.overload.sample_seed != 0) {
-      sample_seed_ = loaded.meta.overload.sample_seed;
-    }
-    dup_window_.assign(loaded.meta.overload.dup_window.begin(),
-                       loaded.meta.overload.dup_window.end());
-  }
   uint64_t analyzed = loaded.loaded ? loaded.meta.analyzed : 0;
   const uint64_t start_lsn = loaded.loaded ? loaded.meta.journal_lsn : 0;
 
@@ -147,6 +102,19 @@ Status TunerService::Recover(RecoveryStats* stats) {
   // A compacted journal holds records (base_lsn, base_lsn + size]; the
   // writer and snapshot metas keep speaking absolute LSNs.
   const uint64_t journal_base = read.ok() ? read->base_lsn : 0;
+  if (read.ok()) {
+    for (const persist::JournalRecord& r : read->records) {
+      if (r.type != persist::JournalRecordType::kEpoch) continue;
+      // Only a build with the overload controller wrote epochs, and its
+      // trajectory skipped or reweighted statements that replay would now
+      // analyze in full. Refuse before the writer opens, which would
+      // otherwise be free to truncate the journal.
+      return Status::FailedPrecondition(
+          "journal " + journal_path +
+          " holds an overload epoch record (statement " +
+          std::to_string(r.seq) + "); this build cannot replay it");
+    }
+  }
   if (read.ok() && (start_lsn > journal_base + read->records.size() ||
                     start_lsn < journal_base)) {
     // Above the tail: records the snapshot references were lost. Below
@@ -171,7 +139,6 @@ Status TunerService::Recover(RecoveryStats* stats) {
     // driver can still pin votes at those future boundaries).
     std::vector<const persist::JournalRecord*> statements;
     std::vector<const persist::JournalRecord*> votes;
-    std::vector<const persist::JournalRecord*> epochs;
     uint64_t durable = analyzed;  // contiguous analyzed markers
     for (size_t i = static_cast<size_t>(start_lsn - journal_base);
          i < read->records.size(); ++i) {
@@ -192,32 +159,12 @@ Status TunerService::Recover(RecoveryStats* stats) {
         case persist::JournalRecordType::kAnalyzed:
           if (r.seq == durable) ++durable;
           break;
-        case persist::JournalRecordType::kEpoch:
-          epochs.push_back(&r);
+        case persist::JournalRecordType::kEpoch:  // refused above
           break;
         case persist::JournalRecordType::kCompactionBase:
           break;  // framing metadata; never surfaced in records
       }
     }
-    // Epochs take effect at their sequence; a restart after a requeue can
-    // journal a second epoch at the same sequence, and the later record
-    // wins — stable sort keeps journal order within equal sequences so
-    // the cursor naturally applies them last-wins.
-    std::stable_sort(epochs.begin(), epochs.end(),
-                     [](const persist::JournalRecord* a,
-                        const persist::JournalRecord* b) {
-                       return a->seq < b->seq;
-                     });
-    size_t epoch_cursor = 0;
-    auto adopt_epochs_through = [&](uint64_t seq) {
-      while (epoch_cursor < epochs.size() &&
-             epochs[epoch_cursor]->seq <= seq) {
-        const persist::JournalRecord* e = epochs[epoch_cursor++];
-        overload_mode_ = e->overload_mode;
-        sample_rate_ = e->sample_rate;
-        if (e->sample_seed != 0) sample_seed_ = e->sample_seed;
-      }
-    };
     size_t vote_cursor = 0;
     auto apply_vote = [&] {
       const persist::JournalRecord* v = votes[vote_cursor++];
@@ -234,20 +181,7 @@ Status TunerService::Recover(RecoveryStats* stats) {
              votes[vote_cursor]->boundary <= r->seq) {
         apply_vote();
       }
-      // Mirror the live path's overload decision exactly: same epoch
-      // state, same deterministic draw, same duplicate window — so the
-      // recovered trajectory is bit-identical to the uninterrupted run
-      // even through Shedding/Sampling phases.
-      adopt_epochs_through(r->seq);
-      bool keep = true;
-      bool shed = false;
-      if (options_.overload.enabled || overload_mode_ != 0) {
-        keep = OverloadDecide(r->seq, r->statement, &shed);
-      }
-      if (keep) {
-        ApplyStatementWeight();
-        tuner_->AnalyzeQuery(r->statement);
-      }
+      tuner_->AnalyzeQuery(r->statement);
       ++analyzed;
       ++stats->replayed_statements;
       // Post-statement slot: votes keyed to this statement applied before
@@ -273,15 +207,6 @@ Status TunerService::Recover(RecoveryStats* stats) {
       if (statements[si]->seq != next_intake) break;
       requeue.push_back(statements[si]);
       ++next_intake;
-    }
-    // Epochs whose effect point lies beyond the replayed trajectory cover
-    // the re-queued intake: the drain adopts each one when it reaches
-    // that sequence, before considering any transition of its own.
-    for (; epoch_cursor < epochs.size(); ++epoch_cursor) {
-      const persist::JournalRecord* e = epochs[epoch_cursor];
-      pending_epochs_.push_back(
-          PendingEpoch{e->seq, e->overload_mode, e->sample_rate,
-                       e->sample_seed});
     }
   } else if (read.status().code() != StatusCode::kNotFound) {
     return read.status();
@@ -320,7 +245,6 @@ Status TunerService::Recover(RecoveryStats* stats) {
   }
   metrics_.SetRecovery(stats->snapshot_loaded, stats->snapshots_skipped,
                        stats->replayed_statements, stats->replayed_feedback);
-  metrics_.SetOverloadState(overload_mode_, sample_rate_);
   PushJournalMetrics();
   return Status::Ok();
 }
@@ -501,110 +425,6 @@ bool TunerService::ApplyFeedback(uint64_t seq, bool inclusive,
   return !to_apply.empty();
 }
 
-void TunerService::AdoptEpochsUpTo(uint64_t seq) {
-  bool changed = false;
-  while (pending_epoch_cursor_ < pending_epochs_.size() &&
-         pending_epochs_[pending_epoch_cursor_].seq <= seq) {
-    const PendingEpoch& e = pending_epochs_[pending_epoch_cursor_++];
-    overload_mode_ = e.mode;
-    sample_rate_ = e.rate;
-    if (e.seed != 0) sample_seed_ = e.seed;
-    changed = true;
-  }
-  if (pending_epoch_cursor_ == pending_epochs_.size() &&
-      !pending_epochs_.empty()) {
-    pending_epochs_.clear();
-    pending_epoch_cursor_ = 0;
-  }
-  // Adopted epochs were already counted as transitions when first
-  // journaled; only the gauges move.
-  if (changed) metrics_.SetOverloadState(overload_mode_, sample_rate_);
-}
-
-void TunerService::MaybeTransition(uint64_t first_seq) {
-  if (!options_.overload.enabled) return;
-  const double fill = static_cast<double>(queue_.depth()) /
-                      static_cast<double>(queue_.capacity());
-  uint8_t mode = overload_mode_;
-  double rate = sample_rate_;
-  if (fill >= options_.overload.high_watermark) {
-    // One degradation step per batch: shed duplicates first (cheap, only
-    // redundant evidence is lost), then sample, then tighten the rate.
-    if (mode == 0) {
-      mode = 1;
-    } else if (mode == 1) {
-      mode = 2;
-      rate = std::max(options_.overload.sample_floor, 0.5);
-    } else {
-      rate = std::max(options_.overload.sample_floor, rate * 0.5);
-    }
-  } else if (fill <= options_.overload.low_watermark) {
-    // Hysteresis: recovery only below the low watermark, one step per
-    // batch, through the same states in reverse.
-    if (mode == 2) {
-      rate = std::min(1.0, rate * 2.0);
-      if (rate >= 1.0) {
-        rate = 1.0;
-        mode = 1;
-      }
-    } else if (mode == 1) {
-      mode = 0;
-    }
-  }
-  if (mode == overload_mode_ && rate == sample_rate_) return;
-  overload_mode_ = mode;
-  sample_rate_ = rate;
-  // The epoch hits the journal before this batch's statements are
-  // analyzed (same pre-analysis fsync), so replay always knows the mode
-  // every durable statement was decided under.
-  JournalAppend([&](persist::JournalWriter* j) {
-    return j->AppendEpoch(first_seq, mode, rate, sample_seed_);
-  });
-  metrics_.OnOverloadTransition(mode, rate);
-  obs::RecordInstant("overload.transition", OverloadModeName(mode));
-  obs::Log(obs::LogLevel::kWarn, "overload.transition")
-      .Str("mode", OverloadModeName(mode))
-      .Dbl("sample_rate", rate)
-      .Dbl("queue_fill", fill)
-      .U64("seq", first_seq);
-}
-
-bool TunerService::OverloadDecide(uint64_t seq, const Statement& stmt,
-                                  bool* shed) {
-  *shed = false;
-  if (overload_mode_ == 1) {
-    const uint64_t fp = stmt.Fingerprint();
-    for (uint64_t seen : dup_window_) {
-      if (seen == fp) {
-        *shed = true;
-        return false;
-      }
-    }
-  } else if (overload_mode_ == 2) {
-    // Uniform sampling, deliberately without the duplicate filter: the
-    // 1/rate weight is only an unbiased estimator when every arrival has
-    // the same keep probability.
-    if (SampleUnit(sample_seed_, seq) >= sample_rate_) return false;
-  }
-  // The duplicate window tracks kept statements in every mode, so
-  // entering Shedding starts with a warm window.
-  if (options_.overload.dup_window > 0) {
-    dup_window_.push_back(stmt.Fingerprint());
-    while (dup_window_.size() > options_.overload.dup_window) {
-      dup_window_.pop_front();
-    }
-  }
-  return true;
-}
-
-void TunerService::ApplyStatementWeight() {
-  const double w = overload_mode_ == 2 ? 1.0 / sample_rate_ : 1.0;
-  if (w != current_weight_) {
-    tuner_->SetStatementWeight(w);
-    current_weight_ = w;
-  }
-}
-
 bool TunerService::ApplyAllFeedback() {
   return ApplyFeedback(std::numeric_limits<uint64_t>::max(),
                        /*inclusive=*/true, /*with_asap=*/true,
@@ -665,12 +485,7 @@ void TunerService::MaybeCheckpoint(bool force) {
   persist::SnapshotMeta meta;
   meta.analyzed = analyzed;
   meta.journal_lsn = journal_->lsn();
-  meta.overload.mode = overload_mode_;
-  meta.overload.sample_rate = sample_rate_;
-  meta.overload.sample_seed = sample_seed_;
-  meta.overload.dup_window.assign(dup_window_.begin(), dup_window_.end());
-  obs::SpanGuard span("checkpoint");
-  obs::StageTimer timer(obs::Stage::kCheckpointWrite);
+  obs::StageSpan span(obs::Stage::kCheckpointWrite, "checkpoint");
   StatusOr<uint64_t> bytes =
       persist::WriteSnapshot(options_.checkpoint_dir, *tuner_, *pool_, meta);
   if (!bytes.ok()) {
@@ -762,11 +577,6 @@ void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
   // checkpoint writes) attribute to this service.
   obs::ScopedStageSink stage_sink(&metrics_);
   metrics_.OnBatch(n);
-  // Epochs journaled by a previous incarnation for this (re-queued)
-  // intake take effect before any live transition is considered, so live
-  // and replayed decisions always agree.
-  AdoptEpochsUpTo(first_seq);
-  MaybeTransition(first_seq);
   const uint64_t pop_ns = obs::NowNs();
   // WAL spans record under the first statement's submitting trace (the
   // one fsync covers the whole batch).
@@ -806,35 +616,17 @@ void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
     // boundary `seq`.
     bool fed = ApplyFeedback(seq, /*inclusive=*/false, /*with_asap=*/true,
                              /*boundary=*/seq, /*post=*/false);
-    // Overload decision at analysis time: a dropped statement keeps its
-    // WAL record, vote slots, analyzed marker and publication — only
-    // AnalyzeQuery is skipped, so contiguity and exactly-once hold while
-    // the actual bottleneck is relieved.
-    AdoptEpochsUpTo(seq);
-    bool keep = true;
-    bool shed = false;
-    if (options_.overload.enabled || overload_mode_ != 0) {
-      keep = OverloadDecide(seq, batch[i], &shed);
-    }
     Clock::time_point start = Clock::now();
-    double analyze_us = 0.0;
-    if (keep) {
-      ApplyStatementWeight();
-      {
-        obs::SpanGuard analyze_span("analyze");
-        if (analyze_span.trace_id() != 0) {
-          analyze_span.SetDetail("seq " + std::to_string(seq));
-        }
-        tuner_->AnalyzeQuery(batch[i]);
+    {
+      obs::SpanGuard analyze_span("analyze");
+      if (analyze_span.trace_id() != 0) {
+        analyze_span.SetDetail("seq " + std::to_string(seq));
       }
-      analyze_us = MicrosSince(start);
-      metrics_.OnAnalyzed(analyze_us);
-      metrics_.SetRepartitions(tuner_->RepartitionCount());
-    } else {
-      metrics_.OnOverloadDrop(shed);
-      obs::RecordInstant(shed ? "overload.shed" : "overload.sample_drop",
-                         "seq " + std::to_string(seq));
+      tuner_->AnalyzeQuery(batch[i]);
     }
+    const double analyze_us = MicrosSince(start);
+    metrics_.OnAnalyzed(analyze_us);
+    metrics_.SetRepartitions(tuner_->RepartitionCount());
     // Deterministic interleave: votes keyed to this statement apply
     // right after it, before its recommendation is recorded.
     fed |= ApplyFeedback(seq, /*inclusive=*/true, /*with_asap=*/false,

@@ -38,7 +38,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,40 +54,6 @@
 #include "workload/statement.h"
 
 namespace wfit::service {
-
-/// Adaptive overload control: a three-state controller (Normal → Shedding
-/// → Sampling) evaluated once per batch from the queue fill fraction.
-/// Shedding drops statements whose template fingerprint matches a recent
-/// analyzed statement (duplicates carry little new evidence); Sampling
-/// uniformly keeps each statement with probability `rate`, drawn from a
-/// deterministic per-tenant seeded stream, and scales every kept
-/// statement's benefit contribution by 1/rate so WFIT's windowed
-/// statistics stay unbiased estimates of the full stream ("honest
-/// sampling"). Every transition is journaled as an epoch record and the
-/// controller state rides in snapshots, so a recovered tenant re-derives
-/// the exact shed/sample decisions — the trajectory is reproducible.
-/// Dropped statements still ride the full durability path (WAL record,
-/// vote slots, analyzed marker, publication); only AnalyzeQuery is
-/// skipped, so sequence contiguity and exactly-once semantics hold.
-struct OverloadOptions {
-  /// Master switch; off preserves the pre-QoS trajectory bit-for-bit.
-  bool enabled = false;
-  /// Queue fill fraction at/above which the controller degrades one step
-  /// per batch: Normal → Shedding → Sampling → halve the rate.
-  double high_watermark = 0.75;
-  /// Queue fill fraction at/below which it recovers one step per batch:
-  /// double the rate → Shedding → Normal.
-  double low_watermark = 0.25;
-  /// Sampling never drops below this rate (QoS knob: sample_floor).
-  double sample_floor = 0.10;
-  /// Seed of the per-tenant sampling stream. The router derives it from
-  /// the tenant id, so a tenant's decisions are reproducible across
-  /// incarnations; a journaled/snapshotted seed wins on recovery.
-  uint64_t sample_seed = 0;
-  /// Fingerprints of recently analyzed statements retained for duplicate
-  /// shedding.
-  size_t dup_window = 64;
-};
 
 struct TunerServiceOptions {
   /// Bound on buffered statements; producers beyond it experience
@@ -119,10 +84,6 @@ struct TunerServiceOptions {
   /// that rewrite while the journal is smaller than this — rewriting a
   /// tiny file buys nothing and costs three fsyncs.
   uint64_t journal_compact_min_bytes = 64 * 1024;
-
-  // --- QoS / overload ---------------------------------------------------
-  /// Adaptive overload control (see OverloadOptions). Disabled by default.
-  OverloadOptions overload;
 };
 
 /// What recovery found and replayed (TunerService::Open).
@@ -295,44 +256,9 @@ class TunerService {
   bool ApplyAllFeedback();
   void Publish();
 
-  // --- Overload controller (drain path only) ----------------------------
-  /// A journaled epoch transition pending adoption: recovery collects
-  /// epochs whose effect point lies beyond the replayed trajectory (they
-  /// cover re-queued intake); the drain adopts each one when it reaches
-  /// that sequence, before deciding any transition of its own.
-  struct PendingEpoch {
-    uint64_t seq = 0;
-    uint8_t mode = 0;
-    double rate = 1.0;
-    uint64_t seed = 0;
-  };
-  /// Applies every pending epoch whose effect point is <= `seq`.
-  void AdoptEpochsUpTo(uint64_t seq);
-  /// Evaluates the three-state transition from the current queue fill and
-  /// journals an epoch record effective at `first_seq` if the state
-  /// changed. Batch start only, after epoch adoption.
-  void MaybeTransition(uint64_t first_seq);
-  /// The keep/drop decision for one statement under the current epoch,
-  /// also maintaining the duplicate window. Deterministic: a pure function
-  /// of (epoch state, seq, statement fingerprints seen so far), so replay
-  /// re-derives identical decisions. Sets `*shed` when the drop was a
-  /// duplicate shed (vs. sampled out).
-  bool OverloadDecide(uint64_t seq, const Statement& stmt, bool* shed);
-  /// Installs the statement weight (1/rate in Sampling, else 1.0) into the
-  /// tuner if it changed.
-  void ApplyStatementWeight();
-
-  uint8_t overload_mode_ = 0;  // 0 Normal, 1 Shedding, 2 Sampling
-  double sample_rate_ = 1.0;
-  uint64_t sample_seed_ = 0;
-  /// Fingerprints of recently kept statements, oldest first.
-  std::deque<uint64_t> dup_window_;
-  double current_weight_ = 1.0;
-  std::vector<PendingEpoch> pending_epochs_;  // sorted by seq (stable)
-  size_t pending_epoch_cursor_ = 0;
-
   // --- persist/ integration (drain path only) ---------------------------
-  /// Recovery at Open: snapshot restore + journal suffix replay.
+  /// Recovery at Open: snapshot restore + journal suffix replay. Refuses
+  /// (FailedPrecondition) a journal holding a legacy overload epoch record.
   Status Recover(RecoveryStats* stats);
   /// Appends one record through `fn`; a failure permanently disables
   /// journaling + checkpointing (durability degrades, service lives on).

@@ -56,14 +56,6 @@ struct Statement {
 
   bool IsUpdateStatement() const { return kind != StatementKind::kSelect; }
 
-  /// Structural fingerprint over every cost-relevant field (everything but
-  /// `sql`): two statements with equal fingerprints are the same template
-  /// with the same bound parameters, so the optimizer's answer for any
-  /// configuration is interchangeable between them. Computed lazily and
-  /// cached (statements are immutable once bound). Collisions are possible
-  /// (it is a hash); overload shedding tolerates them.
-  uint64_t Fingerprint() const;
-
   /// The table slice for `id`, or nullptr if the statement doesn't touch it.
   const StatementTable* FindTable(TableId id) const {
     for (const StatementTable& t : tables) {
@@ -78,11 +70,6 @@ struct Statement {
     for (const ScanPredicate& p : t.predicates) s *= p.selectivity;
     return s;
   }
-
- private:
-  /// Fingerprint() memo; 0 = not yet computed (the hash is salted so no
-  /// statement hashes to 0).
-  mutable uint64_t fingerprint_cache_ = 0;
 };
 
 /// A workload: the paper's stream Q, materialized as a vector.

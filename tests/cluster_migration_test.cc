@@ -331,20 +331,19 @@ TEST(ClusterMigrationTest, FailedHandoffRevertsAndStaysConsistent) {
 // by the client at submit time comes back out of kDumpTrace attached to
 // the node-side spans (wire propagation end to end).
 TEST(ClusterConfigTest, HostileQosSetConfigIsRejectedAndTenantServes) {
-  // A kSetConfig whose tenant QoS the shard cannot run with (a sample
-  // floor above 1 aborts the shard's construction at the next admission;
-  // an infinite weight overflows the DRR quantum) must be refused at the
-  // wire, before anything is installed.
+  // A kSetConfig whose tenant QoS the shard cannot run with (a zero
+  // weight never earns DRR credit; an infinite weight overflows the DRR
+  // quantum) must be refused at the wire, before anything is installed.
   TwoNodeCluster cluster("hostile_qos");
   ClusterClient client(cluster.config);
   TunerNode& owner = cluster.Owner();
   const std::string owner_id = OwnerOf(cluster.config, kTenant)->id;
-  // The sample floor goes last: were it installed, it would be the QoS
-  // in force when the tenant is admitted below.
+  // The zero weight goes last: were it installed, it would be the QoS in
+  // force when the tenant is admitted below.
   std::vector<service::TenantQos> hostile = {
       {.weight = std::numeric_limits<double>::infinity()},
       {.weight = 1e300},
-      {.sample_floor = 2.0},
+      {.weight = 0.0},
   };
   for (size_t i = 0; i < hostile.size(); ++i) {
     ClusterConfig bad = cluster.config;

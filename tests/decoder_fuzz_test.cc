@@ -33,6 +33,7 @@
 #include "core/wfit.h"
 #include "net/frame.h"
 #include "net/wire.h"
+#include "persist/codec.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "persist/tenant_tree.h"
@@ -233,8 +234,31 @@ void PutU32At(std::string* bytes, size_t at, uint32_t v) {
 
 using MakeTuner = std::unique_ptr<Tuner> (*)(TestDb&);
 
-/// A snapshot of a tuner that has analyzed and taken votes, with a
-/// non-empty overload trailer.
+constexpr size_t kSnapshotHeader = 24;
+
+/// Recomputes a snapshot header's payload length and both CRCs over
+/// whatever payload follows it.
+void ResealSnapshotHeader(std::string* bytes) {
+  const std::string_view payload =
+      std::string_view(*bytes).substr(kSnapshotHeader);
+  const uint64_t len = payload.size();
+  PutU32At(bytes, 8, static_cast<uint32_t>(len));
+  PutU32At(bytes, 12, static_cast<uint32_t>(len >> 32));
+  PutU32At(bytes, 16, Crc32(payload));
+  PutU32At(bytes, 20, Crc32(std::string_view(*bytes).substr(0, 20)));
+}
+
+/// `payload` behind the [u32 len][u32 crc] journal frame header.
+std::string JournalFrame(const std::string& payload) {
+  std::string frame(8, '\0');
+  PutU32At(&frame, 0, static_cast<uint32_t>(payload.size()));
+  PutU32At(&frame, 4, Crc32(payload));
+  return frame + payload;
+}
+
+/// A snapshot of a tuner that has analyzed and taken votes, ending in the
+/// Normal-mode overload trailer older builds wrote (u8 mode, f64 rate,
+/// u64 seed, u32 count, count x u64 fingerprints).
 std::string SnapshotBytes(const std::string& dir, MakeTuner make) {
   TestDb db;
   std::unique_ptr<Tuner> tuner = make(db);
@@ -246,14 +270,18 @@ std::string SnapshotBytes(const std::string& dir, MakeTuner make) {
   persist::SnapshotMeta meta;
   meta.analyzed = w.size();
   meta.journal_lsn = 2 * w.size();
-  meta.overload.mode = 1;
-  meta.overload.sample_rate = 0.5;
-  meta.overload.sample_seed = 7;
-  meta.overload.dup_window = {1, 2, 3};
   const std::string path = (fs::path(dir) / "seed.wfsnap").string();
   Status st = persist::WriteSnapshotFile(path, *tuner, db.pool(), meta);
   WFIT_CHECK(st.ok(), st.ToString());
-  return ReadFile(path);
+  persist::Encoder trailer;
+  trailer.PutU8(0);
+  trailer.PutDouble(1.0);
+  trailer.PutU64(7);
+  trailer.PutU32(3);
+  for (uint64_t fingerprint : {1, 2, 3}) trailer.PutU64(fingerprint);
+  std::string bytes = ReadFile(path) + trailer.data();
+  ResealSnapshotHeader(&bytes);
+  return bytes;
 }
 
 std::unique_ptr<Tuner> MakeWfit(TestDb& db) {
@@ -266,7 +294,8 @@ std::unique_ptr<Tuner> MakeWfaPlus(TestDb& db) {
                                    WfaParts(db), IndexSet{});
 }
 
-/// A compacted journal holding every record kind.
+/// A compacted journal holding every record kind, including a legacy
+/// overload epoch frame (seq, u8 mode, f64 rate, u64 seed).
 std::string JournalBytes(const std::string& dir) {
   TestDb db;
   Workload w = BuildWorkload(db, 12);
@@ -284,12 +313,16 @@ std::string JournalBytes(const std::string& dir) {
                      .ok(),
                  "append feedback");
     }
-    if (i == 6) {
-      WFIT_CHECK(writer.AppendEpoch(i, 2, 0.25, 99).ok(), "append epoch");
-    }
   }
   WFIT_CHECK(writer.Sync().ok(), "journal sync");
   writer.Close();
+  persist::Encoder epoch;
+  epoch.PutU8(static_cast<uint8_t>(persist::JournalRecordType::kEpoch));
+  epoch.PutU64(w.size());
+  epoch.PutU8(2);
+  epoch.PutDouble(0.25);
+  epoch.PutU64(99);
+  WriteFile(path, ReadFile(path) + JournalFrame(epoch.data()));
   auto compacted = persist::CompactJournal(path, 4);
   WFIT_CHECK(compacted.ok(), compacted.status().ToString());
   return ReadFile(path);
@@ -349,8 +382,6 @@ net::Response SeedResponse(TestDb& db) {
 
 // --- the sweeps --------------------------------------------------------------
 
-constexpr size_t kSnapshotHeader = 24;
-
 void SweepSnapshot(const char* decoder, size_t index, MakeTuner make) {
   const std::string dir = FreshDir(decoder);
   const std::string seed = SnapshotBytes(dir, make);
@@ -366,14 +397,7 @@ void SweepSnapshot(const char* decoder, size_t index, MakeTuner make) {
         MutatedCase c = reseal ? Mutate(seed, kSnapshotHeader, seed.size(), rng)
                                : Mutate(seed, 0, seed.size(), rng);
         if (reseal && c.bytes.size() >= kSnapshotHeader) {
-          const std::string_view payload =
-              std::string_view(c.bytes).substr(kSnapshotHeader);
-          const uint64_t len = payload.size();
-          PutU32At(&c.bytes, 8, static_cast<uint32_t>(len));
-          PutU32At(&c.bytes, 12, static_cast<uint32_t>(len >> 32));
-          PutU32At(&c.bytes, 16, Crc32(payload));
-          PutU32At(&c.bytes, 20,
-                   Crc32(std::string_view(c.bytes).substr(0, 20)));
+          ResealSnapshotHeader(&c.bytes);
           c.resealed = true;
         }
         return c;
@@ -519,7 +543,7 @@ TEST(DecoderFuzzTest, DecodeClusterConfig) {
                   {"b", "10.0.0.2", 7602},
                   {"c", "host-c", 65535}};
   config.overrides = {{"tenant-1", "b"}, {"tenant-2", "c"}};
-  config.tenant_qos["tenant-1"] = {.weight = 4.0, .sample_floor = 0.25};
+  config.tenant_qos["tenant-1"] = {.weight = 4.0};
   config.tenant_qos["tenant-3"] = {.weight = 0.5};
   config.Normalize();
   const std::string seed = cluster::EncodeClusterConfig(config);
@@ -533,8 +557,6 @@ TEST(DecoderFuzzTest, DecodeClusterConfig) {
         // survives its own round trip.
         for (const auto& [tenant, qos] : decoded.tenant_qos) {
           EXPECT_TRUE(qos.weight > 0.0 && qos.weight <= 1e6) << tenant;
-          EXPECT_TRUE(qos.sample_floor >= 0.0 && qos.sample_floor <= 1.0)
-              << tenant;
         }
         cluster::ClusterConfig again;
         EXPECT_TRUE(cluster::DecodeClusterConfig(

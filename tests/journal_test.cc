@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "persist/codec.h"
 #include "tests/test_util.h"
 
@@ -104,36 +105,37 @@ TEST_F(JournalTest, AppendAndReadBack) {
   EXPECT_EQ(result->records[3].seq, 1u);
 }
 
-TEST_F(JournalTest, EpochRecordsRoundTrip) {
+TEST_F(JournalTest, LegacyEpochRecordIsStillDecoded) {
+  // No writer emits kEpoch any more; build the frame in the layout older
+  // builds wrote (seq, u8 mode, f64 rate, u64 seed) so recovery can see it
+  // and refuse the journal instead of stopping replay in front of it.
   const std::string path = TempPath("epochs.wfj");
   fs::remove(path);
   Statement s0 = db_.Bind("SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND 150");
   {
     JournalWriter w;
     ASSERT_TRUE(w.Open(path, 0, 0).ok());
-    // Epoch before its batch's statements, the order AnalyzeBatch writes.
-    ASSERT_TRUE(w.AppendEpoch(0, /*overload_mode=*/1, /*sample_rate=*/1.0,
-                              /*sample_seed=*/42)
-                    .ok());
     ASSERT_TRUE(w.AppendStatement(0, s0).ok());
-    ASSERT_TRUE(w.AppendEpoch(1, /*overload_mode=*/2, /*sample_rate=*/0.25,
-                              /*sample_seed=*/42)
-                    .ok());
     ASSERT_TRUE(w.Sync().ok());
   }
+  Encoder epoch;
+  epoch.PutU8(static_cast<uint8_t>(JournalRecordType::kEpoch));
+  epoch.PutU64(1);
+  epoch.PutU8(2);
+  epoch.PutDouble(0.25);
+  epoch.PutU64(42);
+  Encoder frame;
+  frame.PutU32(static_cast<uint32_t>(epoch.size()));
+  frame.PutU32(Crc32(epoch.data()));
+  WriteFile(path, ReadFile(path) + frame.data() + epoch.data());
+
   auto result = ReadJournal(path);
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->records.size(), 3u);
-  EXPECT_EQ(result->records[0].type, JournalRecordType::kEpoch);
-  EXPECT_EQ(result->records[0].seq, 0u);
-  EXPECT_EQ(result->records[0].overload_mode, 1);
-  EXPECT_DOUBLE_EQ(result->records[0].sample_rate, 1.0);
-  EXPECT_EQ(result->records[0].sample_seed, 42u);
-  EXPECT_EQ(result->records[1].type, JournalRecordType::kStatement);
-  EXPECT_EQ(result->records[2].type, JournalRecordType::kEpoch);
-  EXPECT_EQ(result->records[2].seq, 1u);
-  EXPECT_EQ(result->records[2].overload_mode, 2);
-  EXPECT_DOUBLE_EQ(result->records[2].sample_rate, 0.25);
+  ASSERT_EQ(result->records.size(), 2u);
+  EXPECT_FALSE(result->truncated_tail);
+  EXPECT_EQ(result->records[0].type, JournalRecordType::kStatement);
+  EXPECT_EQ(result->records[1].type, JournalRecordType::kEpoch);
+  EXPECT_EQ(result->records[1].seq, 1u);
 }
 
 TEST_F(JournalTest, MissingFileIsNotFound) {

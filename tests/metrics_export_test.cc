@@ -352,6 +352,34 @@ TEST(MetricsExportTest, StageHistogramsExportAndValidate) {
       << tenant_text;
 }
 
+TEST(MetricsExportTest, QuantilesReadBucketUpperBounds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  MetricsSnapshot s;
+  EXPECT_EQ(s.LatencyQuantileUpperUs(0.5), 0.0);  // empty
+  // Three samples in the first bucket (<= 10 us), one past the last bound.
+  s.latency_counts[0] = 3;
+  s.latency_counts[kLatencyBucketCount - 1] = 1;
+  EXPECT_EQ(s.LatencyQuantileUpperUs(0.0), 10.0);
+  EXPECT_EQ(s.LatencyQuantileUpperUs(-2.0), 10.0);  // clamped to 0
+  EXPECT_EQ(s.LatencyQuantileUpperUs(0.75), 10.0);
+  EXPECT_EQ(s.LatencyQuantileUpperUs(0.76), inf);
+  EXPECT_EQ(s.LatencyQuantileUpperUs(1.0), inf);
+  EXPECT_EQ(s.LatencyQuantileUpperUs(7.0), inf);  // clamped to 1
+
+  // Stage histograms share the bucketing: 5 us, 100 us and 2 s land in
+  // the first, the 250 us and the +inf bucket.
+  ServiceMetrics metrics;
+  metrics.RecordStage(obs::Stage::kQueueWait, 5'000);
+  metrics.RecordStage(obs::Stage::kQueueWait, 100'000);
+  metrics.RecordStage(obs::Stage::kQueueWait, 2'000'000'000);
+  MetricsSnapshot stages = metrics.Snapshot();
+  EXPECT_EQ(stages.StageQuantileUpperUs(obs::Stage::kProbe, 0.5), 0.0);
+  EXPECT_EQ(stages.StageQuantileUpperUs(obs::Stage::kQueueWait, -1.0), 10.0);
+  EXPECT_EQ(stages.StageQuantileUpperUs(obs::Stage::kQueueWait, 0.5), 250.0);
+  EXPECT_EQ(stages.StageQuantileUpperUs(obs::Stage::kQueueWait, 0.99), inf);
+  EXPECT_EQ(stages.StageQuantileUpperUs(obs::Stage::kQueueWait, 2.0), inf);
+}
+
 TEST(MetricsExportTest, ProbeStageCountsEveryOptimizerCall) {
   TestDb db;
   Workload w = BuildWorkload(db, 24);

@@ -214,6 +214,40 @@ TEST_F(TracingTest, LogAttachesActiveTraceIds) {
   EXPECT_NE(line.find("\"key\":\"value\""), std::string::npos);
 }
 
+TEST_F(TracingTest, StageSpanFeedsHistogramAndTrace) {
+  struct CountingSink : StageSink {
+    int calls = 0;
+    Stage last = Stage::kQueueWait;
+    void RecordStage(Stage stage, uint64_t) override {
+      ++calls;
+      last = stage;
+    }
+  } sink;
+  {
+    ScopedStageSink install(&sink);
+    StageSpan stage(Stage::kProbe, "probe.real");
+    EXPECT_NE(stage.trace_id(), 0u);
+    stage.SetDetail("one probe");
+  }
+  EXPECT_EQ(sink.calls, 1);
+  EXPECT_EQ(sink.last, Stage::kProbe);
+  std::vector<Span> spans = CollectSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "probe.real");
+  EXPECT_STREQ(spans[0].detail, "one probe");
+
+  // Runtime-disabled tracing still records the histogram, but no span.
+  SetTracingEnabled(false);
+  {
+    ScopedStageSink install(&sink);
+    StageSpan stage(Stage::kIbgBuild, "ibg.build");
+    EXPECT_EQ(stage.trace_id(), 0u);
+  }
+  EXPECT_EQ(sink.calls, 2);
+  EXPECT_EQ(sink.last, Stage::kIbgBuild);
+  EXPECT_EQ(CollectSpans().size(), 1u);
+}
+
 #endif  // WFIT_DISABLE_TRACING
 
 TEST(StageTest, NamesAndSinkRecording) {
@@ -237,7 +271,7 @@ TEST(StageTest, NamesAndSinkRecording) {
   {
     ScopedStageSink install(&sink);
     RecordStage(Stage::kProbe, 1000);
-    { StageTimer timer(Stage::kIbgBuild); }
+    { StageSpan stage(Stage::kIbgBuild, "ibg.build"); }
     EXPECT_EQ(CurrentStageSink(), &sink);
   }
   EXPECT_EQ(CurrentStageSink(), nullptr);

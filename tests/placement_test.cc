@@ -128,10 +128,8 @@ TEST(PlacementTest, ConfigCodecRejectsOutOfRangeQos) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<service::TenantQos> hostile = {
-      {.weight = 0.0},          {.weight = -1.0},
-      {.weight = inf},          {.weight = nan},
-      {.weight = 1e6 * 1.5},    {.sample_floor = 2.0},
-      {.sample_floor = -0.5},   {.sample_floor = nan},
+      {.weight = 0.0}, {.weight = -1.0},      {.weight = inf},
+      {.weight = nan}, {.weight = 1e6 * 1.5},
   };
   for (size_t i = 0; i < hostile.size(); ++i) {
     ClusterConfig config = ThreeNodes();
@@ -142,8 +140,8 @@ TEST(PlacementTest, ConfigCodecRejectsOutOfRangeQos) {
   }
   // The boundaries themselves are legal.
   ClusterConfig config = ThreeNodes();
-  config.tenant_qos["tenant-1"] = {.weight = 1e6, .sample_floor = 1.0};
-  config.tenant_qos["tenant-2"] = {.weight = 1e-3, .sample_floor = 0.0};
+  config.tenant_qos["tenant-1"] = {.weight = 1e6};
+  config.tenant_qos["tenant-2"] = {.weight = 1e-3};
   ClusterConfig decoded;
   ASSERT_TRUE(
       DecodeClusterConfig(EncodeClusterConfig(config), &decoded).ok());
@@ -151,9 +149,11 @@ TEST(PlacementTest, ConfigCodecRejectsOutOfRangeQos) {
 }
 
 /// ThreeNodes() plus one QoS entry in the QoS trailer's layout, with the
-/// two retired slots (a u64 and a double) set to the given values — what
-/// an older writer emitted for a tenant with a byte and latency budget.
-std::string QosTrailerBlob(uint64_t retired_u64, double retired_double) {
+/// three retired slots set to the given values — what an older writer
+/// emitted for a tenant with a byte budget, a latency budget and an
+/// overload sample floor.
+std::string QosTrailerBlob(uint64_t retired_u64, double retired_double,
+                           double retired_floor) {
   persist::Encoder e;
   e.PutU64(7);
   e.PutU32(3);
@@ -170,7 +170,7 @@ std::string QosTrailerBlob(uint64_t retired_u64, double retired_double) {
   e.PutDouble(2.5);
   e.PutU64(retired_u64);
   e.PutDouble(retired_double);
-  e.PutDouble(0.5);
+  e.PutDouble(retired_floor);
   return e.Release();
 }
 
@@ -178,16 +178,17 @@ TEST(PlacementTest, ConfigCodecDropsRetiredQosSlots) {
   // The encoder writes zeros into the retired slots, so its bytes match
   // the older layout for every config the QoS struct can still express.
   ClusterConfig config = ThreeNodes();
-  config.tenant_qos["tenant-1"] = {.weight = 2.5, .sample_floor = 0.5};
-  EXPECT_EQ(EncodeClusterConfig(config), QosTrailerBlob(0, 0.0));
-  // An older blob with non-zero retired slots decodes; the slots are
-  // discarded and re-encode as zeros.
+  config.tenant_qos["tenant-1"] = {.weight = 2.5};
+  EXPECT_EQ(EncodeClusterConfig(config), QosTrailerBlob(0, 0.0, 0.0));
+  // An older blob with non-zero retired slots (here sample_floor = 0.5)
+  // decodes with its weight intact; the slots are discarded and re-encode
+  // as zeros.
   ClusterConfig decoded;
-  ASSERT_TRUE(DecodeClusterConfig(QosTrailerBlob(4096, 25.0), &decoded).ok());
+  ASSERT_TRUE(
+      DecodeClusterConfig(QosTrailerBlob(4096, 25.0, 0.5), &decoded).ok());
   ASSERT_EQ(decoded.tenant_qos.size(), 1u);
   EXPECT_EQ(decoded.tenant_qos.at("tenant-1").weight, 2.5);
-  EXPECT_EQ(decoded.tenant_qos.at("tenant-1").sample_floor, 0.5);
-  EXPECT_EQ(EncodeClusterConfig(decoded), QosTrailerBlob(0, 0.0));
+  EXPECT_EQ(EncodeClusterConfig(decoded), QosTrailerBlob(0, 0.0, 0.0));
 }
 
 TEST(PlacementTest, ParsesNodeListSpec) {

@@ -9,12 +9,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/wfa_plus.h"
 #include "core/wfit.h"
+#include "persist/codec.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "persist/tenant_tree.h"
@@ -457,6 +460,64 @@ TEST(RecoveryTest, JournalDeletedAfterCheckpointStillRecovers) {
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     EXPECT_EQ(stats.analyzed, 60u);
   }
+}
+
+// A journal from a build with the overload controller may hold epoch
+// records. Their run skipped or reweighted statements that full-analysis
+// replay cannot reproduce, so recovery refuses the journal outright, and
+// leaves its bytes exactly as they were (no reopen, no tail truncation).
+TEST(RecoveryTest, JournalWithLegacyEpochRecordIsRefusedUntouched) {
+  const std::string dir =
+      (fs::path(::testing::TempDir()) /
+       ("wfit_recovery_epoch_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  TunerServiceOptions options = BaseOptions();
+  options.checkpoint_dir = dir;
+  options.checkpoint_every_statements = 1u << 30;
+  options.checkpoint_on_shutdown = false;
+  {
+    TestDb db;
+    SeedIds(db);
+    Workload w = BuildWorkload(db, 10);
+    auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
+                                      options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    (*service)->Start();
+    Produce(**service, w, 0, 10);
+    (*service)->Shutdown();
+  }
+  // The epoch frame in the parent layout: kEpoch, seq, u8 mode, f64 rate,
+  // u64 seed, behind [u32 length][u32 crc].
+  persist::Encoder epoch;
+  epoch.PutU8(static_cast<uint8_t>(persist::JournalRecordType::kEpoch));
+  epoch.PutU64(10);
+  epoch.PutU8(2);
+  epoch.PutDouble(0.5);
+  epoch.PutU64(7);
+  persist::Encoder frame;
+  frame.PutU32(static_cast<uint32_t>(epoch.size()));
+  frame.PutU32(Crc32(epoch.data()));
+  const fs::path journal = fs::path(dir) / "journal.wfj";
+  auto read_all = [&] {
+    std::ifstream in(journal, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  {
+    std::ofstream out(journal, std::ios::binary | std::ios::app);
+    out << frame.data() << epoch.data();
+  }
+  const std::string before = read_all();
+
+  TestDb db;
+  SeedIds(db);
+  auto service =
+      TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(), options);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kFailedPrecondition)
+      << service.status().ToString();
+  EXPECT_EQ(read_all(), before);
 }
 
 // The default path's sync schedule: a batch costs exactly two journal

@@ -129,47 +129,81 @@ TEST(SnapshotTest, WfitRoundTripContinuesIdentically) {
   EXPECT_EQ(restored.selector().universe(), original.selector().universe());
 }
 
-TEST(SnapshotTest, OverloadStateRoundTripsThroughSnapshot) {
-  const std::string dir = FreshDir("overload_roundtrip");
-  TestDb db1;
-  Workload w1 = BuildWorkload(db1, 5);
-  Wfit original(&db1.pool(), &db1.optimizer(), IndexSet{}, FastOptions());
-  for (const Statement& s : w1) original.AnalyzeQuery(s);
+/// Rewrites the snapshot at `path` into the layout of a build that still
+/// had the overload controller: the same payload followed by its trailer
+/// (u8 mode, f64 sample rate, u64 sample seed, u32 count, count x u64
+/// fingerprints), under a recomputed header.
+void AppendLegacyOverloadTrailer(const std::string& path, uint8_t mode,
+                                 double sample_rate) {
+  constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4 + 4;
+  const std::string contents = ReadFile(path);
+  ASSERT_GT(contents.size(), kHeaderBytes);
+  Encoder trailer;
+  trailer.PutU8(mode);
+  trailer.PutDouble(sample_rate);
+  trailer.PutU64(987654321);
+  trailer.PutU32(3);
+  for (uint64_t fingerprint : {11, 22, 33}) trailer.PutU64(fingerprint);
+  const std::string payload = contents.substr(kHeaderBytes) + trailer.data();
+  Encoder header;
+  header.PutU32(kSnapshotMagic);
+  header.PutU32(kSnapshotVersion);
+  header.PutU64(payload.size());
+  header.PutU32(Crc32(payload));
+  header.PutU32(Crc32(header.data()));
+  WriteFile(path, header.data() + payload);
+}
 
+TEST(SnapshotTest, LegacyOverloadTrailerLoadsOnlyInNormalMode) {
+  TestDb db1;
+  Workload w1 = BuildWorkload(db1, 10);
+  Wfit original(&db1.pool(), &db1.optimizer(), IndexSet{}, FastOptions());
+  for (size_t i = 0; i < 5; ++i) original.AnalyzeQuery(w1[i]);
+  const IndexSet rec_at_5 = original.Recommendation();
+
+  // Every snapshot an older build wrote ends in the trailer. A Normal-mode
+  // one loads; a newer Sampling-mode one is skipped in its favour.
+  const std::string dir = FreshDir("legacy_trailer");
   SnapshotMeta meta;
   meta.analyzed = 5;
-  meta.overload.mode = 2;
-  meta.overload.sample_rate = 0.25;
-  meta.overload.sample_seed = 987654321;
-  meta.overload.dup_window = {11, 22, 33};
   ASSERT_TRUE(WriteSnapshot(dir, original, db1.pool(), meta).ok());
+  AppendLegacyOverloadTrailer(ListSnapshots(dir)[0], /*mode=*/0, 1.0);
+  for (size_t i = 5; i < 10; ++i) original.AnalyzeQuery(w1[i]);
+  meta.analyzed = 10;
+  ASSERT_TRUE(WriteSnapshot(dir, original, db1.pool(), meta).ok());
+  AppendLegacyOverloadTrailer(ListSnapshots(dir)[0], /*mode=*/2, 0.25);
 
   TestDb db2;
-  BuildWorkload(db2, 5);
+  BuildWorkload(db2, 10);
   Wfit restored(&db2.pool(), &db2.optimizer(), IndexSet{}, FastOptions());
   SnapshotLoadResult loaded = LoadLatestSnapshot(dir, &restored, &db2.pool());
   ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.meta.overload.mode, 2);
-  EXPECT_DOUBLE_EQ(loaded.meta.overload.sample_rate, 0.25);
-  EXPECT_EQ(loaded.meta.overload.sample_seed, 987654321u);
-  EXPECT_EQ(loaded.meta.overload.dup_window,
-            (std::vector<uint64_t>{11, 22, 33}));
+  EXPECT_EQ(loaded.skipped, 1u);
+  EXPECT_EQ(loaded.meta.analyzed, 5u);
+  EXPECT_EQ(restored.selector().statements_seen(), 5u);
+  EXPECT_EQ(restored.Recommendation(), rec_at_5);
 
-  // A snapshot written with default (Normal) overload state decodes to
-  // the defaults — the trailer is optional, not load-bearing.
-  const std::string dir2 = FreshDir("overload_default");
-  SnapshotMeta plain;
-  plain.analyzed = 5;
-  ASSERT_TRUE(WriteSnapshot(dir2, original, db1.pool(), plain).ok());
-  TestDb db3;
-  BuildWorkload(db3, 5);
-  Wfit restored2(&db3.pool(), &db3.optimizer(), IndexSet{}, FastOptions());
-  SnapshotLoadResult loaded2 =
-      LoadLatestSnapshot(dir2, &restored2, &db3.pool());
-  ASSERT_TRUE(loaded2.loaded);
-  EXPECT_EQ(loaded2.meta.overload.mode, 0);
-  EXPECT_DOUBLE_EQ(loaded2.meta.overload.sample_rate, 1.0);
-  EXPECT_TRUE(loaded2.meta.overload.dup_window.empty());
+  // Shedding and Sampling trailers are refused before the pool or the
+  // tuner is touched, even with no older snapshot to fall back to.
+  for (int mode : {1, 2}) {
+    const std::string lone = FreshDir("legacy_trailer_mode" +
+                                      std::to_string(mode));
+    ASSERT_TRUE(WriteSnapshot(lone, original, db1.pool(), meta).ok());
+    AppendLegacyOverloadTrailer(ListSnapshots(lone)[0],
+                                static_cast<uint8_t>(mode), 0.5);
+    TestDb db3;
+    BuildWorkload(db3, 10);
+    Wfit fresh(&db3.pool(), &db3.optimizer(), IndexSet{}, FastOptions());
+    const size_t pool_size = db3.pool().size();
+    SnapshotMeta out;
+    Status st = ReadSnapshot(ListSnapshots(lone)[0], &fresh, &db3.pool(), &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(fresh.selector().statements_seen(), 0u);
+    EXPECT_EQ(db3.pool().size(), pool_size);
+    SnapshotLoadResult none = LoadLatestSnapshot(lone, &fresh, &db3.pool());
+    EXPECT_FALSE(none.loaded);
+    EXPECT_EQ(none.skipped, 1u);
+  }
 }
 
 TEST(SnapshotTest, WfaPlusRoundTripContinuesIdentically) {

@@ -409,16 +409,15 @@ TEST(TenantRouterTest, SetTenantQosRejectsOutOfRange) {
   TenantRouter router(env.Factory(), options);
   router.Start();
 
-  // A floor above 1 would abort the shard's construction at the tenant's
-  // next admission; an infinite weight would overflow the DRR quantum.
-  const TenantQos bad_floor{.sample_floor = 2.0};
+  // A zero weight would never earn DRR credit; an infinite one would
+  // overflow the DRR quantum.
+  const TenantQos zero_weight{.weight = 0.0};
   const TenantQos bad_weight{.weight =
                                  std::numeric_limits<double>::infinity()};
-  EXPECT_EQ(router.SetTenantQos(tenant, bad_floor).code(),
+  EXPECT_EQ(router.SetTenantQos(tenant, zero_weight).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(router.SetTenantQos(tenant, bad_weight).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_DOUBLE_EQ(router.GetTenantQos(tenant).sample_floor, 0.0);
   EXPECT_DOUBLE_EQ(router.GetTenantQos(tenant).weight, 1.0);
 
   // The tenant admits with its default class and serves the reference
@@ -432,7 +431,7 @@ TEST(TenantRouterTest, SetTenantQosRejectsOutOfRange) {
     if (seq == kStatements / 2) {
       EXPECT_EQ(router.SetTenantQos(tenant, bad_weight).code(),
                 StatusCode::kInvalidArgument);
-      EXPECT_EQ(router.SetTenantQos(tenant, bad_floor).code(),
+      EXPECT_EQ(router.SetTenantQos(tenant, zero_weight).code(),
                 StatusCode::kInvalidArgument);
     }
   }

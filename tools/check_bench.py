@@ -34,7 +34,6 @@ GATED_LOWER = [
     "migration_handoff_ms",
     "failover_takeover_ms",
     "qos_light_tenant_p99_ms",
-    "overload_recovery_s",
 ]
 
 # Absolute ceilings, enforced against the fresh value alone (no baseline

@@ -11,9 +11,9 @@
 //
 // Numbers merge into BENCH_service.json (the perf trajectory artifact) and
 // the bench exits nonzero if fairness collapses (< 0.2), any tenant
-// starves, a light tenant stalls beside a weighted flood, or a 10x ingress
-// spike blocks a producer past 2.5 s or leaves its backlog undrained. Set
-// WFIT_BENCH_FAST=1 for a scaled-down smoke run.
+// starves, a light tenant stalls beside an 8x flood, or a 10x ingress
+// spike is never refused, blocks a producer past 2.5 s or leaves its
+// backlog undrained. Set WFIT_BENCH_FAST=1 for a scaled-down smoke run.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -145,10 +145,10 @@ RunResult RunRouter(Catalog* catalog, const Workload& workload,
   return result;
 }
 
-/// QoS skew: one heavy tenant (DRR weight 4, 8x the volume) beside three
-/// light tenants. The invariant under test: the flood must not push a
-/// light tenant's queue-wait p99 past what weighted scheduling promises —
-/// the light p99 is the gated number.
+/// Skew: one heavy tenant (8x the volume) beside three light tenants,
+/// all scheduled round-robin. The invariant under test: the flood must
+/// not push a light tenant's queue-wait p99 past what one batch per turn
+/// promises — the light p99 is the gated number.
 struct SkewResult {
   double light_p99_ms = 0.0;
   double heavy_p99_ms = 0.0;
@@ -167,7 +167,6 @@ SkewResult RunSkewed(Catalog* catalog, const Workload& workload,
   options.shard.queue_capacity = 256;
   options.shard.max_batch = 16;
   options.drain_threads = 2;  // fewer drains than tenants: contention real
-  options.tenant_qos[TenantName(0)] = service::TenantQos{.weight = 4.0};
   service::TenantRouter router(
       [&](const std::string& id) {
         size_t t = std::strtoull(id.substr(3).c_str(), nullptr, 10);
@@ -216,15 +215,18 @@ SkewResult RunSkewed(Catalog* catalog, const Workload& workload,
   return result;
 }
 
-/// Ingress-only 10x spike into a 64-deep shard queue. Producers submit
-/// with TrySubmit and retry a refusal (the server's kBusy) for at most 2 s,
-/// then give the statement up, so a producer call never blocks past 2 s.
-/// Every accepted statement must then drain.
+/// Ingress-only 10x spike into a 64-deep shard queue, analyzed at the
+/// default candidate scale so the drain falls behind the producer and the
+/// queue fills. Producers submit with TrySubmit and retry a refusal (the
+/// server's kBusy) for at most 2 s, then give the statement up, so a
+/// producer call never blocks past 2 s. Every accepted statement must
+/// then drain.
 struct SpikeResult {
   double drain_s = 0.0;  // end of the spike until the backlog is analyzed
   double max_submit_block_s = 0.0;
   uint64_t accepted = 0;
   uint64_t ingress_shed = 0;
+  uint64_t submit_rejected = 0;  // TrySubmit refusals, retried or not
   bool drained = false;
 };
 
@@ -240,7 +242,7 @@ SpikeResult RunSpike(Catalog* catalog, const Workload& workload,
         service::TenantTuner made;
         made.tuner = std::make_unique<Wfit>(env.pool.get(),
                                             env.optimizer.get(), IndexSet{},
-                                            LeanOptions());
+                                            WfitOptions{});
         return made;
       },
       options);
@@ -268,6 +270,7 @@ SpikeResult RunSpike(Catalog* catalog, const Workload& workload,
   result.drain_s =
       std::chrono::duration<double>(Clock::now() - spike_end).count();
   router.Shutdown();
+  result.submit_rejected = router.Metrics().aggregate.submit_rejected;
   return result;
 }
 
@@ -317,10 +320,10 @@ int main() {
   std::cout << "  all tenants complete " << (every_tenant_finished ? "yes" : "NO")
             << "\n  fairness >= 0.2      " << (fair ? "yes" : "NO") << "\n";
 
-  // QoS skew: a weighted heavy flood beside protected light tenants.
+  // Skew: a heavy flood beside light tenants, one batch per turn each.
   SkewResult skew =
       RunSkewed(&env.catalog(), env.workload(), fast ? 200 : 600);
-  std::cout << "\nskewed load (heavy weight 4, 8x volume):\n"
+  std::cout << "\nskewed load (heavy 8x volume, round-robin):\n"
             << "  light tenant p99     " << skew.light_p99_ms
             << " ms queue wait\n"
             << "  heavy tenant p99     " << skew.heavy_p99_ms
@@ -332,13 +335,16 @@ int main() {
   SpikeResult spike =
       RunSpike(&env.catalog(), env.workload(), fast ? 640 : 1280);
   bool producers_bounded = spike.max_submit_block_s < 2.5;
+  bool spike_refused = spike.submit_rejected > 0;
   std::cout << "\ningress spike (10x queue capacity):\n"
             << "  max submit block     " << spike.max_submit_block_s
             << " s\n"
             << "  accepted             " << spike.accepted << "\n"
-            << "  ingress shed (kBusy) " << spike.ingress_shed << "\n"
+            << "  refusals (kBusy)     " << spike.submit_rejected << "\n"
+            << "  ingress shed         " << spike.ingress_shed << "\n"
             << "  backlog drain        " << spike.drain_s << " s\n"
-            << "  producers bounded    " << (producers_bounded ? "yes" : "NO")
+            << "  spike refused        " << (spike_refused ? "yes" : "NO")
+            << "\n  producers bounded    " << (producers_bounded ? "yes" : "NO")
             << "\n  backlog drained      " << (spike.drained ? "yes" : "NO")
             << "\n";
 
@@ -349,11 +355,13 @@ int main() {
           {"tenants_aggregate_stmts_per_min", multi.aggregate_stmts_per_min},
           {"tenants_fairness_min_max_ratio", multi.fairness_min_max_ratio},
           {"tenants_single_stmts_per_min", single.aggregate_stmts_per_min},
+          // The skew phase's light-tenant p99. The key keeps its old name
+          // because tools/check_bench.py gates it under that name.
           {"qos_light_tenant_p99_ms", skew.light_p99_ms},
       });
   std::cout << "wrote BENCH_service.json\n";
   return (every_tenant_finished && fair && skew.lights_complete &&
-          spike.drained && producers_bounded)
+          spike_refused && spike.drained && producers_bounded)
              ? 0
              : 1;
 }

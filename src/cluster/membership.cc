@@ -231,23 +231,20 @@ void Membership::ProbeAndEvaluate() {
             .U64("misses", state.misses);
       }
     }
-    if (options_.auto_failover) {
-      // Acting coordinator = lowest id not dead (inline: Peers holds mu_).
-      bool coordinator = true;
-      for (const auto& [id, state] : peers_) {
-        if (state.health != NodeHealth::kDead && id < node_->node_id()) {
-          coordinator = false;
-          break;
-        }
+    // Acting coordinator = lowest id not dead (inline: Peers holds mu_).
+    bool coordinator = true;
+    for (const auto& [id, state] : peers_) {
+      if (state.health != NodeHealth::kDead && id < node_->node_id()) {
+        coordinator = false;
+        break;
       }
-      if (coordinator) {
-        for (auto& [id, state] : peers_) {
-          if (state.health == NodeHealth::kDead &&
-              !state.failover_enqueued) {
-            state.failover_enqueued = true;
-            failover_queue_.push_back(id);
-            enqueued = true;
-          }
+    }
+    if (coordinator) {
+      for (auto& [id, state] : peers_) {
+        if (state.health == NodeHealth::kDead && !state.failover_enqueued) {
+          state.failover_enqueued = true;
+          failover_queue_.push_back(id);
+          enqueued = true;
         }
       }
     }
@@ -256,33 +253,16 @@ void Membership::ProbeAndEvaluate() {
 }
 
 void Membership::OrchestratorLoop() {
-  auto last_rebalance = Clock::now();
-  const auto rebalance_every =
-      std::chrono::milliseconds(options_.rebalance_interval_ms > 0
-                                    ? options_.rebalance_interval_ms
-                                    : 250);
   while (true) {
     std::string dead;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, rebalance_every,
-                   [&] { return stop_ || !failover_queue_.empty(); });
+      cv_.wait(lock, [&] { return stop_ || !failover_queue_.empty(); });
       if (stop_) return;
-      if (!failover_queue_.empty()) {
-        dead = std::move(failover_queue_.front());
-        failover_queue_.pop_front();
-      }
+      dead = std::move(failover_queue_.front());
+      failover_queue_.pop_front();
     }
-    if (!dead.empty()) {
-      FailOverDeadNode(dead);
-      continue;
-    }
-    if (options_.rebalance_interval_ms > 0 && !rebalance_paused_ &&
-        Clock::now() - last_rebalance >= rebalance_every &&
-        IsActingCoordinator()) {
-      last_rebalance = Clock::now();
-      RebalanceOnce();
-    }
+    FailOverDeadNode(dead);
   }
 }
 
@@ -412,86 +392,6 @@ void Membership::FanOutConfig(const ClusterConfig& config) {
   for (const NodeInfo& n : config.nodes) {
     if (n.id == node_->node_id()) continue;
     (void)CallPeer(n, set, options_.rpc_timeout_ms);
-  }
-}
-
-void Membership::RebalanceOnce() {
-  const ClusterConfig config = node_->Config();
-  if (config.nodes.size() < 2) return;
-  // Load = resident PLUS persisted tenants. A tenant migrated in but not
-  // yet touched is persisted-only at its new home; counting residents
-  // alone would keep reading the target as empty and overdrain the hot
-  // node. Any unreachable node skips the round (the heartbeat path, not
-  // the rebalancer, decides who is dead).
-  struct Load {
-    NodeInfo node;
-    std::vector<std::string> tenants;
-  };
-  std::vector<Load> loads;
-  for (const NodeInfo& n : config.nodes) {
-    Load load;
-    load.node = n;
-    if (n.id == node_->node_id()) {
-      load.tenants = node_->router().ResidentTenants();
-      for (std::string& t : node_->router().PersistedTenants()) {
-        if (std::find(load.tenants.begin(), load.tenants.end(), t) ==
-            load.tenants.end()) {
-          load.tenants.push_back(std::move(t));
-        }
-      }
-      std::sort(load.tenants.begin(), load.tenants.end());
-    } else {
-      Request list;
-      list.type = MsgType::kListTenants;
-      auto resp = CallPeer(n, list, options_.rpc_timeout_ms);
-      if (!resp.ok() || resp->kind != RespKind::kOk) return;
-      load.tenants = resp->tenants;  // resident + persisted, both halves
-    }
-    loads.push_back(std::move(load));
-  }
-  auto hottest = std::max_element(
-      loads.begin(), loads.end(), [](const Load& a, const Load& b) {
-        return a.tenants.size() < b.tenants.size();
-      });
-  auto coldest = std::min_element(
-      loads.begin(), loads.end(), [](const Load& a, const Load& b) {
-        return a.tenants.size() < b.tenants.size();
-      });
-  const uint64_t spread = static_cast<uint64_t>(hottest->tenants.size() -
-                                                coldest->tenants.size());
-  if (spread <= options_.rebalance_min_spread) return;
-  // Never move past the balance point, and never more than the per-round
-  // budget: draining a hot node is a throttled background activity.
-  // MigrateTenant handles persisted-only tenants too (no eviction step,
-  // the packed tree simply changes homes).
-  uint64_t budget = std::min<uint64_t>(options_.migration_budget_per_round,
-                                       std::max<uint64_t>(spread / 2, 1));
-  for (const std::string& tenant : hottest->tenants) {
-    if (budget == 0) break;
-    Request migrate;
-    migrate.type = MsgType::kMigrate;
-    migrate.tenant = tenant;
-    migrate.target_node = coldest->node.id;
-    Status st;
-    if (hottest->node.id == node_->node_id()) {
-      st = node_->MigrateTenant(tenant, coldest->node.id);
-    } else {
-      auto resp = CallPeer(hottest->node, migrate,
-                           std::max(20000, options_.rpc_timeout_ms * 20));
-      st = !resp.ok() ? resp.status()
-           : resp->kind == RespKind::kOk
-               ? Status::Ok()
-               : Status::Internal("migrate refused: " + resp->message);
-    }
-    if (!st.ok()) return;  // try again next round
-    --budget;
-    obs::Log(obs::LogLevel::kInfo, "rebalance.moved")
-        .Str("tenant", tenant)
-        .Str("from", hottest->node.id)
-        .Str("to", coldest->node.id)
-        .U64("spread", spread);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.rebalance_migrations;
   }
 }
 

@@ -11,14 +11,16 @@
 //     but never falsely dead: as long as the peer can still reach us, it
 //     stays in the cluster.
 //
-//   * an ORCHESTRATOR thread that executes failover and rebalancing, so
-//     multi-second checkpoint I/O never stalls the probe cadence (a
-//     stalled prober would age every peer's lease at once).
+//   * an ORCHESTRATOR thread that executes failovers, so multi-second
+//     checkpoint I/O never stalls the probe cadence (a stalled prober
+//     would age every peer's lease at once). It sleeps until the
+//     heartbeat thread queues a dead peer or Shutdown wakes it.
 //
 // There is no elected leader: the ACTING COORDINATOR is simply the
 // lowest node id not currently considered dead — every node computes it
-// locally, and only the coordinator fails over, rebalances, or
-// decommissions. Heartbeats carry config versions both ways, so a node
+// locally, and only the coordinator fails over. Tenants move between
+// live nodes only when asked: a kMigrate for one tenant, or a
+// Decommission that drains one node. Heartbeats carry config versions both ways, so a node
 // that fell behind pulls the newer config on the next tick.
 //
 // FAILOVER: when a peer's lease expires, the coordinator builds the
@@ -43,7 +45,6 @@
 #ifndef WFIT_CLUSTER_MEMBERSHIP_H_
 #define WFIT_CLUSTER_MEMBERSHIP_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -75,17 +76,9 @@ struct MembershipOptions {
   int lease_ms = 600;
   /// Per-probe RPC budget; also bounds the connect.
   int rpc_timeout_ms = 250;
-  /// When false the view updates but nobody acts on a death (observers).
-  bool auto_failover = true;
   /// Root of the shared checkpoint tree; node `n` persists under
   /// <fleet_root>/<n>. Required for failover to recover tenants.
   std::string fleet_root;
-  /// 0 disables the rebalancer.
-  int rebalance_interval_ms = 0;
-  /// Rebalance only when max - min resident count exceeds this.
-  uint64_t rebalance_min_spread = 1;
-  /// Live migrations per rebalance round (drain rate limit).
-  uint64_t migration_budget_per_round = 1;
 };
 
 struct PeerView {
@@ -103,7 +96,6 @@ struct MembershipCounters {
   uint64_t failovers = 0;
   uint64_t tenants_failed_over = 0;
   uint64_t failover_errors = 0;
-  uint64_t rebalance_migrations = 0;
   uint64_t decommissions = 0;
   /// Wall-clock of the most recent failover, lease expiry -> config live.
   uint64_t last_takeover_ms = 0;
@@ -134,11 +126,6 @@ class Membership {
   /// True when this node is the lowest-id node not considered dead.
   bool IsActingCoordinator();
 
-  /// Pauses / resumes the background rebalancer (maintenance windows,
-  /// bulk loads). Failure detection and failover keep running; only
-  /// load-driven migrations stop. Running when rebalance_interval_ms > 0.
-  void SetRebalancePaused(bool paused) { rebalance_paused_ = paused; }
-
   std::vector<PeerView> Peers();
   MembershipCounters Counters();
 
@@ -157,7 +144,6 @@ class Membership {
   void ProbeAndEvaluate();
   /// Executes the takeover of a dead node (orchestrator thread).
   void FailOverDeadNode(const std::string& dead_id);
-  void RebalanceOnce();
   /// Fans `config` out to every node in it except self (best effort).
   void FanOutConfig(const ClusterConfig& config);
   StatusOr<net::Response> CallPeer(const NodeInfo& peer,
@@ -175,8 +161,6 @@ class Membership {
   std::string pull_config_from_;
   std::deque<std::string> failover_queue_;
   MembershipCounters counters_;
-
-  std::atomic<bool> rebalance_paused_{false};
 
   std::thread hb_thread_;
   std::thread orch_thread_;

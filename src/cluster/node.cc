@@ -109,24 +109,9 @@ ClusterConfig TunerNode::Config() const {
 }
 
 void TunerNode::InstallConfig(ClusterConfig config) {
-  std::map<std::string, service::TenantQos> qos_updates;
-  {
-    std::lock_guard<std::mutex> lock(config_mu_);
-    if (config.version <= config_.version) return;
-    config_ = std::move(config);
-    qos_updates = config_.tenant_qos;
-  }
-  // QoS classes ride the config so every node schedules a tenant the
-  // same way wherever it lands; applied outside config_mu_ (the router
-  // has its own lock and never calls back into the node).
-  for (const auto& [tenant, qos] : qos_updates) {
-    Status st = router_->SetTenantQos(tenant, qos);
-    if (!st.ok()) {
-      obs::Log(obs::LogLevel::kWarn, "node.qos_rejected")
-          .Str("tenant", tenant)
-          .Str("error", st.ToString());
-    }
-  }
+  std::lock_guard<std::mutex> lock(config_mu_);
+  if (config.version <= config_.version) return;
+  config_ = std::move(config);
 }
 
 bool TunerNode::CheckOwnership(const std::string& tenant,
@@ -197,8 +182,6 @@ std::string TunerNode::ScrapeText() {
                 "Dead-node takeovers executed by this node");
     NodeCounter(os, "tenants_failed_over_total", mc.tenants_failed_over,
                 "Tenants re-placed by failover");
-    NodeCounter(os, "rebalance_migrations_total", mc.rebalance_migrations,
-                "Tenants moved by the rebalancer");
     NodeCounter(os, "failover_errors_total", mc.failover_errors,
                 "Failover steps that failed and were retried or skipped");
     NodeCounter(os, "decommissions_total", mc.decommissions,
@@ -238,7 +221,6 @@ obs::NodeHealthReport TunerNode::BuildHealthReport() {
     const MembershipCounters mc = membership_->Counters();
     report.failovers = mc.failovers;
     report.tenants_failed_over = mc.tenants_failed_over;
-    report.rebalance_migrations = mc.rebalance_migrations;
     report.decommissions = mc.decommissions;
     report.last_takeover_ms = mc.last_takeover_ms;
     report.heartbeats_sent = mc.heartbeats_sent;
@@ -327,7 +309,7 @@ Response TunerNode::HandleFast(const Request& req) {
     case MsgType::kListTenants:
       // Union of live and persisted: resident tenants first (sorted),
       // persisted-only after (sorted), with `count` = the resident
-      // prefix so the rebalancer reads load from one RPC.
+      // prefix so a caller reads both halves from one RPC.
       resp.tenants = router_->ResidentTenants();
       std::sort(resp.tenants.begin(), resp.tenants.end());
       resp.count = resp.tenants.size();

@@ -74,21 +74,6 @@ std::string EncodeClusterConfig(const ClusterConfig& config) {
     e.PutString(tenant);
     e.PutString(node);
   }
-  // QoS trailer, emitted only when present so configs without QoS stay
-  // byte-identical to the pre-QoS encoding (version compares rely on it).
-  // Three retired slots (a u64 and two doubles; the last was the
-  // overload sample_floor) keep the layout older nodes read; they are
-  // always written as zero.
-  if (!config.tenant_qos.empty()) {
-    e.PutU32(static_cast<uint32_t>(config.tenant_qos.size()));
-    for (const auto& [tenant, qos] : config.tenant_qos) {
-      e.PutString(tenant);
-      e.PutDouble(qos.weight);
-      e.PutU64(0);
-      e.PutDouble(0.0);
-      e.PutDouble(0.0);
-    }
-  }
   return e.Release();
 }
 
@@ -118,29 +103,6 @@ Status DecodeClusterConfig(std::string_view blob, ClusterConfig* out) {
     WFIT_RETURN_IF_ERROR(d.GetString(&tenant));
     WFIT_RETURN_IF_ERROR(d.GetString(&node));
     out->overrides.emplace(std::move(tenant), std::move(node));
-  }
-  out->tenant_qos.clear();
-  if (!d.done()) {
-    uint32_t qos_count = 0;
-    WFIT_RETURN_IF_ERROR(d.GetU32(&qos_count));
-    for (uint32_t i = 0; i < qos_count; ++i) {
-      std::string tenant;
-      service::TenantQos qos;
-      uint64_t retired_u64 = 0;
-      double retired_double = 0.0;
-      WFIT_RETURN_IF_ERROR(d.GetString(&tenant));
-      WFIT_RETURN_IF_ERROR(d.GetDouble(&qos.weight));
-      // The retired slots: whatever an older writer put there is dropped.
-      WFIT_RETURN_IF_ERROR(d.GetU64(&retired_u64));
-      WFIT_RETURN_IF_ERROR(d.GetDouble(&retired_double));
-      WFIT_RETURN_IF_ERROR(d.GetDouble(&retired_double));
-      // A config that passes here installs through SetTenantQos cleanly.
-      Status valid = service::ValidateTenantQos(qos);
-      if (!valid.ok()) {
-        return Status::InvalidArgument("cluster config: " + valid.message());
-      }
-      out->tenant_qos.emplace(std::move(tenant), qos);
-    }
   }
   if (!d.done()) {
     return Status::InvalidArgument("cluster config: trailing bytes");

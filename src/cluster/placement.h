@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
-#include "service/tenant_router.h"
 
 namespace wfit::cluster {
 
@@ -38,11 +38,6 @@ struct ClusterConfig {
   /// migrations; an override naming an unknown node is ignored (falls
   /// back to the hash) so a stale override cannot strand a tenant.
   std::map<std::string, std::string> overrides;
-  /// tenant id -> QoS class (DRR weight), distributed with the config so
-  /// every node schedules a migrated tenant identically. Encoded as an
-  /// optional trailer: a config without QoS entries round-trips
-  /// byte-identically with the pre-QoS codec.
-  std::map<std::string, service::TenantQos> tenant_qos;
 
   const NodeInfo* FindNode(const std::string& id) const;
   void Normalize();  // sort nodes by id

@@ -124,8 +124,8 @@ struct Response {
   uint64_t version = 0;     // recommendation publication version
   std::string text;         // kScrapeMetrics / kGetConfig / kPing echo
   // kListTenants: resident tenants first (sorted), then persisted-only
-  // tenants (sorted); `count` holds the resident prefix length so the
-  // rebalancer can read load without a second RPC.
+  // tenants (sorted); `count` holds the resident prefix length so a
+  // caller reads both halves from one RPC.
   std::vector<std::string> tenants;
   std::vector<IndexSet> history;      // kGetHistory
   uint64_t history_start = 0;         // kGetHistory

@@ -117,7 +117,6 @@ std::string EncodeHealthJson(const NodeHealthReport& r) {
   AppendU64("admin_shed_total", r.admin_shed_total, &first, &out);
   AppendU64("failovers", r.failovers, &first, &out);
   AppendU64("tenants_failed_over", r.tenants_failed_over, &first, &out);
-  AppendU64("rebalance_migrations", r.rebalance_migrations, &first, &out);
   AppendU64("decommissions", r.decommissions, &first, &out);
   AppendU64("last_takeover_ms", r.last_takeover_ms, &first, &out);
   AppendU64("heartbeats_sent", r.heartbeats_sent, &first, &out);
@@ -157,7 +156,6 @@ bool DecodeHealthJson(const std::string& text, NodeHealthReport* out) {
   r.admin_shed_total = U64At(text, "admin_shed_total", 0);
   r.failovers = U64At(text, "failovers", 0);
   r.tenants_failed_over = U64At(text, "tenants_failed_over", 0);
-  r.rebalance_migrations = U64At(text, "rebalance_migrations", 0);
   r.decommissions = U64At(text, "decommissions", 0);
   r.last_takeover_ms = U64At(text, "last_takeover_ms", 0);
   r.heartbeats_sent = U64At(text, "heartbeats_sent", 0);

@@ -41,7 +41,6 @@ struct NodeHealthReport {
   // Membership / self-healing.
   uint64_t failovers = 0;
   uint64_t tenants_failed_over = 0;
-  uint64_t rebalance_migrations = 0;
   uint64_t decommissions = 0;
   uint64_t last_takeover_ms = 0;
   uint64_t heartbeats_sent = 0;

@@ -1,8 +1,5 @@
 #include "service/tenant_router.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "common/check.h"
@@ -27,22 +24,6 @@ void RouterGauge(std::ostream& os, const char* name, uint64_t v,
      << "wfit_router_" << name << " " << v << "\n";
 }
 
-/// One per-tenant labelled gauge family under the wfit_router_qos_ prefix.
-template <typename ValueFn>
-void QosFamily(const RouterMetricsSnapshot& s, std::ostream& os,
-               const char* name, const char* help, ValueFn value) {
-  os << "# HELP wfit_router_qos_" << name << " " << help << "\n"
-     << "# TYPE wfit_router_qos_" << name << " gauge\n";
-  for (const TenantMetricsEntry& t : s.tenants) {
-    os << "wfit_router_qos_" << name << "{tenant=\""
-       << EscapeLabelValue(t.id) << "\"} " << value(t) << "\n";
-  }
-}
-
-/// Largest accepted tenant QoS weight: its DRR quantum (weight × the
-/// shard's max_batch) must stay far inside size_t.
-constexpr double kMaxQosWeight = 1e6;
-
 bool IsAccepted(PushAtResult result) {
   return result == PushAtResult::kAccepted;
 }
@@ -50,13 +31,6 @@ bool IsAccepted(PushAtResult result) {
 bool IsTrue(bool ok) { return ok; }
 
 }  // namespace
-
-Status ValidateTenantQos(const TenantQos& qos) {
-  if (!(qos.weight > 0.0 && qos.weight <= kMaxQosWeight)) {
-    return Status::InvalidArgument("qos weight outside (0, 1e6]");
-  }
-  return Status::Ok();
-}
 
 void ExportRouterText(const RouterMetricsSnapshot& s, std::ostream& os) {
   // Aggregate rollup first (the familiar wfit_service_* families), then
@@ -92,11 +66,6 @@ void ExportRouterText(const RouterMetricsSnapshot& s, std::ostream& os) {
   RouterCounter(os, "empty_turns_total", s.empty_turns,
                 "Scheduler turns that drained nothing (shard idled, not "
                 "re-queued)");
-  QosFamily(s, os, "weight", "DRR weight of the tenant's QoS class",
-            [](const TenantMetricsEntry& t) { return t.qos_weight; });
-  QosFamily(s, os, "deficit",
-            "Unspent DRR credit (statements) of the tenant's shard",
-            [](const TenantMetricsEntry& t) { return t.drr_deficit; });
 }
 
 std::string ExportRouterText(const RouterMetricsSnapshot& snapshot) {
@@ -111,12 +80,6 @@ TenantRouter::TenantRouter(TunerFactory factory, TenantRouterOptions options)
   WFIT_CHECK(options_.shard.checkpoint_dir.empty(),
              "per-tenant checkpoint directories are derived from "
              "checkpoint_root; shard.checkpoint_dir must be empty");
-  // Options are programmer input: an out-of-range class is a bug, not a
-  // request to reject (SetTenantQos is the runtime path that returns it).
-  for (const auto& [id, qos] : options_.tenant_qos) {
-    Status valid = ValidateTenantQos(qos);
-    WFIT_CHECK(valid.ok(), "tenant_qos[" + id + "]: " + valid.message());
-  }
 }
 
 TenantRouter::~TenantRouter() { Shutdown(); }
@@ -186,19 +149,15 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
     if (stopping_ && !admit_while_stopping) return nullptr;
     auto tenant = std::make_unique<Tenant>();
     tenant->id = id;
-    auto qos_it = options_.tenant_qos.find(id);
-    if (qos_it != options_.tenant_qos.end()) tenant->qos = qos_it->second;
     it = tenants_.emplace(id, std::move(tenant)).first;
   }
   Tenant* t = it->second.get();
-  t->last_active = ++activity_clock_;
   if (t->service != nullptr) return t;
   // A shard admitted after Shutdown began would never be scheduled.
   if (stopping_ && !admit_while_stopping) return nullptr;
 
-  // Lazy (re-)admission: make room, build the tuner, recover the tenant's
-  // checkpoint directory, and re-register votes carried over the eviction.
-  EnsureCapacityLocked();
+  // Lazy (re-)admission: build the tuner, recover the tenant's checkpoint
+  // directory, and re-register votes carried over the eviction.
   TenantTuner made = factory_(id);
   if (made.tuner == nullptr) {
     obs::Log(obs::LogLevel::kError, "router.factory_failed").Str("tenant", id);
@@ -263,32 +222,6 @@ TenantRouter::Tenant* TenantRouter::GetOrAdmitLocked(
   return t;
 }
 
-void TenantRouter::EnsureCapacityLocked() {
-  // Best-effort: only idle shards can be closed losslessly, and without a
-  // checkpoint root eviction would lose state, so the bound is advisory
-  // when every resident shard is busy. During Shutdown's carried-vote
-  // flush the bound is moot (everything closes in a moment anyway) and
-  // evicting mid-iteration would churn.
-  if (options_.checkpoint_root.empty() || stopping_ ||
-      options_.max_resident_tenants == 0) {
-    return;
-  }
-  while (resident_count_ >= options_.max_resident_tenants) {
-    Tenant* victim = nullptr;
-    for (auto& [id, tenant] : tenants_) {
-      Tenant* t = tenant.get();
-      if (t->service == nullptr || t->sched != Tenant::Sched::kIdle ||
-          t->refs != 0 || t->service->QueueDepth() != 0) {
-        continue;
-      }
-      if (victim == nullptr || t->last_active < victim->last_active) {
-        victim = t;
-      }
-    }
-    if (victim == nullptr || !EvictLocked(victim)) break;
-  }
-}
-
 bool TenantRouter::EvictLocked(Tenant* t) {
   if (t->service == nullptr || t->sched != Tenant::Sched::kIdle ||
       t->refs != 0 || t->service->QueueDepth() != 0 ||
@@ -330,71 +263,25 @@ void TenantRouter::NotifyReadyLocked(Tenant* t) {
   }
 }
 
-void TenantRouter::FinishTurnLocked(Tenant* t) {
-  t->last_active = ++activity_clock_;
-  if (t->service != nullptr && t->service->HasDeliverableWork()) {
-    // Tail of the ready ring: deficit round-robin across backlogged
-    // shards — residual credit persists until the shard's next turn.
+void TenantRouter::RunTurn(Tenant* t) {
+  // The shard is kRunning: this thread owns its drain exclusively, so
+  // ProcessBatch needs no router lock.
+  const size_t drained = t->service->ProcessBatch();
+  std::lock_guard<std::mutex> lock(mu_);
+  // A turn that drained nothing found its work gone between scheduling
+  // and the turn (e.g. an intake closed under a racing shutdown): count it
+  // and idle the shard rather than re-queue a shard that cannot drain.
+  if (drained == 0) ++empty_turns_;
+  if (drained > 0 && t->service->HasDeliverableWork()) {
+    // Tail of the ready ring: round-robin across backlogged shards.
     t->sched = Tenant::Sched::kReady;
     ready_.push_back(t);
   } else {
     t->sched = Tenant::Sched::kIdle;
-    // An empty queue earns no credit (the DRR idleness rule): a tenant
-    // cannot bank scheduling share while it has nothing to drain.
-    t->deficit = 0.0;
   }
   // Wakes both drain threads (more work) and a Shutdown waiting for the
   // last in-flight turn to leave kRunning.
   ready_cv_.notify_all();
-}
-
-double TenantRouter::QuantumLocked(const Tenant* t) const {
-  const double max_batch = static_cast<double>(options_.shard.max_batch);
-  return std::max(1.0, std::round(t->qos.weight * max_batch));
-}
-
-double TenantRouter::BeginTurnLocked(Tenant* t) {
-  const double quantum = QuantumLocked(t);
-  // Cap the accumulated credit at one quantum plus the residual of a
-  // partially spent turn, so a long-idle ready shard cannot burst
-  // arbitrarily far past its proportional share.
-  return std::min(t->deficit + quantum,
-                  quantum + static_cast<double>(options_.shard.max_batch));
-}
-
-size_t TenantRouter::RunTurn(Tenant* t, double* deficit) {
-  // The shard is kRunning: this thread owns its drain exclusively, so
-  // ProcessBatch needs no router lock. Each inner batch is bounded by
-  // max_batch (the service clamps) and by the remaining deficit, so a
-  // heavy tenant's turn drains several batches while a light tenant's
-  // drains a fraction — proportional share at statement granularity.
-  size_t drained = 0;
-  while (*deficit >= 1.0) {
-    const size_t allowed = static_cast<size_t>(*deficit);
-    const size_t n = t->service->ProcessBatch(allowed);
-    if (n == 0) break;  // ran dry (or the work vanished) — no spin
-    drained += n;
-    *deficit -= static_cast<double>(n);
-    if (!t->service->HasDeliverableWork()) break;
-  }
-  return drained;
-}
-
-void TenantRouter::EndTurn(Tenant* t, double deficit, size_t drained) {
-  std::lock_guard<std::mutex> lock(mu_);
-  t->deficit = deficit;
-  if (drained == 0) {
-    // The deliverable work vanished between scheduling and the turn (e.g.
-    // an intake closed under a racing shutdown): count it and idle the
-    // shard rather than re-queueing a shard that cannot drain.
-    ++empty_turns_;
-    t->last_active = ++activity_clock_;
-    t->sched = Tenant::Sched::kIdle;
-    t->deficit = 0.0;
-    ready_cv_.notify_all();
-    return;
-  }
-  FinishTurnLocked(t);
 }
 
 TenantRouter::Tenant* TenantRouter::NextReadyLocked() {
@@ -408,32 +295,26 @@ TenantRouter::Tenant* TenantRouter::NextReadyLocked() {
 void TenantRouter::DrainLoop() {
   while (true) {
     Tenant* t = nullptr;
-    double deficit = 0.0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       ready_cv_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
       if (stopping_) return;  // Shutdown drains shards inline afterwards
       t = NextReadyLocked();
       if (t == nullptr) continue;
-      deficit = BeginTurnLocked(t);
     }
-    size_t drained = RunTurn(t, &deficit);
-    EndTurn(t, deficit, drained);
+    RunTurn(t);
   }
 }
 
 std::string TenantRouter::DrainOne() {
   Tenant* t = nullptr;
-  double deficit = 0.0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return "";
     t = NextReadyLocked();
     if (t == nullptr) return "";
-    deficit = BeginTurnLocked(t);
   }
-  size_t drained = RunTurn(t, &deficit);
-  EndTurn(t, deficit, drained);
+  RunTurn(t);
   return t->id;
 }
 
@@ -486,26 +367,6 @@ PushAtResult TenantRouter::TrySubmitAt(const std::string& tenant,
       tenant, PushAtResult::kClosed,
       [&](TunerService* s) { return s->TrySubmitAt(seq, std::move(stmt)); },
       IsAccepted);
-}
-
-Status TenantRouter::SetTenantQos(const std::string& tenant,
-                                  TenantQos qos) {
-  WFIT_RETURN_IF_ERROR(ValidateTenantQos(qos));
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.tenant_qos[tenant] = qos;
-  auto it = tenants_.find(tenant);
-  // The weight acts at the next BeginTurnLocked; the sampling floor binds
-  // at (re-)admission.
-  if (it != tenants_.end()) it->second->qos = qos;
-  return Status::Ok();
-}
-
-TenantQos TenantRouter::GetTenantQos(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenants_.find(tenant);
-  if (it != tenants_.end()) return it->second->qos;
-  auto qos_it = options_.tenant_qos.find(tenant);
-  return qos_it != options_.tenant_qos.end() ? qos_it->second : TenantQos{};
 }
 
 void TenantRouter::Feedback(const std::string& tenant, IndexSet f_plus,
@@ -669,8 +530,6 @@ RouterMetricsSnapshot TenantRouter::Metrics() const {
       entry.resident = true;
     }
     entry.evictions = tenant->evictions;
-    entry.qos_weight = tenant->qos.weight;
-    entry.drr_deficit = tenant->deficit;
     AccumulateCounters(&s.aggregate, entry.service);
     s.tenants.push_back(std::move(entry));
   }

@@ -10,21 +10,23 @@
 //                     (round-robin across ready shards; each batch is
 //                      analyzed serially on the draining thread)
 //
-// Scheduling is round-robin at batch granularity: a shard that still has
-// deliverable work after its turn re-enters the ready ring at the TAIL, so
-// with R backlogged shards every one of them is served again within R
-// turns — one hot tenant can never starve the rest (starvation-freedom is
-// proven deterministically in tenant_router_test via DrainOne).
+// Scheduling is round-robin at batch granularity: a turn is one
+// ProcessBatch (at most the shard's max_batch statements), and a shard
+// that still has deliverable work after its turn re-enters the ready ring
+// at the TAIL. With R backlogged shards every one of them is served again
+// within R turns, so one hot tenant can never starve the rest
+// (starvation-freedom is proven deterministically in tenant_router_test
+// via DrainOne). Scheduling only interleaves tenants; it never changes
+// any tenant's recommendation trajectory.
 //
 // Shards are created lazily by a tuner-factory callback the first time a
-// tenant is routed. Under a configurable bound on the resident tenant
-// count the router evicts least-recently-active idle shards with a
-// checkpoint-then-close lifecycle: the shard takes a final state
-// snapshot, votes keyed to future statements are carried over, and the
-// next touch re-admits the tenant by recovering that checkpoint — so
-// eviction is lossless and the tenant's recommendation trajectory is
-// bit-for-bit the one a dedicated, never-evicted TunerService would have
-// produced.
+// tenant is routed. Evict and EvictIdle (the kDrain RPC, and the
+// migration handoff) close an idle shard with a checkpoint-then-close
+// lifecycle: the shard takes a final state snapshot, votes keyed to
+// future statements are carried over, and the next touch re-admits the
+// tenant by recovering that checkpoint — so eviction is lossless and the
+// tenant's recommendation trajectory is bit-for-bit the one a dedicated,
+// never-evicted TunerService would have produced.
 //
 // Every tenant's counters are exported as labelled Prometheus series
 // (`wfit_tenant_*{tenant="..."}`) under one registry, with aggregate
@@ -86,26 +88,6 @@ struct PinnedVote {
 using VoteRepinner = std::function<std::vector<PinnedVote>(
     const std::string& tenant_id, const RecoveryStats& recovery)>;
 
-/// Per-tenant QoS class for the weighted deficit-round-robin scheduler.
-/// Scheduling is DRR at statement granularity: every turn a backlogged
-/// shard's deficit grows by its quantum (weight × shard max_batch) and the
-/// turn drains batches until the deficit is spent, so over any backlogged
-/// interval tenants drain in proportion to their weights. The default
-/// (weight 1) reproduces one-batch-per-turn round-robin exactly —
-/// per-tenant analysis trajectories are untouched by scheduling either
-/// way, since DRR only reorders across tenants. A tenant without an entry
-/// in TenantRouterOptions::tenant_qos gets TenantQos{}.
-struct TenantQos {
-  /// Relative drain share. Quantum per turn =
-  /// max(1, round(weight × shard.max_batch)).
-  double weight = 1.0;
-};
-
-/// The range the router relies on: the weight scales the DRR quantum
-/// (converted to size_t) and must lie in (0, 1e6]. InvalidArgument
-/// otherwise.
-Status ValidateTenantQos(const TenantQos& qos);
-
 struct TenantRouterOptions {
   /// Per-shard template (queue capacity, max_batch, history, checkpoint
   /// cadence...). checkpoint_dir must be empty — per-tenant directories
@@ -119,15 +101,8 @@ struct TenantRouterOptions {
   /// embedder steps the scheduler manually via DrainOne (tests, or an
   /// external event loop).
   size_t drain_threads = 1;
-  /// Evict least-recently-active idle shards so at most this many tenants
-  /// are resident. 0 = unbounded.
-  size_t max_resident_tenants = 0;
   /// Optional crash-safe vote re-registration hook (see VoteRepinner).
   VoteRepinner repin;
-  /// Per-tenant QoS classes (weight, sampling floor); every entry must
-  /// pass ValidateTenantQos (checked at construction). Mutable at runtime
-  /// via SetTenantQos.
-  std::map<std::string, TenantQos> tenant_qos;
 };
 
 /// Per-tenant slice of RouterMetricsSnapshot. `service` is merged across
@@ -138,9 +113,6 @@ struct TenantMetricsEntry {
   MetricsSnapshot service;
   uint64_t evictions = 0;
   bool resident = false;
-  // Effective QoS class and scheduler state (wfit_router_qos_* series).
-  double qos_weight = 1.0;
-  double drr_deficit = 0.0;
 };
 
 struct RouterMetricsSnapshot {
@@ -204,15 +176,6 @@ class TenantRouter {
   /// shut down or admission failed.
   PushAtResult TrySubmitAt(const std::string& tenant, uint64_t seq,
                            Statement stmt);
-
-  /// Replaces the tenant's QoS class. The weight takes effect at the
-  /// shard's next scheduler turn; the sampling floor configures the shard
-  /// service and takes effect at its next (re-)admission. A class that
-  /// fails ValidateTenantQos is rejected with its InvalidArgument and
-  /// nothing is installed.
-  Status SetTenantQos(const std::string& tenant, TenantQos qos);
-  /// The tenant's effective QoS class (TenantQos{} when never set).
-  TenantQos GetTenantQos(const std::string& tenant) const;
 
   /// DBA votes, routed by tenant (see TunerService::Feedback*).
   void Feedback(const std::string& tenant, IndexSet f_plus,
@@ -305,7 +268,6 @@ class TenantRouter {
     /// In-flight routed calls (and Shutdown's drain) holding `service`
     /// outside the router lock; eviction requires 0.
     int refs = 0;
-    uint64_t last_active = 0;  // logical LRU stamp
     uint64_t evictions = 0;
     /// Carried across incarnations.
     MetricsSnapshot retired;
@@ -315,43 +277,22 @@ class TenantRouter {
     /// Sequence of the first local history entry (set at first admission).
     uint64_t history_start = 0;
     bool history_start_set = false;
-    /// Effective QoS class (options.tenant_qos entry; SetTenantQos).
-    TenantQos qos;
-    /// DRR credit in statements. Grows by the quantum at each turn, spent
-    /// by draining; residual (< 1) persists while backlogged, reset when
-    /// the shard idles (an empty queue earns no credit).
-    double deficit = 0.0;
   };
 
-
-  /// Finds or lazily admits the tenant; may evict others to make room.
-  /// After Shutdown has begun, admission is refused (a freshly admitted
-  /// shard would never be scheduled) unless `admit_while_stopping` — the
-  /// override Shutdown itself uses to flush carried votes. Returns null
-  /// when admission failed or was refused. Lock held.
+  /// Finds or lazily admits the tenant. After Shutdown has begun,
+  /// admission is refused (a freshly admitted shard would never be
+  /// scheduled) unless `admit_while_stopping` — the override Shutdown
+  /// itself uses to flush carried votes. Returns null when admission
+  /// failed or was refused. Lock held.
   Tenant* GetOrAdmitLocked(const std::string& id,
                            bool admit_while_stopping = false);
-  /// Evicts LRU idle shards until the shard about to be admitted fits
-  /// under max_resident_tenants.
-  void EnsureCapacityLocked();
   /// Checkpoint-then-close; requires an idle shard. Lock held.
   bool EvictLocked(Tenant* t);
-  /// Re-queues the shard after a drain turn (or idles it, resetting its
-  /// deficit). Lock held.
-  void FinishTurnLocked(Tenant* t);
-  /// The tenant's quantum in statements: max(1, round(weight×max_batch)).
-  double QuantumLocked(const Tenant* t) const;
-  /// Charges the turn's quantum and returns the turn's credit, copied
-  /// under the lock so the drain runs lock-free against SetTenantQos.
-  /// Lock held.
-  double BeginTurnLocked(Tenant* t);
-  /// Runs the DRR turn against the running shard (lock NOT held): drains
-  /// batches until the credit is spent or the shard runs dry. Returns
-  /// statements drained; the residual credit is left in `*deficit`.
-  size_t RunTurn(Tenant* t, double* deficit);
-  /// Writes the residual deficit back and re-queues or idles the shard;
-  /// a zero-drain turn is counted and never re-queued. Lock taken inside.
-  void EndTurn(Tenant* t, double deficit, size_t drained);
+  /// Runs one turn on a shard NextReadyLocked marked running: one
+  /// ProcessBatch with the router lock released, then the shard re-enters
+  /// the ready ring at the tail if it still has deliverable work, or
+  /// idles. A turn that drained nothing is counted and never re-queued.
+  void RunTurn(Tenant* t);
   /// Schedules the shard if it has deliverable work. Lock held.
   void NotifyReadyLocked(Tenant* t);
   void DrainLoop();
@@ -376,7 +317,6 @@ class TenantRouter {
   std::vector<std::thread> drain_threads_;
   bool started_ = false;
   bool stopping_ = false;
-  uint64_t activity_clock_ = 0;
   uint64_t admissions_ = 0;
   uint64_t evictions_ = 0;
   uint64_t resident_count_ = 0;

@@ -5,8 +5,7 @@
 // produced from the last durable boundary. Failover moves ONLY the dead
 // node's tenants; a one-way partition makes a peer suspect but never
 // falsely dead; the whole stack survives a deterministic fault-injection
-// soak; the rebalancer drains a hot node to balance and stops; and
-// decommission moves only the leaving node's tenants.
+// soak; and decommission moves only the leaving node's tenants.
 #include "cluster/membership.h"
 
 #include <gtest/gtest.h>
@@ -397,64 +396,7 @@ TEST(ClusterFailoverTest, ChaosSoakKeepsTrajectoryIdentical) {
   fleet.Shutdown();
 }
 
-// --- 5. The rebalancer drains a hot node to balance, then stops. ---
-
-TEST(ClusterFailoverTest, RebalancerDrainsHotNodeAndConverges) {
-  MembershipOptions membership;
-  membership.heartbeat_interval_ms = 50;
-  membership.suspect_after_misses = 3;
-  membership.lease_ms = 3000;  // migration I/O must not read as death
-  membership.rpc_timeout_ms = 250;
-  membership.rebalance_interval_ms = 100;
-  membership.rebalance_min_spread = 1;
-  membership.migration_budget_per_round = 1;
-  Fleet fleet("rebalance", kShortWorkload, {"a", "b"}, membership,
-              {{"tenant-0", "a"},
-               {"tenant-1", "a"},
-               {"tenant-2", "a"},
-               {"tenant-3", "a"}});
-
-  // Load all four tenants onto `a` with rebalancing paused — otherwise
-  // the drain races the replays and the 4/0 starting point never exists.
-  for (auto& node : fleet.nodes) {
-    node->membership()->SetRebalancePaused(true);
-  }
-  for (size_t t = 0; t < 4; ++t) {
-    ClusterClient client = MakeClient(fleet, 300 + t);
-    ASSERT_TRUE(ReplayTenantWorkload(client, *fleet.env, t, false, 60000))
-        << "tenant-" << t;
-  }
-  TunerNode& a = fleet.Node("a");
-  TunerNode& b = fleet.Node("b");
-  ASSERT_EQ(TenantsAt(a).size(), 4u);
-  ASSERT_TRUE(TenantsAt(b).empty());
-  for (auto& node : fleet.nodes) {
-    node->membership()->SetRebalancePaused(false);
-  }
-
-  // 4/0 must drain to 2/2: one migration per round until the spread is
-  // within rebalance_min_spread, and not a single tenant further.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while ((TenantsAt(a).size() != 2 || TenantsAt(b).size() != 2) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  EXPECT_EQ(TenantsAt(a).size(), 2u);
-  EXPECT_EQ(TenantsAt(b).size(), 2u);
-  EXPECT_GE(a.membership()->Counters().rebalance_migrations, 2u);
-
-  // Converged: a few more rebalance rounds change nothing.
-  const uint64_t settled =
-      a.membership()->Counters().rebalance_migrations;
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  EXPECT_EQ(a.membership()->Counters().rebalance_migrations, settled);
-  EXPECT_EQ(TenantsAt(a).size(), 2u);
-  EXPECT_EQ(TenantsAt(b).size(), 2u);
-  fleet.Shutdown();
-}
-
-// --- 6. Decommission drains ONLY the leaving node, which stays alive ---
+// --- 5. Decommission drains ONLY the leaving node, which stays alive ---
 // --- (empty) until the operator shuts it down.                       ---
 
 TEST(ClusterFailoverTest, DecommissionMovesOnlyLeavingNodesTenants) {

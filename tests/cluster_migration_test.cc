@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +25,7 @@
 #include "obs/health.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "persist/codec.h"
 
 namespace fs = std::filesystem;
 
@@ -325,40 +325,33 @@ TEST(ClusterMigrationTest, FailedHandoffRevertsAndStaysConsistent) {
   cluster.Shutdown();
 }
 
-// The fleet health plane against a live two-node cluster: kGetHealth
-// reports decode for every node, the merged fleet scrape carries
-// node="..." labels with one header per family, and a trace id stamped
-// by the client at submit time comes back out of kDumpTrace attached to
-// the node-side spans (wire propagation end to end).
-TEST(ClusterConfigTest, HostileQosSetConfigIsRejectedAndTenantServes) {
-  // A kSetConfig whose tenant QoS the shard cannot run with (a zero
-  // weight never earns DRR credit; an infinite weight overflows the DRR
-  // quantum) must be refused at the wire, before anything is installed.
-  TwoNodeCluster cluster("hostile_qos");
+TEST(ClusterConfigTest, RetiredQosSetConfigIsRefusedAndTenantServes) {
+  // Older builds appended a tenant QoS trailer (count, tenant, weight and
+  // three retired slots) after the overrides. This build has no QoS
+  // classes, so a kSetConfig carrying one must be refused at the wire,
+  // before anything is installed.
+  TwoNodeCluster cluster("retired_qos");
   ClusterClient client(cluster.config);
   TunerNode& owner = cluster.Owner();
   const std::string owner_id = OwnerOf(cluster.config, kTenant)->id;
-  // The zero weight goes last: were it installed, it would be the QoS in
-  // force when the tenant is admitted below.
-  std::vector<service::TenantQos> hostile = {
-      {.weight = std::numeric_limits<double>::infinity()},
-      {.weight = 1e300},
-      {.weight = 0.0},
-  };
-  for (size_t i = 0; i < hostile.size(); ++i) {
-    ClusterConfig bad = cluster.config;
-    bad.version = cluster.config.version + 1 + i;
-    bad.tenant_qos[kTenant] = hostile[i];
-    net::Request set;
-    set.type = net::MsgType::kSetConfig;
-    set.config_blob = EncodeClusterConfig(bad);
-    auto resp = client.CallNode(owner_id, std::move(set));
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    EXPECT_EQ(resp->kind, net::RespKind::kError) << "case " << i;
-    EXPECT_EQ(resp->code, StatusCode::kInvalidArgument) << "case " << i;
-    EXPECT_EQ(owner.Config().version, cluster.config.version)
-        << "case " << i << " installed a rejected config";
-  }
+  ClusterConfig next = cluster.config;
+  next.version = cluster.config.version + 1;
+  persist::Encoder trailer;
+  trailer.PutU32(1);
+  trailer.PutString(kTenant);
+  trailer.PutDouble(4.0);
+  trailer.PutU64(0);
+  trailer.PutDouble(0.0);
+  trailer.PutDouble(0.0);
+  net::Request set;
+  set.type = net::MsgType::kSetConfig;
+  set.config_blob = EncodeClusterConfig(next) + trailer.Release();
+  auto set_resp = client.CallNode(owner_id, std::move(set));
+  ASSERT_TRUE(set_resp.ok()) << set_resp.status().ToString();
+  EXPECT_EQ(set_resp->kind, net::RespKind::kError);
+  EXPECT_EQ(set_resp->code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(owner.Config().version, cluster.config.version)
+      << "a refused config was installed";
 
   // The tenant is first admitted only now, under the config the node
   // kept: it must come up and analyze.
@@ -386,6 +379,11 @@ TEST(ClusterConfigTest, HostileQosSetConfigIsRejectedAndTenantServes) {
   cluster.Shutdown();
 }
 
+// The fleet health plane against a live two-node cluster: kGetHealth
+// reports decode for every node, the merged fleet scrape carries
+// node="..." labels with one header per family, and a trace id stamped
+// by the client at submit time comes back out of kDumpTrace attached to
+// the node-side spans (wire propagation end to end).
 TEST(ClusterHealthTest, HealthScrapeAndTracePlane) {
   TwoNodeCluster cluster("health");
 #ifndef WFIT_DISABLE_TRACING

@@ -542,9 +542,10 @@ TEST(DecoderFuzzTest, DecodeClusterConfig) {
   config.nodes = {{"a", "10.0.0.1", 7601},
                   {"b", "10.0.0.2", 7602},
                   {"c", "host-c", 65535}};
-  config.overrides = {{"tenant-1", "b"}, {"tenant-2", "c"}};
-  config.tenant_qos["tenant-1"] = {.weight = 4.0};
-  config.tenant_qos["tenant-3"] = {.weight = 0.5};
+  config.overrides = {{"tenant-1", "b"},
+                      {"tenant-2", "c"},
+                      {"tenant-3", "a"},
+                      {"tenant with spaces / slashes", "b"}};
   config.Normalize();
   const std::string seed = cluster::EncodeClusterConfig(config);
   Sweep(
@@ -553,11 +554,7 @@ TEST(DecoderFuzzTest, DecodeClusterConfig) {
       [&](const MutatedCase& c) {
         cluster::ClusterConfig decoded;
         if (!cluster::DecodeClusterConfig(c.bytes, &decoded).ok()) return;
-        // An accepted config only holds QoS the router can run with, and
-        // survives its own round trip.
-        for (const auto& [tenant, qos] : decoded.tenant_qos) {
-          EXPECT_TRUE(qos.weight > 0.0 && qos.weight <= 1e6) << tenant;
-        }
+        // An accepted config survives its own round trip.
         cluster::ClusterConfig again;
         EXPECT_TRUE(cluster::DecodeClusterConfig(
                         cluster::EncodeClusterConfig(decoded), &again)

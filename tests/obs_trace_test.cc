@@ -324,7 +324,6 @@ TEST(HealthTest, HealthJsonRoundTrip) {
   r.admin_shed_total = 1;
   r.failovers = 3;
   r.tenants_failed_over = 6;
-  r.rebalance_migrations = 4;
   r.decommissions = 1;
   r.last_takeover_ms = 250;
   r.heartbeats_sent = 1000;
@@ -349,7 +348,6 @@ TEST(HealthTest, HealthJsonRoundTrip) {
   EXPECT_EQ(parsed.admin_shed_total, r.admin_shed_total);
   EXPECT_EQ(parsed.failovers, r.failovers);
   EXPECT_EQ(parsed.tenants_failed_over, r.tenants_failed_over);
-  EXPECT_EQ(parsed.rebalance_migrations, r.rebalance_migrations);
   EXPECT_EQ(parsed.decommissions, r.decommissions);
   EXPECT_EQ(parsed.last_takeover_ms, r.last_takeover_ms);
   EXPECT_EQ(parsed.heartbeats_sent, r.heartbeats_sent);

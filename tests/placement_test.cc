@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -124,36 +123,10 @@ TEST(PlacementTest, ConfigCodecRejectsTruncation) {
   }
 }
 
-TEST(PlacementTest, ConfigCodecRejectsOutOfRangeQos) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<service::TenantQos> hostile = {
-      {.weight = 0.0}, {.weight = -1.0},      {.weight = inf},
-      {.weight = nan}, {.weight = 1e6 * 1.5},
-  };
-  for (size_t i = 0; i < hostile.size(); ++i) {
-    ClusterConfig config = ThreeNodes();
-    config.tenant_qos["tenant-1"] = hostile[i];
-    ClusterConfig decoded;
-    Status st = DecodeClusterConfig(EncodeClusterConfig(config), &decoded);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "case " << i;
-  }
-  // The boundaries themselves are legal.
-  ClusterConfig config = ThreeNodes();
-  config.tenant_qos["tenant-1"] = {.weight = 1e6};
-  config.tenant_qos["tenant-2"] = {.weight = 1e-3};
-  ClusterConfig decoded;
-  ASSERT_TRUE(
-      DecodeClusterConfig(EncodeClusterConfig(config), &decoded).ok());
-  EXPECT_EQ(decoded.tenant_qos.size(), 2u);
-}
-
-/// ThreeNodes() plus one QoS entry in the QoS trailer's layout, with the
-/// three retired slots set to the given values — what an older writer
-/// emitted for a tenant with a byte budget, a latency budget and an
-/// overload sample floor.
-std::string QosTrailerBlob(uint64_t retired_u64, double retired_double,
-                           double retired_floor) {
+/// ThreeNodes() in the layout older builds wrote for a config carrying a
+/// tenant QoS class: the overrides, then a trailer of (count, tenant,
+/// weight, three retired slots). Tenant QoS classes no longer exist.
+std::string RetiredQosTrailerBlob() {
   persist::Encoder e;
   e.PutU64(7);
   e.PutU32(3);
@@ -165,30 +138,27 @@ std::string QosTrailerBlob(uint64_t retired_u64, double retired_double,
     e.PutU32(7601);
   }
   e.PutU32(0);  // no overrides
-  e.PutU32(1);
+  e.PutU32(1);  // one QoS entry
   e.PutString("tenant-1");
   e.PutDouble(2.5);
-  e.PutU64(retired_u64);
-  e.PutDouble(retired_double);
-  e.PutDouble(retired_floor);
+  e.PutU64(0);
+  e.PutDouble(0.0);
+  e.PutDouble(0.0);
   return e.Release();
 }
 
-TEST(PlacementTest, ConfigCodecDropsRetiredQosSlots) {
-  // The encoder writes zeros into the retired slots, so its bytes match
-  // the older layout for every config the QoS struct can still express.
-  ClusterConfig config = ThreeNodes();
-  config.tenant_qos["tenant-1"] = {.weight = 2.5};
-  EXPECT_EQ(EncodeClusterConfig(config), QosTrailerBlob(0, 0.0, 0.0));
-  // An older blob with non-zero retired slots (here sample_floor = 0.5)
-  // decodes with its weight intact; the slots are discarded and re-encode
-  // as zeros.
+TEST(PlacementTest, ConfigCodecRefusesRetiredQosTrailer) {
+  // Everything before the trailer is exactly what this build writes, so
+  // only the trailer can be the reason for the refusal.
+  const std::string blob = RetiredQosTrailerBlob();
+  const std::string current = EncodeClusterConfig(ThreeNodes());
+  ASSERT_LT(current.size(), blob.size());
+  ASSERT_EQ(blob.compare(0, current.size(), current), 0);
   ClusterConfig decoded;
-  ASSERT_TRUE(
-      DecodeClusterConfig(QosTrailerBlob(4096, 25.0, 0.5), &decoded).ok());
-  ASSERT_EQ(decoded.tenant_qos.size(), 1u);
-  EXPECT_EQ(decoded.tenant_qos.at("tenant-1").weight, 2.5);
-  EXPECT_EQ(EncodeClusterConfig(decoded), QosTrailerBlob(0, 0.0, 0.0));
+  Status st = DecodeClusterConfig(blob, &decoded);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("trailing bytes"), std::string::npos)
+      << st.message();
 }
 
 TEST(PlacementTest, ParsesNodeListSpec) {

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -243,70 +242,6 @@ TEST(TenantRouterTest, RoundRobinDrainingIsStarvationFree) {
   router.Shutdown();
 }
 
-TEST(TenantRouterTest, DeficitRoundRobinHonorsWeights) {
-  MultiDb env(4);
-  const std::string heavy = TenantName(0);   // weight 2.0: 8/turn
-  const std::string light1 = TenantName(1);  // weight 1.0: 4/turn
-  const std::string light2 = TenantName(2);  // weight 0.5: 2/turn
-  const std::string light3 = TenantName(3);  // default (1.0): 4/turn
-  Workload heavy_w = BuildWorkload(*env.dbs[0], 24, 0);
-  Workload l1_w = BuildWorkload(*env.dbs[1], 8, 1);
-  Workload l2_w = BuildWorkload(*env.dbs[2], 8, 2);
-  Workload l3_w = BuildWorkload(*env.dbs[3], 8, 3);
-
-  TenantRouterOptions options;
-  options.shard.queue_capacity = 64;
-  options.shard.max_batch = 4;
-  options.drain_threads = 0;  // deterministic manual stepping
-  options.tenant_qos[heavy] = TenantQos{.weight = 2.0};
-  options.tenant_qos[light2] = TenantQos{.weight = 0.5};
-  TenantRouter router(env.Factory(), options);
-  router.Start();
-
-  for (const Statement& q : heavy_w) ASSERT_TRUE(router.Submit(heavy, q));
-  for (const Statement& q : l1_w) ASSERT_TRUE(router.Submit(light1, q));
-  for (const Statement& q : l2_w) ASSERT_TRUE(router.Submit(light2, q));
-  for (const Statement& q : l3_w) ASSERT_TRUE(router.Submit(light3, q));
-
-  // Ring order is admission order. Per DRR turn a backlogged tenant
-  // drains round(weight * max_batch) statements (split into max_batch
-  // batches); a tenant that empties goes idle inside its turn and leaves
-  // the ring. Expected drain order, with per-turn deficits computed by
-  // hand:
-  //   heavy  8, l1 4, l2 2, l3 4   (cycle 1: 8/4/2/4 analyzed)
-  //   heavy  8, l1 4, l2 2, l3 4   (l1, l3 empty -> idle; cycle 2)
-  //   heavy  8                     (heavy empty -> idle)
-  //   l2 2, l2 2                   (l2 alone until its 8 are done)
-  std::vector<std::string> turns;
-  for (std::string t = router.DrainOne(); !t.empty(); t = router.DrainOne()) {
-    turns.push_back(t);
-  }
-  std::vector<std::string> expected = {heavy, light1, light2, light3,
-                                       heavy, light1, light2, light3,
-                                       heavy, light2, light2};
-  EXPECT_EQ(turns, expected);
-  EXPECT_EQ(router.analyzed(heavy), 24u);
-  EXPECT_EQ(router.analyzed(light1), 8u);
-  EXPECT_EQ(router.analyzed(light2), 8u);
-  EXPECT_EQ(router.analyzed(light3), 8u);
-
-  RouterMetricsSnapshot m = router.Metrics();
-  EXPECT_EQ(m.empty_turns, 0u) << "emptied tenants go idle in-turn";
-  for (const TenantMetricsEntry& e : m.tenants) {
-    if (e.id == heavy) {
-      EXPECT_DOUBLE_EQ(e.qos_weight, 2.0);
-    }
-    if (e.id == light2) {
-      EXPECT_DOUBLE_EQ(e.qos_weight, 0.5);
-    }
-    if (e.id == light1) {
-      EXPECT_DOUBLE_EQ(e.qos_weight, 1.0);
-    }
-    EXPECT_DOUBLE_EQ(e.drr_deficit, 0.0) << e.id << " drained dry";
-  }
-  router.Shutdown();
-}
-
 TEST(TenantRouterTest, EvictionIsLosslessAndCarriesFutureVotes) {
   constexpr size_t kStatements = 60;
   constexpr size_t kEvictAt = 40;
@@ -393,103 +328,6 @@ TEST(TenantRouterTest, EvictionIsLosslessAndCarriesFutureVotes) {
   // Counters merged across incarnations stay complete: every statement is
   // accounted for exactly once.
   EXPECT_EQ(metrics.tenants[0].service.statements_analyzed, kStatements);
-}
-
-TEST(TenantRouterTest, SetTenantQosRejectsOutOfRange) {
-  constexpr size_t kStatements = 60;
-  MultiDb env(1);
-  const std::string tenant = TenantName(0);
-  Workload w = BuildWorkload(*env.dbs[0], kStatements, 0);
-
-  TenantRouterOptions options;
-  options.shard.queue_capacity = 64;
-  options.shard.max_batch = 5;
-  options.shard.record_history = true;
-  options.drain_threads = 0;
-  TenantRouter router(env.Factory(), options);
-  router.Start();
-
-  // A zero weight would never earn DRR credit; an infinite one would
-  // overflow the DRR quantum.
-  const TenantQos zero_weight{.weight = 0.0};
-  const TenantQos bad_weight{.weight =
-                                 std::numeric_limits<double>::infinity()};
-  EXPECT_EQ(router.SetTenantQos(tenant, zero_weight).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(router.SetTenantQos(tenant, bad_weight).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_DOUBLE_EQ(router.GetTenantQos(tenant).weight, 1.0);
-
-  // The tenant admits with its default class and serves the reference
-  // trajectory; a rejected class sent while it is resident changes
-  // nothing either.
-  for (const Vote& v : MakeVotes(SeedIds(*env.dbs[0]), 0)) {
-    router.FeedbackAfter(tenant, v.after, v.plus, v.minus);
-  }
-  for (size_t seq = 0; seq < kStatements; ++seq) {
-    ASSERT_TRUE(router.SubmitAt(tenant, seq, w[seq]));
-    if (seq == kStatements / 2) {
-      EXPECT_EQ(router.SetTenantQos(tenant, bad_weight).code(),
-                StatusCode::kInvalidArgument);
-      EXPECT_EQ(router.SetTenantQos(tenant, zero_weight).code(),
-                StatusCode::kInvalidArgument);
-    }
-  }
-  while (!router.DrainOne().empty()) {
-  }
-  EXPECT_DOUBLE_EQ(router.GetTenantQos(tenant).weight, 1.0);
-  ASSERT_EQ(router.analyzed(tenant), kStatements);
-  router.Shutdown();
-
-  std::vector<IndexSet> dedicated = DedicatedHistory(0, kStatements);
-  std::vector<IndexSet> routed = router.History(tenant);
-  ASSERT_EQ(routed.size(), dedicated.size());
-  for (size_t i = 0; i < dedicated.size(); ++i) {
-    ASSERT_EQ(routed[i], dedicated[i]) << "diverged at statement " << i;
-  }
-}
-
-TEST(TenantRouterTest, ResidencyBoundEvictsLeastRecentlyActive) {
-  const std::string root = TempRoot("lru");
-  MultiDb env(3);
-  std::vector<Workload> workloads;
-  for (size_t t = 0; t < 3; ++t) {
-    workloads.push_back(BuildWorkload(*env.dbs[t], 8, t));
-  }
-
-  TenantRouterOptions options;
-  options.shard.queue_capacity = 16;
-  options.checkpoint_root = root;
-  options.drain_threads = 0;
-  options.max_resident_tenants = 2;
-  TenantRouter router(env.Factory(), options);
-  router.Start();
-
-  for (const Statement& q : workloads[0]) {
-    ASSERT_TRUE(router.Submit(TenantName(0), q));
-  }
-  while (!router.DrainOne().empty()) {
-  }
-  for (const Statement& q : workloads[1]) {
-    ASSERT_TRUE(router.Submit(TenantName(1), q));
-  }
-  while (!router.DrainOne().empty()) {
-  }
-  ASSERT_EQ(router.ResidentTenants().size(), 2u);
-
-  // Admitting a third tenant exceeds the bound: the least recently active
-  // idle shard (tenant 0) is checkpointed and closed.
-  ASSERT_NE(router.Recommendation(TenantName(2)), nullptr);
-  std::vector<std::string> resident = router.ResidentTenants();
-  EXPECT_EQ(resident,
-            (std::vector<std::string>{TenantName(1), TenantName(2)}));
-  EXPECT_EQ(router.Metrics().evictions, 1u);
-
-  // The evicted tenant transparently re-admits with its state intact
-  // (evicting someone else to stay under the bound).
-  EXPECT_EQ(router.analyzed(TenantName(0)), 8u);
-  EXPECT_LE(router.ResidentTenants().size(), 2u);
-  router.Shutdown();
 }
 
 TEST(TenantRouterTest, CrashRecoveryOfMultiTenantCheckpointTree) {

@@ -67,6 +67,87 @@ TEST(WfitTest, AdaptsToWorkloadShift) {
   EXPECT_FALSE(tuner.Recommendation().Contains(ia));
 }
 
+/// One random small instance of the feedback-consistency property, built
+/// from `seed` alone on a fresh database (index ids depend on interning
+/// order, so nothing may be shared between instances): a random initial
+/// materialized set, then rounds of a few random statements followed by a
+/// random vote (F+, F-) over a seven-index universe. After every vote the
+/// recommendation must contain F+ and exclude F-. Returns "" when the
+/// property held, else what broke.
+std::string FeedbackInstance(uint64_t seed) {
+  TestDb db;
+  Rng rng(seed);
+  const std::vector<IndexId> universe = {
+      db.Ix("t1", {"a"}),      db.Ix("t1", {"b"}), db.Ix("t1", {"c"}),
+      db.Ix("t1", {"a", "b"}), db.Ix("t2", {"x"}), db.Ix("t2", {"y"}),
+      db.Ix("t3", {"v"}),
+  };
+  auto bound = [&](int64_t hi) {
+    return std::to_string(rng.UniformInt(0, hi));
+  };
+  // The operands of `+` are unsequenced, so no expression below draws
+  // twice: a second draw goes through a local first.
+  auto statement = [&]() -> std::string {
+    switch (rng.UniformInt(0, 6)) {
+      case 0:
+        return "SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND " + bound(400);
+      case 1:
+        return "SELECT count(*) FROM t1 WHERE b BETWEEN 0 AND " + bound(200);
+      case 2: {
+        const std::string a = bound(9999);
+        return "SELECT d FROM t1 WHERE a = " + a + " AND b BETWEEN 0 AND " +
+               bound(200);
+      }
+      case 3:
+        return "SELECT count(*) FROM t1 WHERE c = " + bound(99);
+      case 4:
+        return "UPDATE t1 SET a = a + 1 WHERE k BETWEEN 0 AND " + bound(9000);
+      case 5: {
+        const std::string x = bound(999);
+        return "SELECT count(*) FROM t2 WHERE x = " + x +
+               " AND y BETWEEN 0 AND " + bound(49);
+      }
+      default:
+        return "SELECT count(*) FROM t3 WHERE v = " + bound(99);
+    }
+  };
+
+  IndexSet initial;
+  for (IndexId a : universe) {
+    if (rng.Bernoulli(0.15)) initial.Add(a);
+  }
+  Wfit tuner(&db.pool(), &db.optimizer(), initial, FastOptions());
+  const int64_t rounds = rng.UniformInt(1, 3);
+  for (int64_t round = 0; round < rounds; ++round) {
+    const int64_t statements = rng.UniformInt(0, 4);
+    for (int64_t i = 0; i < statements; ++i) {
+      tuner.AnalyzeQuery(db.Bind(statement()));
+    }
+    IndexSet f_plus;
+    IndexSet f_minus;
+    for (IndexId a : universe) {
+      const int64_t draw = rng.UniformInt(0, 4);
+      if (draw == 0) f_plus.Add(a);
+      if (draw == 1) f_minus.Add(a);
+    }
+    tuner.Feedback(f_plus, f_minus);
+    const IndexSet rec = tuner.Recommendation();
+    for (IndexId a : f_plus) {
+      if (!rec.Contains(a)) {
+        return "round " + std::to_string(round) + ": voted-in index " +
+               std::to_string(a) + " missing from the recommendation";
+      }
+    }
+    for (IndexId a : f_minus) {
+      if (rec.Contains(a)) {
+        return "round " + std::to_string(round) + ": voted-out index " +
+               std::to_string(a) + " still recommended";
+      }
+    }
+  }
+  return "";
+}
+
 TEST(WfitTest, FeedbackConsistencyHolds) {
   TestDb db;
   Wfit tuner(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
@@ -82,6 +163,15 @@ TEST(WfitTest, FeedbackConsistencyHolds) {
   rec = tuner.Recommendation();
   EXPECT_TRUE(rec.Contains(ia));
   EXPECT_FALSE(rec.Contains(ib));
+
+  // Seeded sweep: FeedbackInstance(seed) replays any one case alone.
+  constexpr uint64_t kBaseSeed = 0xfeedbac0000ull;
+  constexpr uint64_t kInstances = 1000;
+  for (uint64_t i = 0; i < kInstances; ++i) {
+    const uint64_t seed = kBaseSeed + i;
+    const std::string broken = FeedbackInstance(seed);
+    ASSERT_EQ(broken, "") << "replay with FeedbackInstance(" << seed << ")";
+  }
 }
 
 TEST(WfitTest, PositiveVoteOnUnknownIndexOpensSingletonPart) {

@@ -1,6 +1,6 @@
 // wfit_top: a console dashboard for the tuning fleet's health plane.
 // Polls every node's kGetHealth report (membership states, lease ages,
-// queue depths, residency, failover/rebalance counters, trace volume)
+// queue depths, residency, failover counters, trace volume)
 // and renders one refreshing table; --scrape prints the node-labelled
 // merged Prometheus exposition instead.
 //
@@ -65,7 +65,7 @@ void PrintDashboard(const wfit::cluster::FleetHealth& fleet) {
   using std::setw;
   std::cout << setw(6) << "node" << setw(7) << "coord" << setw(9)
             << "tenants" << setw(7) << "queue" << setw(12) << "analyzed"
-            << setw(10) << "failover" << setw(10) << "rebal" << setw(12)
+            << setw(10) << "failover" << setw(12)
             << "takeover" << setw(10) << "spans" << setw(8) << "drops"
             << "\n";
   for (const wfit::obs::NodeHealthReport& n : fleet.nodes) {
@@ -74,8 +74,7 @@ void PrintDashboard(const wfit::cluster::FleetHealth& fleet) {
               << n.tenants_resident << "/" << std::left << setw(3)
               << n.tenants_known << std::right << setw(7) << n.queue_depth
               << setw(12) << n.statements_analyzed << setw(10)
-              << n.failovers << setw(10) << n.rebalance_migrations
-              << setw(10) << n.last_takeover_ms << "ms" << setw(10)
+              << n.failovers << setw(10) << n.last_takeover_ms << "ms" << setw(10)
               << n.trace_spans << setw(8) << n.trace_dropped << "\n";
     for (const wfit::obs::PeerHealthEntry& p : n.peers) {
       std::cout << "       peer " << setw(6) << p.id << "  " << setw(8)

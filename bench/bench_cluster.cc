@@ -327,7 +327,9 @@ FailoverResult MeasureFailover(size_t statements, uint64_t kill_after) {
   router_options.shard.max_batch = 8;
   router_options.shard.record_history = true;
   router_options.shard.checkpoint_every_statements = 100;
-  router_options.shard.checkpoint_on_shutdown = false;  // crash realism
+  // Crash realism: no parting checkpoint, so Shutdown() leaves only
+  // journaled state behind, as a SIGKILL would.
+  router_options.shard.checkpoint_on_shutdown = false;
   router_options.drain_threads = 1;
 
   // Reference: one router, never disturbed, votes registered up front.
@@ -413,7 +415,7 @@ FailoverResult MeasureFailover(size_t statements, uint64_t kill_after) {
   }
 
   const Clock::time_point crash_at = Clock::now();
-  a.Crash();
+  a.Shutdown();
   // One client Call spanning the outage: its internal retry/re-aim loop
   // returns as soon as ANY node answers for the tenant again.
   double takeover = -1.0;

@@ -5,6 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "obs/health.h"
+
 namespace wfit::cluster {
 
 using net::RespKind;
@@ -175,19 +177,17 @@ StatusOr<Response> ClusterClient::Call(const std::string& tenant,
                           tenant + " (" + last.ToString() + ")");
 }
 
-FleetHealth ClusterClient::FetchFleetHealth() {
-  FleetHealth fleet;
+FleetScrape ClusterClient::ScrapeNodes() {
+  FleetScrape fleet;
   // Snapshot: CallNode can adopt a fresher config mid-sweep.
   const std::vector<NodeInfo> nodes = config_.nodes;
   for (const NodeInfo& n : nodes) {
     if (dead_nodes_.count(n.id) != 0) continue;
     net::Request req;
-    req.type = net::MsgType::kGetHealth;
+    req.type = net::MsgType::kScrapeMetrics;
     auto resp = CallNode(n.id, req);
-    obs::NodeHealthReport report;
-    if (resp.ok() && resp->kind == RespKind::kOk &&
-        obs::DecodeHealthJson(resp->text, &report)) {
-      fleet.nodes.push_back(std::move(report));
+    if (resp.ok() && resp->kind == RespKind::kOk) {
+      fleet.nodes.emplace_back(n.id, std::move(resp->text));
     } else {
       fleet.unreachable.push_back(n.id);
     }
@@ -196,18 +196,7 @@ FleetHealth ClusterClient::FetchFleetHealth() {
 }
 
 std::string ClusterClient::ScrapeFleet() {
-  std::vector<std::pair<std::string, std::string>> scrapes;
-  const std::vector<NodeInfo> nodes = config_.nodes;
-  for (const NodeInfo& n : nodes) {
-    if (dead_nodes_.count(n.id) != 0) continue;
-    net::Request req;
-    req.type = net::MsgType::kScrapeMetrics;
-    auto resp = CallNode(n.id, req);
-    if (resp.ok() && resp->kind == RespKind::kOk) {
-      scrapes.emplace_back(n.id, std::move(resp->text));
-    }
-  }
-  return obs::MergeFleetScrapeText(scrapes);
+  return obs::MergeFleetScrapeText(ScrapeNodes().nodes);
 }
 
 StatusOr<Response> ClusterClient::CallNode(const std::string& node_id,

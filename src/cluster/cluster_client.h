@@ -19,20 +19,22 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/placement.h"
 #include "common/status.h"
 #include "net/client.h"
 #include "net/wire.h"
-#include "obs/health.h"
 
 namespace wfit::cluster {
 
-/// One kGetHealth sweep across the fleet: a report per answering node,
-/// plus the ids that could not be reached (known-dead nodes are skipped
-/// entirely — they are expected to be silent).
-struct FleetHealth {
-  std::vector<obs::NodeHealthReport> nodes;
+/// One kScrapeMetrics sweep across the fleet: each answering node's
+/// Prometheus exposition, plus the ids that could not be reached
+/// (known-dead nodes are skipped entirely — they are expected to be
+/// silent). This is the fleet health plane; obs::ParseScrape reads it.
+struct FleetScrape {
+  std::vector<std::pair<std::string, std::string>> nodes;  // (id, text)
   std::vector<std::string> unreachable;
 };
 
@@ -66,11 +68,10 @@ class ClusterClient {
   /// failover/decommission and will never answer again.
   StatusOr<net::Response> CallNode(const std::string& node_id,
                                    net::Request request);
-  /// Polls kGetHealth on every live node in the current config. Never
-  /// fails: nodes that do not answer land in `unreachable`.
-  FleetHealth FetchFleetHealth();
-  /// Aggregated Prometheus exposition across the live fleet: every
-  /// node's kScrapeMetrics output merged with a node="<id>" label
+  /// Scrapes every live node in the current config. Never fails: nodes
+  /// that do not answer land in `unreachable`.
+  FleetScrape ScrapeNodes();
+  /// ScrapeNodes merged into one exposition with a node="<id>" label
   /// injected on each sample (obs::MergeFleetScrapeText).
   std::string ScrapeFleet();
   const ClusterConfig& config() const { return config_; }

@@ -301,9 +301,9 @@ void Membership::FailOverDeadNode(const std::string& dead_id) {
 
     // Land every recovered tenant's tree at its new owner BEFORE any
     // node adopts the successor config (same ordering as kMigrateIn).
-    if (!recovered_trees && !options_.fleet_root.empty()) {
+    if (!recovered_trees && !node_->fleet_root().empty()) {
       recovered_trees = true;
-      const std::string dead_root = options_.fleet_root + "/" + dead_id;
+      const std::string dead_root = node_->fleet_root() + "/" + dead_id;
       auto listed = persist::ListTenantIds(dead_root);
       if (!listed.ok()) {
         ++errors;

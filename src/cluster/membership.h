@@ -76,9 +76,6 @@ struct MembershipOptions {
   int lease_ms = 600;
   /// Per-probe RPC budget; also bounds the connect.
   int rpc_timeout_ms = 250;
-  /// Root of the shared checkpoint tree; node `n` persists under
-  /// <fleet_root>/<n>. Required for failover to recover tenants.
-  std::string fleet_root;
 };
 
 struct PeerView {

@@ -7,10 +7,10 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "net/client.h"
-#include "obs/health.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -41,6 +41,18 @@ void NodeCounter(std::ostream& os, const char* name, uint64_t v,
      << "wfit_node_" << name << " " << v << "\n";
 }
 
+/// One gauge family with a sample per peer, labelled peer="<id>".
+void PeerGauge(std::ostream& os, const char* name, const char* help,
+               const std::vector<PeerView>& peers,
+               uint64_t (*value)(const PeerView&)) {
+  os << "# HELP wfit_node_" << name << " " << help << "\n"
+     << "# TYPE wfit_node_" << name << " gauge\n";
+  for (const PeerView& peer : peers) {
+    os << "wfit_node_" << name << "{peer=\"" << peer.id << "\"} "
+       << value(peer) << "\n";
+  }
+}
+
 }  // namespace
 
 TunerNode::TunerNode(service::TunerFactory factory, TunerNodeOptions options)
@@ -50,12 +62,10 @@ TunerNode::TunerNode(service::TunerFactory factory, TunerNodeOptions options)
   config_.Normalize();
   WFIT_CHECK(config_.FindNode(options_.node_id) != nullptr,
              "TunerNode: node id is not in the cluster config");
-  if (!options_.fleet_root.empty()) {
-    if (options_.router.checkpoint_root.empty()) {
-      options_.router.checkpoint_root =
-          options_.fleet_root + "/" + options_.node_id;
-    }
-    options_.membership.fleet_root = options_.fleet_root;
+  if (!options_.fleet_root.empty() &&
+      options_.router.checkpoint_root.empty()) {
+    options_.router.checkpoint_root =
+        options_.fleet_root + "/" + options_.node_id;
   }
 }
 
@@ -70,7 +80,6 @@ Status TunerNode::Start() {
   net::ServerOptions server_options;
   server_options.host = options_.host;
   server_options.port = options_.port;
-  server_options.max_admin_queue = options_.max_admin_queue;
   server_ = std::make_unique<net::Server>(
       [this](const Request& req) { return HandleFast(req); },
       [this](const Request& req) { return HandleSlow(req); },
@@ -190,55 +199,23 @@ std::string TunerNode::ScrapeText() {
           " recent failover takeover\n"
        << "# TYPE wfit_node_last_takeover_ms gauge\n"
        << "wfit_node_last_takeover_ms " << mc.last_takeover_ms << "\n";
-    os << "# HELP wfit_node_peer_health Peer health (0=alive 1=suspect"
-          " 2=dead)\n"
-       << "# TYPE wfit_node_peer_health gauge\n";
-    for (const PeerView& peer : membership_->Peers()) {
-      os << "wfit_node_peer_health{peer=\"" << peer.id << "\"} "
-         << static_cast<int>(peer.health) << "\n";
-    }
+    os << "# HELP wfit_node_acting_coordinator 1 while this node is the"
+          " lowest-id live node, the one that runs failovers\n"
+       << "# TYPE wfit_node_acting_coordinator gauge\n"
+       << "wfit_node_acting_coordinator "
+       << (membership_->IsActingCoordinator() ? 1 : 0) << "\n";
+    const std::vector<PeerView> peers = membership_->Peers();
+    PeerGauge(os, "peer_health", "Peer health (0=alive 1=suspect 2=dead)",
+              peers, [](const PeerView& p) {
+                return static_cast<uint64_t>(p.health);
+              });
+    PeerGauge(os, "peer_misses", "Consecutive failed probes of the peer",
+              peers, [](const PeerView& p) { return p.consecutive_misses; });
+    PeerGauge(os, "peer_silence_ms",
+              "Lease age: ms since the peer was last heard either way",
+              peers, [](const PeerView& p) { return p.silence_ms; });
   }
   return os.str();
-}
-
-obs::NodeHealthReport TunerNode::BuildHealthReport() {
-  obs::NodeHealthReport report;
-  report.node_id = options_.node_id;
-  {
-    std::lock_guard<std::mutex> lock(config_mu_);
-    report.config_version = config_.version;
-  }
-  const service::RouterMetricsSnapshot metrics = router_->Metrics();
-  report.tenants_known = metrics.tenants_known;
-  report.tenants_resident = metrics.tenants_resident;
-  report.queue_depth = metrics.aggregate.queue_depth;
-  report.statements_analyzed = metrics.aggregate.statements_analyzed;
-  report.admin_queue_depth = server_->admin_queue_depth();
-  report.admin_shed_total = server_->admin_shed_total();
-  if (membership_ != nullptr) {
-    report.membership_enabled = true;
-    report.acting_coordinator = membership_->IsActingCoordinator();
-    const MembershipCounters mc = membership_->Counters();
-    report.failovers = mc.failovers;
-    report.tenants_failed_over = mc.tenants_failed_over;
-    report.decommissions = mc.decommissions;
-    report.last_takeover_ms = mc.last_takeover_ms;
-    report.heartbeats_sent = mc.heartbeats_sent;
-    report.heartbeats_received = mc.heartbeats_received;
-    for (const PeerView& peer : membership_->Peers()) {
-      obs::PeerHealthEntry entry;
-      entry.id = peer.id;
-      entry.health = NodeHealthName(peer.health);
-      entry.consecutive_misses = peer.consecutive_misses;
-      entry.silence_ms = peer.silence_ms;
-      report.peers.push_back(std::move(entry));
-    }
-  }
-  report.tracing_enabled = obs::TracingEnabled();
-  const obs::TraceCounters tc = obs::CollectTraceCounters();
-  report.trace_spans = tc.recorded;
-  report.trace_dropped = tc.dropped;
-  return report;
 }
 
 Response TunerNode::HandleFast(const Request& req) {
@@ -367,9 +344,6 @@ Response TunerNode::HandleFast(const Request& req) {
       resp.config_version = config_.version;
       return resp;
     }
-    case MsgType::kGetHealth:
-      resp.text = obs::EncodeHealthJson(BuildHealthReport());
-      return resp;
     case MsgType::kMigrate:
     case MsgType::kMigrateIn:
     case MsgType::kDrain:

@@ -37,7 +37,6 @@
 #include "cluster/placement.h"
 #include "common/status.h"
 #include "net/server.h"
-#include "obs/health.h"
 #include "service/tenant_router.h"
 
 namespace wfit::cluster {
@@ -61,8 +60,6 @@ struct TunerNodeOptions {
   /// Runs the lease/heartbeat membership layer (see membership.h).
   bool enable_membership = false;
   MembershipOptions membership;
-  /// Bounds the server's admin queue (kBusy shed beyond it).
-  size_t max_admin_queue = 128;
 };
 
 class TunerNode {
@@ -78,13 +75,6 @@ class TunerNode {
   /// stops the server. Idempotent.
   void Shutdown();
 
-  /// Abrupt stop for failure drills: tears the node down without the
-  /// graceful niceties Shutdown() narrates. True SIGKILL semantics (no
-  /// destructors at all) are exercised by the two-process CI smoke; in
-  /// process, crash realism comes from running the router with
-  /// checkpoint_on_shutdown=false so only journaled state survives.
-  void Crash() { Shutdown(); }
-
   const std::string& node_id() const { return options_.node_id; }
   uint16_t port() const { return server_ == nullptr ? 0 : server_->port(); }
   service::TenantRouter& router() { return *router_; }
@@ -93,6 +83,8 @@ class TunerNode {
   const std::string& checkpoint_root() const {
     return options_.router.checkpoint_root;
   }
+  /// Empty unless the node runs on a shared fleet tree.
+  const std::string& fleet_root() const { return options_.fleet_root; }
 
   ClusterConfig Config() const;
   /// Adopts `config` iff its version is higher than the current one.
@@ -115,7 +107,6 @@ class TunerNode {
 
  private:
   net::Response HandleFast(const net::Request& req);
-  obs::NodeHealthReport BuildHealthReport();
   net::Response HandleSlow(const net::Request& req);
   net::Response HandleMigrateIn(const net::Request& req);
   /// Ok-kind response when this node owns `tenant`; kNotLeader (with the

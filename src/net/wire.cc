@@ -63,8 +63,6 @@ const char* MsgTypeName(MsgType type) {
       return "decommission";
     case MsgType::kDumpTrace:
       return "dump_trace";
-    case MsgType::kGetHealth:
-      return "get_health";
   }
   return "unknown";
 }
@@ -107,7 +105,7 @@ Status DecodeRequest(std::string_view payload, Request* out) {
   uint8_t type_byte = 0;
   WFIT_RETURN_IF_ERROR(CheckVersionAndType(&d, &version, &type_byte));
   if (type_byte < static_cast<uint8_t>(MsgType::kPing) ||
-      type_byte > static_cast<uint8_t>(MsgType::kGetHealth)) {
+      type_byte > static_cast<uint8_t>(MsgType::kDumpTrace)) {
     return Status::InvalidArgument("wire: unknown request type " +
                                    std::to_string(type_byte));
   }

@@ -27,7 +27,7 @@ namespace wfit::net {
 /// v2: added Request::node_id + the membership RPCs (kHeartbeat,
 /// kDecommission).
 /// v3: appended the trace-context extension (trace_id + parent_span) to
-/// Request and added kDumpTrace/kGetHealth. v3 decoders still accept v2
+/// Request and added kDumpTrace. v3 decoders still accept v2
 /// payloads — the trace fields read as zero ("no trace"), so a mixed-
 /// version fleet keeps working and merely loses cross-node stitching.
 inline constexpr uint8_t kWireVersion = 3;
@@ -64,7 +64,8 @@ enum class MsgType : uint8_t {
   kDecommission = 18,
   // Observability (v3).
   kDumpTrace = 19,   // span-line dump of the node's trace rings (slow path)
-  kGetHealth = 20,   // health-plane JSON report (fast path)
+  // Do not reuse 20: older v3 builds send it for a JSON health report that
+  // kScrapeMetrics now carries; this decoder refuses it as unknown.
 };
 
 /// Stable lowercase name for spans/logs ("submit_at", "migrate_in", ...).

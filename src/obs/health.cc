@@ -1,193 +1,13 @@
 #include "obs/health.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <set>
 #include <sstream>
-
-#include "obs/log.h"
+#include <string_view>
 
 namespace wfit::obs {
-
-namespace {
-
-void AppendU64(const char* key, uint64_t value, bool* first,
-               std::string* out) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64, *first ? "" : ",",
-                key, value);
-  *first = false;
-  out->append(buf);
-}
-
-void AppendBool(const char* key, bool value, bool* first, std::string* out) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\":");
-  out->append(value ? "true" : "false");
-}
-
-void AppendStr(const char* key, const std::string& value, bool* first,
-               std::string* out) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\":\"");
-  AppendJsonEscaped(value, out);
-  out->push_back('"');
-}
-
-/// Finds `"key":` at or after `from` and returns the index of the first
-/// character of the value, or npos.
-size_t ValuePos(const std::string& text, const char* key, size_t from) {
-  const std::string needle = std::string("\"") + key + "\":";
-  size_t pos = text.find(needle, from);
-  if (pos == std::string::npos) return std::string::npos;
-  return pos + needle.size();
-}
-
-uint64_t U64At(const std::string& text, const char* key, size_t from,
-               size_t until = std::string::npos) {
-  size_t pos = ValuePos(text, key, from);
-  if (pos == std::string::npos || pos >= until) return 0;
-  return std::strtoull(text.c_str() + pos, nullptr, 10);
-}
-
-bool BoolAt(const std::string& text, const char* key, size_t from,
-            size_t until = std::string::npos) {
-  size_t pos = ValuePos(text, key, from);
-  if (pos == std::string::npos || pos >= until) return false;
-  return text.compare(pos, 4, "true") == 0;
-}
-
-std::string StrAt(const std::string& text, const char* key, size_t from,
-                  size_t until = std::string::npos) {
-  size_t pos = ValuePos(text, key, from);
-  if (pos == std::string::npos || pos >= until || pos >= text.size() ||
-      text[pos] != '"') {
-    return {};
-  }
-  std::string out;
-  for (size_t i = pos + 1; i < text.size(); ++i) {
-    char c = text[i];
-    if (c == '\\' && i + 1 < text.size()) {
-      char n = text[++i];
-      switch (n) {
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        default:
-          out.push_back(n);
-      }
-      continue;
-    }
-    if (c == '"') break;
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string EncodeHealthJson(const NodeHealthReport& r) {
-  std::string out = "{";
-  bool first = true;
-  AppendStr("node_id", r.node_id, &first, &out);
-  AppendU64("config_version", r.config_version, &first, &out);
-  AppendBool("membership_enabled", r.membership_enabled, &first, &out);
-  AppendBool("acting_coordinator", r.acting_coordinator, &first, &out);
-  AppendU64("tenants_known", r.tenants_known, &first, &out);
-  AppendU64("tenants_resident", r.tenants_resident, &first, &out);
-  AppendU64("queue_depth", r.queue_depth, &first, &out);
-  AppendU64("statements_analyzed", r.statements_analyzed, &first, &out);
-  AppendU64("admin_queue_depth", r.admin_queue_depth, &first, &out);
-  AppendU64("admin_shed_total", r.admin_shed_total, &first, &out);
-  AppendU64("failovers", r.failovers, &first, &out);
-  AppendU64("tenants_failed_over", r.tenants_failed_over, &first, &out);
-  AppendU64("decommissions", r.decommissions, &first, &out);
-  AppendU64("last_takeover_ms", r.last_takeover_ms, &first, &out);
-  AppendU64("heartbeats_sent", r.heartbeats_sent, &first, &out);
-  AppendU64("heartbeats_received", r.heartbeats_received, &first, &out);
-  AppendBool("tracing_enabled", r.tracing_enabled, &first, &out);
-  AppendU64("trace_spans", r.trace_spans, &first, &out);
-  AppendU64("trace_dropped", r.trace_dropped, &first, &out);
-  out.append(",\"peers\":[");
-  bool first_peer = true;
-  for (const PeerHealthEntry& peer : r.peers) {
-    if (!first_peer) out.push_back(',');
-    first_peer = false;
-    out.push_back('{');
-    bool f = true;
-    AppendStr("id", peer.id, &f, &out);
-    AppendStr("health", peer.health, &f, &out);
-    AppendU64("consecutive_misses", peer.consecutive_misses, &f, &out);
-    AppendU64("silence_ms", peer.silence_ms, &f, &out);
-    out.push_back('}');
-  }
-  out.append("]}");
-  return out;
-}
-
-bool DecodeHealthJson(const std::string& text, NodeHealthReport* out) {
-  NodeHealthReport r;
-  r.node_id = StrAt(text, "node_id", 0);
-  if (r.node_id.empty()) return false;
-  r.config_version = U64At(text, "config_version", 0);
-  r.membership_enabled = BoolAt(text, "membership_enabled", 0);
-  r.acting_coordinator = BoolAt(text, "acting_coordinator", 0);
-  r.tenants_known = U64At(text, "tenants_known", 0);
-  r.tenants_resident = U64At(text, "tenants_resident", 0);
-  r.queue_depth = U64At(text, "queue_depth", 0);
-  r.statements_analyzed = U64At(text, "statements_analyzed", 0);
-  r.admin_queue_depth = U64At(text, "admin_queue_depth", 0);
-  r.admin_shed_total = U64At(text, "admin_shed_total", 0);
-  r.failovers = U64At(text, "failovers", 0);
-  r.tenants_failed_over = U64At(text, "tenants_failed_over", 0);
-  r.decommissions = U64At(text, "decommissions", 0);
-  r.last_takeover_ms = U64At(text, "last_takeover_ms", 0);
-  r.heartbeats_sent = U64At(text, "heartbeats_sent", 0);
-  r.heartbeats_received = U64At(text, "heartbeats_received", 0);
-  r.tracing_enabled = BoolAt(text, "tracing_enabled", 0);
-  r.trace_spans = U64At(text, "trace_spans", 0);
-  r.trace_dropped = U64At(text, "trace_dropped", 0);
-  size_t peers = text.find("\"peers\":[");
-  if (peers != std::string::npos) {
-    size_t pos = peers + 9;
-    while (true) {
-      size_t open = text.find('{', pos);
-      size_t end = text.find(']', pos);
-      if (open == std::string::npos ||
-          (end != std::string::npos && end < open)) {
-        break;
-      }
-      size_t close = text.find('}', open);
-      if (close == std::string::npos) break;
-      PeerHealthEntry peer;
-      peer.id = StrAt(text, "id", open, close);
-      peer.health = StrAt(text, "health", open, close);
-      peer.consecutive_misses =
-          U64At(text, "consecutive_misses", open, close);
-      peer.silence_ms = U64At(text, "silence_ms", open, close);
-      if (!peer.id.empty()) r.peers.push_back(std::move(peer));
-      pos = close + 1;
-    }
-  }
-  *out = std::move(r);
-  return true;
-}
 
 namespace {
 
@@ -281,6 +101,48 @@ std::string MergeFleetScrapeText(
     out += samples[family];
   }
   return out;
+}
+
+std::map<std::string, double> ParseScrape(const std::string& text) {
+  std::map<std::string, double> series;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string_view line(text.data() + pos, eol - pos);
+    pos = eol + 1;
+    if (line.empty() || line[0] == '#') continue;
+    // The key ends at the first space, or after the label block when one
+    // opens first; quoted label values may hold spaces, braces and \".
+    size_t key_end = line.find_first_of("{ ");
+    if (key_end == std::string_view::npos || key_end == 0) continue;
+    if (line[key_end] == '{') {
+      bool quoted = false;
+      size_t i = key_end + 1;
+      for (; i < line.size(); ++i) {
+        if (quoted && line[i] == '\\') {
+          ++i;
+        } else if (line[i] == '"') {
+          quoted = !quoted;
+        } else if (line[i] == '}' && !quoted) {
+          break;
+        }
+      }
+      if (i >= line.size()) continue;  // unterminated label block
+      key_end = i + 1;
+    }
+    const size_t value_at = line.find_first_not_of(' ', key_end);
+    if (value_at == std::string_view::npos || value_at == key_end) continue;
+    const size_t value_end = std::min(line.find(' ', value_at), line.size());
+    // A copy, so strtod stops at the token's end (and at an embedded NUL,
+    // which then fails the whole-token check).
+    const std::string value(line.substr(value_at, value_end - value_at));
+    char* parsed_end = nullptr;
+    const double v = std::strtod(value.c_str(), &parsed_end);
+    if (parsed_end != value.c_str() + value.size()) continue;
+    series[std::string(line.substr(0, key_end))] = v;
+  }
+  return series;
 }
 
 }  // namespace wfit::obs

@@ -1,67 +1,37 @@
-// The fleet health plane's data model: one NodeHealthReport per node,
-// serialized as a flat JSON object (hand-rolled here — obs sits below
-// persist and links only the standard library) and carried in the
-// kGetHealth response text. wfit_top and ClusterClient::FleetHealth
-// decode it with the matching parser.
+// The fleet health plane is the Prometheus scrape every node already
+// serves (kScrapeMetrics); these two helpers turn per-node expositions
+// into fleet views.
 //
-// MergeFleetScrapeText is the other half of the health plane: it merges
-// per-node Prometheus text expositions into one document, injecting a
-// node="<id>" label into every sample so one scrape endpoint can serve
-// the whole fleet with per-node series, keeping the first HELP/TYPE
-// header seen per family.
+// MergeFleetScrapeText merges per-node Prometheus text expositions into
+// one document, injecting a node="<id>" label into every sample so one
+// scrape endpoint can serve the whole fleet with per-node series, keeping
+// the first HELP/TYPE header seen per family.
+//
+// ParseScrape reads one exposition back into series -> value, so a
+// dashboard (tools/wfit_top) or a test can read single samples without
+// string searches. It is lenient and total: any line it cannot read is
+// skipped, and no input makes it abort.
 #ifndef WFIT_OBS_HEALTH_H_
 #define WFIT_OBS_HEALTH_H_
 
-#include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace wfit::obs {
 
-struct PeerHealthEntry {
-  std::string id;
-  std::string health;  // "alive" | "suspect" | "dead"
-  uint64_t consecutive_misses = 0;
-  uint64_t silence_ms = 0;  // lease age: ms since last heard either way
-};
-
-struct NodeHealthReport {
-  std::string node_id;
-  uint64_t config_version = 0;
-  bool membership_enabled = false;
-  bool acting_coordinator = false;
-  // Tenancy and load.
-  uint64_t tenants_known = 0;
-  uint64_t tenants_resident = 0;
-  uint64_t queue_depth = 0;
-  uint64_t statements_analyzed = 0;
-  uint64_t admin_queue_depth = 0;
-  uint64_t admin_shed_total = 0;
-  // Membership / self-healing.
-  uint64_t failovers = 0;
-  uint64_t tenants_failed_over = 0;
-  uint64_t decommissions = 0;
-  uint64_t last_takeover_ms = 0;
-  uint64_t heartbeats_sent = 0;
-  uint64_t heartbeats_received = 0;
-  // Tracing.
-  bool tracing_enabled = false;
-  uint64_t trace_spans = 0;
-  uint64_t trace_dropped = 0;
-  std::vector<PeerHealthEntry> peers;
-};
-
-std::string EncodeHealthJson(const NodeHealthReport& report);
-
-/// Lenient parser for EncodeHealthJson output; false when `text` is not
-/// a health report at all (missing node_id).
-bool DecodeHealthJson(const std::string& text, NodeHealthReport* out);
-
 /// Merges per-(node id, exposition text) scrapes into one document with
 /// node labels injected into every sample line.
 std::string MergeFleetScrapeText(
     const std::vector<std::pair<std::string, std::string>>& scrapes);
+
+/// Sample lines of one exposition, keyed by the series exactly as written
+/// ("wfit_node_failovers_total", "wfit_node_peer_health{peer=\"b\"}").
+/// Comments, blank lines and lines without a numeric value are skipped;
+/// a timestamp after the value is ignored; a repeated series keeps its
+/// last value.
+std::map<std::string, double> ParseScrape(const std::string& text);
 
 }  // namespace wfit::obs
 

@@ -26,6 +26,7 @@
 #include "cluster/node.h"
 #include "cluster/placement.h"
 #include "net/fault.h"
+#include "obs/health.h"
 
 namespace fs = std::filesystem;
 
@@ -52,7 +53,9 @@ service::TenantRouterOptions RouterOptions() {
   options.shard.record_history = true;
   options.shard.checkpoint_every_statements = 100;
   // Crash realism: no parting checkpoint — only journaled state
-  // survives, exactly what a SIGKILL would leave behind.
+  // survives, exactly what a SIGKILL would leave behind, so Shutdown()
+  // stands in for a crash here. True SIGKILL semantics (no destructors
+  // at all) are exercised by the two-process CI chaos smoke.
   options.shard.checkpoint_on_shutdown = false;
   options.drain_threads = 1;
   return options;
@@ -149,6 +152,19 @@ ClusterClient MakeClient(const Fleet& fleet, uint64_t jitter_seed,
   return ClusterClient(fleet.config, options);
 }
 
+/// `node_id`'s own kScrapeMetrics exposition, parsed.
+std::map<std::string, double> ScrapeOf(const Fleet& fleet,
+                                       const std::string& node_id) {
+  ClusterClient client = MakeClient(fleet, /*jitter_seed=*/1);
+  net::Request req;
+  req.type = net::MsgType::kScrapeMetrics;
+  auto resp = client.CallNode(node_id, req);
+  EXPECT_TRUE(resp.ok() && resp->kind == net::RespKind::kOk)
+      << "scrape of " << node_id << " failed";
+  return resp.ok() ? obs::ParseScrape(resp->text)
+                   : std::map<std::string, double>{};
+}
+
 /// Resident + persisted tenants of a node, deduplicated.
 std::vector<std::string> TenantsAt(TunerNode& node) {
   std::vector<std::string> all = node.router().ResidentTenants();
@@ -205,7 +221,7 @@ TEST(ClusterFailoverTest, FailoverRecoversTenantBitIdentical) {
   while (a.router().analyzed(kTenant) < kKillAfter) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  a.Crash();
+  a.Shutdown();
 
   producer.join();
   EXPECT_TRUE(replay_ok.load());
@@ -218,6 +234,14 @@ TEST(ClusterFailoverTest, FailoverRecoversTenantBitIdentical) {
   EXPECT_GE(counters.failovers, 1u);
   EXPECT_GE(counters.tenants_failed_over, 1u);
   EXPECT_GT(counters.last_takeover_ms, 0u);
+  // The same facts reach an operator through the survivor's scrape. The
+  // dead node left the config and so the peer set: no series names it.
+  const std::map<std::string, double> scrape = ScrapeOf(fleet, "b");
+  ASSERT_TRUE(scrape.count("wfit_node_failovers_total"));
+  EXPECT_EQ(scrape.at("wfit_node_failovers_total"), 1.0);
+  for (const auto& [series, value] : scrape) {
+    EXPECT_EQ(series.find("peer=\"a\""), std::string::npos) << series;
+  }
 
   // Bit-for-bit identity from the last durable boundary: b's history
   // self-describes where it starts; every entry must match what the
@@ -255,7 +279,7 @@ TEST(ClusterFailoverTest, FailoverMovesOnlyDeadNodesTenants) {
   ASSERT_TRUE(a.router().IsResident("tenant-0"));
   ASSERT_TRUE(b.router().IsResident("tenant-1"));
 
-  fleet.Node("c").Crash();
+  fleet.Node("c").Shutdown();
 
   // "a" (lowest live id) is the acting coordinator; wait for it to
   // remove "c" from the config.
@@ -330,6 +354,16 @@ TEST(ClusterFailoverTest, OneWayPartitionSuspectsButNeverKills) {
     EXPECT_GE(peer.consecutive_misses, 3u);
   }
   EXPECT_TRUE(saw_suspect);
+  // The scrape tells an operator the same: a coordinates, b is suspect
+  // after at least three missed probes, and b's lease age is exported.
+  const std::map<std::string, double> scrape = ScrapeOf(fleet, "a");
+  ASSERT_TRUE(scrape.count("wfit_node_acting_coordinator"));
+  EXPECT_EQ(scrape.at("wfit_node_acting_coordinator"), 1.0);
+  ASSERT_TRUE(scrape.count("wfit_node_peer_health{peer=\"b\"}"));
+  EXPECT_EQ(scrape.at("wfit_node_peer_health{peer=\"b\"}"), 1.0);
+  ASSERT_TRUE(scrape.count("wfit_node_peer_misses{peer=\"b\"}"));
+  EXPECT_GE(scrape.at("wfit_node_peer_misses{peer=\"b\"}"), 3.0);
+  EXPECT_TRUE(scrape.count("wfit_node_peer_silence_ms{peer=\"b\"}"));
   EXPECT_EQ(a.membership()->Counters().failovers, 0u);
   EXPECT_EQ(b.membership()->Counters().failovers, 0u);
   EXPECT_NE(a.Config().FindNode("b"), nullptr);

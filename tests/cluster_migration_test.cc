@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -379,8 +380,8 @@ TEST(ClusterConfigTest, RetiredQosSetConfigIsRefusedAndTenantServes) {
   cluster.Shutdown();
 }
 
-// The fleet health plane against a live two-node cluster: kGetHealth
-// reports decode for every node, the merged fleet scrape carries
+// The fleet health plane against a live two-node cluster: every node's
+// scrape parses and carries its progress, the merged fleet scrape carries
 // node="..." labels with one header per family, and a trace id stamped
 // by the client at submit time comes back out of kDumpTrace attached to
 // the node-side spans (wire propagation end to end).
@@ -410,16 +411,23 @@ TEST(ClusterHealthTest, HealthScrapeAndTracePlane) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // kGetHealth: one decoded report per node, with the owner's progress.
-  FleetHealth health = client.FetchFleetHealth();
-  ASSERT_EQ(health.nodes.size(), 2u);
-  uint64_t analyzed = 0;
-  for (const obs::NodeHealthReport& r : health.nodes) {
-    EXPECT_TRUE(r.node_id == "a" || r.node_id == "b") << r.node_id;
-    EXPECT_EQ(r.config_version, cluster.config.version);
-    analyzed += r.statements_analyzed;
+  // One scrape per node, parsed: each acts on the current config and the
+  // owner's progress shows in the service counters.
+  FleetScrape fleet = client.ScrapeNodes();
+  ASSERT_EQ(fleet.nodes.size(), 2u);
+  EXPECT_TRUE(fleet.unreachable.empty());
+  double analyzed = 0;
+  for (const auto& [node_id, text] : fleet.nodes) {
+    EXPECT_TRUE(node_id == "a" || node_id == "b") << node_id;
+    const std::map<std::string, double> series = obs::ParseScrape(text);
+    ASSERT_TRUE(series.count("wfit_node_config_version")) << node_id;
+    EXPECT_EQ(series.at("wfit_node_config_version"),
+              static_cast<double>(cluster.config.version));
+    auto it = series.find("wfit_service_statements_analyzed_total");
+    ASSERT_NE(it, series.end()) << node_id;
+    analyzed += it->second;
   }
-  EXPECT_GE(analyzed, kSubmit);
+  EXPECT_GE(analyzed, static_cast<double>(kSubmit));
 
   // The merged scrape: per-node series under a single header per family.
   std::string scrape = client.ScrapeFleet();

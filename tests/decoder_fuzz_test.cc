@@ -1,8 +1,10 @@
 // Seeded mutation sweep over every decoder of bytes that come from disk or
 // the network: ReadSnapshot, ReadJournal, UnpackCheckpointDir, the wire
-// DecodeRequest/DecodeResponse, DecodeClusterConfig and the incremental
-// FrameReader (fed in random chunk sizes). Each case applies bit flips, a
-// truncation or a corrupted length field to a valid encoding; CRC-guarded
+// DecodeRequest/DecodeResponse, DecodeClusterConfig, the incremental
+// FrameReader (fed in random chunk sizes) and the Prometheus text reader
+// ParseScrape. Each case applies bit flips, a truncation or a corrupted
+// length field to a valid encoding (text also gets hostile tokens spliced
+// in: stray braces and quotes, non-numeric values, NULs); CRC-guarded
 // formats are also re-sealed (checksums recomputed after the mutation) so
 // the payload decoders behind the CRC see the hostile bytes too. Every
 // case must come back as a Status or a poisoned stream — no abort, no
@@ -22,6 +24,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -33,6 +37,7 @@
 #include "core/wfit.h"
 #include "net/frame.h"
 #include "net/wire.h"
+#include "obs/health.h"
 #include "persist/codec.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
@@ -88,7 +93,7 @@ uint64_t Cases() {
 
 // --- mutations -------------------------------------------------------------
 
-enum class Mutation { kBitFlip, kTruncate, kLengthField };
+enum class Mutation { kBitFlip, kTruncate, kLengthField, kSplice };
 
 const char* MutationName(Mutation m) {
   switch (m) {
@@ -98,6 +103,8 @@ const char* MutationName(Mutation m) {
       return "truncate";
     case Mutation::kLengthField:
       return "length";
+    case Mutation::kSplice:
+      return "splice";
   }
   return "?";
 }
@@ -146,6 +153,26 @@ MutatedCase Mutate(const std::string& original, size_t lo, size_t hi,
       }
       break;
     }
+    case Mutation::kSplice:  // Splice's kind; never drawn above
+      break;
+  }
+  return c;
+}
+
+/// Inserts 1-3 hostile tokens into text, the first at c.offset: the
+/// shapes a line-oriented text reader trips on.
+MutatedCase Splice(const std::string& original, std::mt19937_64& rng) {
+  static const std::string kTokens[] = {
+      "{", "}", "\"", "\\", std::string(1, '\0'), "\n", " ", "#",
+      "{peer=\"", "\"} ", " NaN", " -Inf", " abc", " 1e99999", "}}{{"};
+  MutatedCase c;
+  c.bytes = original;
+  c.mutation = Mutation::kSplice;
+  c.offset = rng() % (original.size() + 1);
+  const int splices = 1 + static_cast<int>(rng() % 3);
+  for (int i = 0; i < splices; ++i) {
+    const size_t at = i == 0 ? c.offset : rng() % (c.bytes.size() + 1);
+    c.bytes.insert(at, kTokens[rng() % std::size(kTokens)]);
   }
   return c;
 }
@@ -559,6 +586,34 @@ TEST(DecoderFuzzTest, DecodeClusterConfig) {
         EXPECT_TRUE(cluster::DecodeClusterConfig(
                         cluster::EncodeClusterConfig(decoded), &again)
                         .ok());
+      });
+}
+
+TEST(DecoderFuzzTest, ParseScrape) {
+  // A node scrape's shapes: headers, plain and labelled samples, a
+  // histogram, an escaped label value, a timestamp.
+  const std::string seed =
+      "# HELP wfit_node_failovers_total Dead-node takeovers.\n"
+      "# TYPE wfit_node_failovers_total counter\n"
+      "wfit_node_failovers_total 1\n"
+      "wfit_node_acting_coordinator 1\n"
+      "wfit_node_peer_health{peer=\"b\"} 2\n"
+      "wfit_node_peer_silence_ms{peer=\"b\"} 1200 1700000000000\n"
+      "wfit_service_analysis_latency_us_bucket{le=\"+Inf\"} 40\n"
+      "wfit_service_analysis_latency_us_sum 912.5\n"
+      "wfit_tenant_resident{tenant=\"t \\\"q\\\" }\"} 1\n";
+  ASSERT_EQ(obs::ParseScrape(seed).size(), 7u);
+  Sweep(
+      "scrape_text", 9,
+      [&](std::mt19937_64& rng) {
+        return rng() % 2 == 0 ? Splice(seed, rng)
+                              : Mutate(seed, 0, seed.size(), rng);
+      },
+      [&](const MutatedCase& c) {
+        for (const auto& [series, value] : obs::ParseScrape(c.bytes)) {
+          EXPECT_FALSE(series.empty());
+          EXPECT_EQ(series.find('\n'), std::string::npos) << series;
+        }
       });
 }
 

@@ -294,6 +294,21 @@ TEST(WireCodecTest, VersionSkewRejectedCleanly) {
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.message();
 }
 
+TEST(WireCodecTest, UnknownRequestTypeRefusedCleanly) {
+  // 20 was the retired JSON health report; 0 and 255 were never types.
+  for (uint8_t type_byte : {uint8_t{20}, uint8_t{0}, uint8_t{255}}) {
+    std::string encoded = EncodeRequest(PingRequest());
+    ASSERT_GE(encoded.size(), 2u);
+    encoded[1] = static_cast<char>(type_byte);  // after the version byte
+    Request out;
+    Status s = DecodeRequest(encoded, &out);
+    ASSERT_FALSE(s.ok()) << "type byte " << int{type_byte} << " decoded";
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("unknown request type"), std::string::npos)
+        << s.message();
+  }
+}
+
 TEST(WireCodecTest, CrcFlipPoisonsFrameStream) {
   std::string payload = EncodeRequest(PingRequest());
   std::string frame = EncodeFrame(payload);

@@ -1,9 +1,10 @@
 // Tests for src/obs/: the span ring (overflow drops-oldest, concurrent
 // writers collected safely), trace-context propagation, the span-line and
 // Chrome trace exporters, NDJSON logging, stage histograms, and the fleet
-// health plane (health JSON round trip, scrape merging).
+// health plane (scrape merging and parsing).
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -310,61 +311,41 @@ TEST(LogTest, NdjsonFormatAndLevelFilter) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(HealthTest, HealthJsonRoundTrip) {
-  NodeHealthReport r;
-  r.node_id = "node-a";
-  r.config_version = 12;
-  r.membership_enabled = true;
-  r.acting_coordinator = true;
-  r.tenants_known = 8;
-  r.tenants_resident = 5;
-  r.queue_depth = 17;
-  r.statements_analyzed = 90210;
-  r.admin_queue_depth = 2;
-  r.admin_shed_total = 1;
-  r.failovers = 3;
-  r.tenants_failed_over = 6;
-  r.decommissions = 1;
-  r.last_takeover_ms = 250;
-  r.heartbeats_sent = 1000;
-  r.heartbeats_received = 990;
-  r.tracing_enabled = true;
-  r.trace_spans = 4242;
-  r.trace_dropped = 7;
-  r.peers.push_back({"node-b", "alive", 0, 40});
-  r.peers.push_back({"node-c", "dead", 9, 1200});
-
-  NodeHealthReport parsed;
-  ASSERT_TRUE(DecodeHealthJson(EncodeHealthJson(r), &parsed));
-  EXPECT_EQ(parsed.node_id, r.node_id);
-  EXPECT_EQ(parsed.config_version, r.config_version);
-  EXPECT_TRUE(parsed.membership_enabled);
-  EXPECT_TRUE(parsed.acting_coordinator);
-  EXPECT_EQ(parsed.tenants_known, r.tenants_known);
-  EXPECT_EQ(parsed.tenants_resident, r.tenants_resident);
-  EXPECT_EQ(parsed.queue_depth, r.queue_depth);
-  EXPECT_EQ(parsed.statements_analyzed, r.statements_analyzed);
-  EXPECT_EQ(parsed.admin_queue_depth, r.admin_queue_depth);
-  EXPECT_EQ(parsed.admin_shed_total, r.admin_shed_total);
-  EXPECT_EQ(parsed.failovers, r.failovers);
-  EXPECT_EQ(parsed.tenants_failed_over, r.tenants_failed_over);
-  EXPECT_EQ(parsed.decommissions, r.decommissions);
-  EXPECT_EQ(parsed.last_takeover_ms, r.last_takeover_ms);
-  EXPECT_EQ(parsed.heartbeats_sent, r.heartbeats_sent);
-  EXPECT_EQ(parsed.heartbeats_received, r.heartbeats_received);
-  EXPECT_TRUE(parsed.tracing_enabled);
-  EXPECT_EQ(parsed.trace_spans, r.trace_spans);
-  EXPECT_EQ(parsed.trace_dropped, r.trace_dropped);
-  ASSERT_EQ(parsed.peers.size(), 2u);
-  EXPECT_EQ(parsed.peers[0].id, "node-b");
-  EXPECT_EQ(parsed.peers[0].health, "alive");
-  EXPECT_EQ(parsed.peers[1].id, "node-c");
-  EXPECT_EQ(parsed.peers[1].health, "dead");
-  EXPECT_EQ(parsed.peers[1].consecutive_misses, 9u);
-  EXPECT_EQ(parsed.peers[1].silence_ms, 1200u);
-
-  NodeHealthReport junk;
-  EXPECT_FALSE(DecodeHealthJson("{\"no\":\"report\"}", &junk));
+TEST(HealthTest, ParseScrapeReadsSeriesByKey) {
+  const std::string text =
+      "# HELP wfit_node_failovers_total Dead-node takeovers.\n"
+      "# TYPE wfit_node_failovers_total counter\n"
+      "wfit_node_failovers_total 3\n"
+      "\n"
+      "wfit_node_peer_health{peer=\"b\"} 1\n"
+      "wfit_node_peer_silence_ms{peer=\"c\"} 1200 1700000000000\n"
+      "wfit_lat_bucket{le=\"+Inf\"} 4\n"
+      "wfit_lat_sum 9.5\n"
+      "wfit_odd{tenant=\"a } b\\\"c\"} 7\n"
+      "wfit_gauge -2.5e3\n"
+      "wfit_repeated 1\n"
+      "wfit_repeated 2\n"
+      // Unreadable lines are skipped, never fatal.
+      "wfit_no_value\n"
+      "wfit_word abc\n"
+      "wfit_glued{a=\"1\"}5\n"
+      "wfit_open{a=\"1\" 5\n"
+      "{peer=\"x\"} 1\n"
+      " 4\n"
+      "wfit_last 8";
+  const std::map<std::string, double> series = ParseScrape(text);
+  const std::map<std::string, double> expected = {
+      {"wfit_node_failovers_total", 3},
+      {"wfit_node_peer_health{peer=\"b\"}", 1},
+      {"wfit_node_peer_silence_ms{peer=\"c\"}", 1200},
+      {"wfit_lat_bucket{le=\"+Inf\"}", 4},
+      {"wfit_lat_sum", 9.5},
+      {"wfit_odd{tenant=\"a } b\\\"c\"}", 7},
+      {"wfit_gauge", -2500},
+      {"wfit_repeated", 2},
+      {"wfit_last", 8}};
+  EXPECT_EQ(series, expected);
+  EXPECT_TRUE(ParseScrape("").empty());
 }
 
 TEST(HealthTest, MergeFleetScrapeInjectsNodeLabels) {

@@ -1,12 +1,14 @@
 // wfit_top: a console dashboard for the tuning fleet's health plane.
-// Polls every node's kGetHealth report (membership states, lease ages,
-// queue depths, residency, failover counters, trace volume)
-// and renders one refreshing table; --scrape prints the node-labelled
-// merged Prometheus exposition instead.
+// Scrapes every node's Prometheus exposition (kScrapeMetrics), reads
+// the samples it shows with obs::ParseScrape (residency, queue depth,
+// progress, coordinator flag, failover counters, trace volume, and each
+// peer's health, probe misses and lease age) and renders one refreshing
+// table; --scrape prints the node-labelled merged exposition instead.
 //
 //   wfit_top --nodes=a=127.0.0.1:7501,b=127.0.0.1:7502 [--interval_ms=1000]
 //   wfit_top --nodes=... --once            # one sample, no screen clear
 //   wfit_top --nodes=... --scrape --once   # merged fleet metrics to stdout
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -14,11 +16,13 @@
 #include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster_client.h"
+#include "cluster/membership.h"
 #include "cluster/placement.h"
 #include "obs/health.h"
 
@@ -61,25 +65,60 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   return !flags->nodes.empty();
 }
 
-void PrintDashboard(const wfit::cluster::FleetHealth& fleet) {
+using Series = std::map<std::string, double>;
+
+/// A sample as a count: 0 when absent, negative or not a number.
+uint64_t Count(const Series& series, const std::string& key) {
+  auto it = series.find(key);
+  if (it == series.end() || !(it->second > 0)) return 0;
+  return static_cast<uint64_t>(std::min(it->second, 1e19));
+}
+
+std::string PeerKey(const char* family, const std::string& peer) {
+  return std::string(family) + "{peer=\"" + peer + "\"}";
+}
+
+void PrintDashboard(const wfit::cluster::FleetScrape& fleet) {
   using std::setw;
   std::cout << setw(6) << "node" << setw(7) << "coord" << setw(9)
             << "tenants" << setw(7) << "queue" << setw(12) << "analyzed"
             << setw(10) << "failover" << setw(12)
             << "takeover" << setw(10) << "spans" << setw(8) << "drops"
             << "\n";
-  for (const wfit::obs::NodeHealthReport& n : fleet.nodes) {
-    std::cout << setw(6) << n.node_id << setw(7)
-              << (n.acting_coordinator ? "*" : "") << setw(5)
-              << n.tenants_resident << "/" << std::left << setw(3)
-              << n.tenants_known << std::right << setw(7) << n.queue_depth
-              << setw(12) << n.statements_analyzed << setw(10)
-              << n.failovers << setw(10) << n.last_takeover_ms << "ms" << setw(10)
-              << n.trace_spans << setw(8) << n.trace_dropped << "\n";
-    for (const wfit::obs::PeerHealthEntry& p : n.peers) {
-      std::cout << "       peer " << setw(6) << p.id << "  " << setw(8)
-                << p.health << "  misses " << p.consecutive_misses
-                << "  silence " << p.silence_ms << "ms\n";
+  for (const auto& [node_id, text] : fleet.nodes) {
+    const Series s = wfit::obs::ParseScrape(text);
+    std::cout << setw(6) << node_id << setw(7)
+              << (Count(s, "wfit_node_acting_coordinator") != 0 ? "*" : "")
+              << setw(5) << Count(s, "wfit_router_tenants_resident") << "/"
+              << std::left << setw(3) << Count(s, "wfit_router_tenants_known")
+              << std::right << setw(7) << Count(s, "wfit_service_queue_depth")
+              << setw(12) << Count(s, "wfit_service_statements_analyzed_total")
+              << setw(10) << Count(s, "wfit_node_failovers_total") << setw(10)
+              << Count(s, "wfit_node_last_takeover_ms") << "ms" << setw(10)
+              << Count(s, "wfit_node_trace_spans_total") << setw(8)
+              << Count(s, "wfit_node_trace_dropped_total") << "\n";
+    // One row per peer="<id>" series of the health family; the map keeps
+    // them in id order, as the node lists them.
+    const std::string prefix = "wfit_node_peer_health{peer=\"";
+    for (auto it = s.lower_bound(prefix);
+         it != s.end() && it->first.rfind(prefix, 0) == 0; ++it) {
+      const std::string& key = it->first;
+      if (key.size() < prefix.size() + 2 ||
+          key.compare(key.size() - 2, 2, "\"}") != 0) {
+        continue;
+      }
+      const std::string peer =
+          key.substr(prefix.size(), key.size() - prefix.size() - 2);
+      const uint64_t health = Count(s, key);
+      std::cout << "       peer " << setw(6) << peer << "  " << setw(8)
+                << (health <= 2 ? wfit::cluster::NodeHealthName(
+                                      static_cast<wfit::cluster::NodeHealth>(
+                                          health))
+                                : "unknown")
+                << "  misses " << Count(s, PeerKey("wfit_node_peer_misses", peer))
+                << "  silence "
+                << Count(s, PeerKey("wfit_node_peer_silence_ms", peer))
+                << "ms\n";
     }
   }
   for (const std::string& id : fleet.unreachable) {
@@ -114,7 +153,7 @@ int main(int argc, char** argv) {
     if (flags.scrape) {
       std::cout << client.ScrapeFleet();
     } else {
-      wfit::cluster::FleetHealth fleet = client.FetchFleetHealth();
+      wfit::cluster::FleetScrape fleet = client.ScrapeNodes();
       if (!flags.once) std::cout << "\033[2J\033[H";
       PrintDashboard(fleet);
       if (flags.once) return fleet.nodes.empty() ? 1 : 0;

@@ -224,8 +224,16 @@ int RunMultiTenant(const Flags& flags) {
     return 0;
   }
 
+  int worst = 0;
   for (size_t t = 0; t < n; ++t) {
     auto snap = router.Recommendation(TenantName(t));
+    if (snap == nullptr) {
+      // Admission failed, e.g. a checkpoint tree written by another build
+      // (logged as router.admission_failed).
+      std::cout << "[" << TenantName(t) << "] never admitted\n";
+      worst = 1;
+      continue;
+    }
     // Ids, not names: the tuners intern into their factory-scoped pools,
     // so the shared-scope pool cannot resolve workload-derived indexes.
     // Same "{ids}" format the trajectory files use.
@@ -246,7 +254,6 @@ int RunMultiTenant(const Flags& flags) {
 
   // Per-tenant trajectory files: "<seq> {ids}" starting at the tenant's
   // recovery point; verification compares against the reference run.
-  int worst = 0;
   for (size_t t = 0; t < n; ++t) {
     std::vector<IndexSet> history = router.History(TenantName(t));
     const uint64_t history_start = recoveries[t].snapshot_loaded

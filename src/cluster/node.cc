@@ -11,6 +11,7 @@
 
 #include "common/check.h"
 #include "net/client.h"
+#include "obs/health.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -48,7 +49,8 @@ void PeerGauge(std::ostream& os, const char* name, const char* help,
   os << "# HELP wfit_node_" << name << " " << help << "\n"
      << "# TYPE wfit_node_" << name << " gauge\n";
   for (const PeerView& peer : peers) {
-    os << "wfit_node_" << name << "{peer=\"" << peer.id << "\"} "
+    os << "wfit_node_" << name << "{peer=\""
+       << obs::EscapeLabelValue(peer.id) << "\"} "
        << value(peer) << "\n";
   }
 }

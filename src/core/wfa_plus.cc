@@ -123,51 +123,6 @@ void WfaPlus::Feedback(const IndexSet& f_plus, const IndexSet& f_minus) {
     instance.ApplyFeedback(instance.ToMask(f_plus),
                            instance.ToMask(f_minus));
   }
-  ++feedback_events_;
-}
-
-WfaPlusState WfaPlus::ExportState() const {
-  WfaPlusState state;
-  state.instance_members.reserve(instances_.size());
-  state.work_values.reserve(instances_.size());
-  state.current_recs.reserve(instances_.size());
-  for (const WfaInstance& instance : instances_) {
-    state.instance_members.push_back(instance.members());
-    state.work_values.push_back(instance.work_values());
-    state.current_recs.push_back(instance.recommendation());
-  }
-  state.feedback_events = feedback_events_;
-  return state;
-}
-
-Status WfaPlus::RestoreState(const WfaPlusState& state) {
-  if (state.instance_members.size() != instances_.size() ||
-      state.work_values.size() != instances_.size() ||
-      state.current_recs.size() != instances_.size()) {
-    return Status::InvalidArgument(
-        "wfa+ state: part count does not match this partition");
-  }
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    if (state.instance_members[i] != instances_[i].members()) {
-      return Status::InvalidArgument(
-          "wfa+ state: member list does not match this partition");
-    }
-    const size_t n = size_t{1} << state.instance_members[i].size();
-    if (state.work_values[i].size() != n || state.current_recs[i] >= n) {
-      return Status::InvalidArgument("wfa+ state: work function shape");
-    }
-  }
-  const CostModel& model = optimizer_->cost_model();
-  std::vector<WfaInstance> instances;
-  instances.reserve(instances_.size());
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    instances.push_back(WfaInstance(state.instance_members[i], model,
-                                    state.work_values[i],
-                                    state.current_recs[i]));
-  }
-  instances_ = std::move(instances);
-  feedback_events_ = state.feedback_events;
-  return Status::Ok();
 }
 
 size_t WfaPlus::TotalStates() const {

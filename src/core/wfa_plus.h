@@ -14,24 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/tuner.h"
 #include "core/work_function.h"
 #include "ibg/ibg.h"
 #include "optimizer/what_if.h"
 
 namespace wfit {
-
-/// The complete mutable state of a WfaPlus tuner (persist/ snapshots): the
-/// per-part work functions and recommendations. The stable partition itself
-/// is a constructor argument, so restore validates the member lists against
-/// it instead of replacing it.
-struct WfaPlusState {
-  std::vector<std::vector<IndexId>> instance_members;
-  std::vector<std::vector<double>> work_values;
-  std::vector<Mask> current_recs;
-  uint64_t feedback_events = 0;
-};
 
 /// The sorted set of tables `q` touches (hoisted out of RelevantCandidates
 /// so per-part filtering rebuilds it once per statement, not once per part).
@@ -82,17 +70,6 @@ class WfaPlus : public Tuner {
   /// Σk 2^|Ck| — the paper's stateCnt measure of bookkeeping size.
   size_t TotalStates() const;
 
-  /// DBA votes applied so far (persisted alongside the work functions).
-  uint64_t FeedbackCount() const { return feedback_events_; }
-
-  /// Snapshot hooks (persist/): ExportState captures the per-part state;
-  /// RestoreState replaces it on a tuner constructed with the same
-  /// (pool, optimizer, partition, ...) arguments. Returns InvalidArgument
-  /// (state unchanged) if the member lists or shapes don't line up with
-  /// this tuner's partition.
-  WfaPlusState ExportState() const;
-  Status RestoreState(const WfaPlusState& state);
-
  private:
   const IndexPool* pool_;
   const WhatIfOptimizer* optimizer_;
@@ -101,7 +78,6 @@ class WfaPlus : public Tuner {
   std::vector<IndexId> all_members_;
   std::string name_;
   size_t ibg_node_budget_;
-  uint64_t feedback_events_ = 0;
 };
 
 }  // namespace wfit

@@ -10,13 +10,13 @@ using persist::Encoder;
 
 namespace {
 
-Status CheckVersionAndType(Decoder* d, uint8_t* version, uint8_t* type_byte) {
-  WFIT_RETURN_IF_ERROR(d->GetU8(version));
-  if (*version < kMinWireVersion || *version > kWireVersion) {
+Status CheckVersionAndType(Decoder* d, uint8_t* type_byte) {
+  uint8_t version = 0;
+  WFIT_RETURN_IF_ERROR(d->GetU8(&version));
+  if (version != kWireVersion) {
     return Status::InvalidArgument(
-        "wire: protocol version " + std::to_string(*version) +
-        " (this build speaks " + std::to_string(kMinWireVersion) + ".." +
-        std::to_string(kWireVersion) + ")");
+        "wire: protocol version " + std::to_string(version) +
+        " (this build speaks " + std::to_string(kWireVersion) + ")");
   }
   return d->GetU8(type_byte);
 }
@@ -92,8 +92,6 @@ std::string EncodeRequest(const Request& req, uint64_t trace_id,
   }
   e.PutString(req.config_blob);
   e.PutString(req.node_id);
-  // v3 trace-context extension: appended last so a v2 decoder's field
-  // walk never sees it.
   e.PutU64(trace_id);
   e.PutU64(parent_span);
   return e.Release();
@@ -101,9 +99,8 @@ std::string EncodeRequest(const Request& req, uint64_t trace_id,
 
 Status DecodeRequest(std::string_view payload, Request* out) {
   Decoder d(payload);
-  uint8_t version = 0;
   uint8_t type_byte = 0;
-  WFIT_RETURN_IF_ERROR(CheckVersionAndType(&d, &version, &type_byte));
+  WFIT_RETURN_IF_ERROR(CheckVersionAndType(&d, &type_byte));
   if (type_byte < static_cast<uint8_t>(MsgType::kPing) ||
       type_byte > static_cast<uint8_t>(MsgType::kDumpTrace)) {
     return Status::InvalidArgument("wire: unknown request type " +
@@ -134,14 +131,8 @@ Status DecodeRequest(std::string_view payload, Request* out) {
   }
   WFIT_RETURN_IF_ERROR(d.GetString(&out->config_blob));
   WFIT_RETURN_IF_ERROR(d.GetString(&out->node_id));
-  if (version >= 3) {
-    WFIT_RETURN_IF_ERROR(d.GetU64(&out->trace_id));
-    WFIT_RETURN_IF_ERROR(d.GetU64(&out->parent_span));
-  } else {
-    // Version-skew fallback: a v2 peer carries no trace context.
-    out->trace_id = 0;
-    out->parent_span = 0;
-  }
+  WFIT_RETURN_IF_ERROR(d.GetU64(&out->trace_id));
+  WFIT_RETURN_IF_ERROR(d.GetU64(&out->parent_span));
   if (!d.done()) {
     return Status::InvalidArgument("wire: trailing bytes after request");
   }
@@ -173,9 +164,8 @@ std::string EncodeResponse(const Response& resp) {
 
 Status DecodeResponse(std::string_view payload, Response* out) {
   Decoder d(payload);
-  uint8_t version = 0;  // v2 and v3 responses share one layout
   uint8_t kind_byte = 0;
-  WFIT_RETURN_IF_ERROR(CheckVersionAndType(&d, &version, &kind_byte));
+  WFIT_RETURN_IF_ERROR(CheckVersionAndType(&d, &kind_byte));
   if (kind_byte > static_cast<uint8_t>(RespKind::kBusy)) {
     return Status::InvalidArgument("wire: unknown response kind " +
                                    std::to_string(kind_byte));

@@ -22,16 +22,13 @@
 
 namespace wfit::net {
 
-/// Bumped on any incompatible layout change; both sides refuse mismatches
-/// beyond the explicit compatibility window below.
+/// Bumped on any incompatible layout change; both sides refuse every
+/// other version.
 /// v2: added Request::node_id + the membership RPCs (kHeartbeat,
 /// kDecommission).
 /// v3: appended the trace-context extension (trace_id + parent_span) to
-/// Request and added kDumpTrace. v3 decoders still accept v2
-/// payloads — the trace fields read as zero ("no trace"), so a mixed-
-/// version fleet keeps working and merely loses cross-node stitching.
+/// Request and added kDumpTrace.
 inline constexpr uint8_t kWireVersion = 3;
-inline constexpr uint8_t kMinWireVersion = 2;
 
 enum class MsgType : uint8_t {
   kPing = 1,

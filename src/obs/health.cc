@@ -11,23 +11,6 @@ namespace wfit::obs {
 
 namespace {
 
-std::string EscapePromLabel(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// The family a sample belongs to: its metric name, with histogram child
 /// suffixes stripped when the base family is known.
 std::string FamilyOf(const std::string& name,
@@ -46,6 +29,27 @@ std::string FamilyOf(const std::string& name,
 
 }  // namespace
 
+std::string EscapeLabelValue(const std::string& value) {
+  std::string out;
+  out.reserve(value.size());
+  for (char c : value) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
 std::string MergeFleetScrapeText(
     const std::vector<std::pair<std::string, std::string>>& scrapes) {
   // family -> (header lines once, labelled samples from every node), in
@@ -57,7 +61,7 @@ std::string MergeFleetScrapeText(
   std::set<std::string> header_lines_seen;
 
   for (const auto& [node_id, text] : scrapes) {
-    const std::string label = "node=\"" + EscapePromLabel(node_id) + "\"";
+    const std::string label = "node=\"" + EscapeLabelValue(node_id) + "\"";
     std::istringstream in(text);
     std::string line;
     while (std::getline(in, line)) {

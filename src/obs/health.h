@@ -21,6 +21,12 @@
 
 namespace wfit::obs {
 
+/// Escapes a Prometheus label value per the text exposition format:
+/// backslash, double-quote and newline become \\, \" and \n. Every
+/// label value the exports write (tenant, peer and node ids) goes through
+/// it.
+std::string EscapeLabelValue(const std::string& value);
+
 /// Merges per-(node id, exposition text) scrapes into one document with
 /// node labels injected into every sample line.
 std::string MergeFleetScrapeText(

@@ -215,6 +215,10 @@ StatusOr<JournalReadResult> ReadJournal(const std::string& path) {
     WFIT_CHECK(frame.GetU32(&len).ok() && frame.GetU32(&crc).ok(),
                "8-byte frame header must decode");
     if (contents.size() - pos - 8 < len) break;  // torn payload
+    // No writer emits an empty record, but an all-zero frame header
+    // passes the CRC (Crc32 of nothing is 0). A crash that grew the file
+    // before its data landed leaves exactly that: treat it as torn.
+    if (len == 0) break;
     std::string_view payload = std::string_view(contents).substr(pos + 8, len);
     if (Crc32(payload) != crc) break;  // corrupt record: stop replay here
     Decoder d(payload);
@@ -233,34 +237,20 @@ StatusOr<JournalReadResult> ReadJournal(const std::string& path) {
           st = d.GetU64(&record.seq);
           break;
         case JournalRecordType::kCompactionBase:
-          // Only legal as the very first frame; anywhere else it is a
-          // foreign record and replay stops before it.
+          // Only legal as the very first frame.
           if (pos != 0) {
-            st = Status::InvalidArgument("journal: misplaced compaction base");
+            st = Status::InvalidArgument("misplaced compaction base");
             break;
           }
           st = d.GetU64(&result.base_lsn);
           if (st.ok() && !d.done()) {
-            st = Status::InvalidArgument("journal: trailing base bytes");
+            st = Status::InvalidArgument("trailing base bytes");
           }
           if (st.ok()) {
             pos += 8 + len;
             continue;  // metadata, not a replayable record
           }
           break;
-        case JournalRecordType::kEpoch: {
-          // Legacy controller state: surfaced (so recovery can refuse the
-          // journal) with its payload checked but dropped.
-          record.type = JournalRecordType::kEpoch;
-          uint8_t mode = 0;
-          double rate = 0.0;
-          uint64_t seed = 0;
-          st = d.GetU64(&record.seq);
-          if (st.ok()) st = d.GetU8(&mode);
-          if (st.ok()) st = d.GetDouble(&rate);
-          if (st.ok()) st = d.GetU64(&seed);
-          break;
-        }
         case JournalRecordType::kFeedback: {
           record.type = JournalRecordType::kFeedback;
           st = d.GetU64(&record.boundary);
@@ -272,12 +262,19 @@ StatusOr<JournalReadResult> ReadJournal(const std::string& path) {
           break;
         }
         default:
-          st = Status::InvalidArgument("journal: unknown record type");
+          st = Status::InvalidArgument("unknown record type " +
+                                       std::to_string(type));
       }
     }
-    // A checksummed record that still fails to decode means a foreign or
-    // future format, not a torn write; stop replay at the last good one.
-    if (!st.ok()) break;
+    // A checksummed record that still fails to decode is no torn write but
+    // another build's (or a foreign) format. Stopping here would let the
+    // reopened writer truncate it and everything behind it, so refuse.
+    if (!st.ok()) {
+      return Status::FailedPrecondition(
+          "journal " + path + ": record at byte " + std::to_string(pos) +
+          " is intact but undecodable (" + st.message() +
+          "); this build cannot replay it");
+    }
     result.records.push_back(std::move(record));
     pos += 8 + len;
   }

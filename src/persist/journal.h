@@ -7,9 +7,9 @@
 // Framing per record: [u32 payload_len][u32 payload_crc][payload]. The
 // reader accepts every complete, checksummed record and stops cleanly at
 // the first torn or corrupt one (a crash mid-append leaves a torn tail;
-// that is expected, not an error). Reopening for append truncates the file
-// back to the last complete record so new records are never hidden behind
-// garbage.
+// that is expected, not an error). A checksummed record it cannot decode
+// is refused instead. Reopening for append truncates the file back to the
+// last complete record so new records are never hidden behind garbage.
 //
 // fsync batching: Append only buffers; Sync() makes everything appended so
 // far durable. The service syncs once per ingested batch (before analysis)
@@ -40,13 +40,6 @@ enum class JournalRecordType : uint8_t {
   /// batch WAL fsync and a vote's application can never push the replay
   /// past a boundary whose vote died in memory.
   kAnalyzed = 3,
-  /// Reserved: an overload-controller epoch transition, written only by
-  /// older builds whose controller skipped or reweighted statements. No
-  /// writer emits it; the reader still decodes it (seq, then u8 mode, f64
-  /// rate and u64 seed, which it discards) so that recovery can refuse a
-  /// journal holding one rather than stop replay there and let the
-  /// reopened writer truncate the tail.
-  kEpoch = 4,
   /// Compaction base marker: only ever the FIRST record of a journal,
   /// written by CompactJournal when it drops a prefix already covered by
   /// durable checkpoints. Its `seq` is the LSN of the last dropped record,
@@ -57,7 +50,7 @@ enum class JournalRecordType : uint8_t {
 
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kStatement;
-  /// kStatement / kAnalyzed / kEpoch: the statement's sequence number in
+  /// kStatement / kAnalyzed: the statement's sequence number in
   /// the analysis order.
   uint64_t seq = 0;
   Statement statement;
@@ -135,8 +128,10 @@ struct JournalReadResult {
 
 /// Reads every complete record of `path`; tolerant of a torn or corrupt
 /// tail (replay simply stops there). NotFound if the file does not exist.
-/// A kCompactionBase marker (first record only) sets base_lsn and is not
-/// returned in `records`.
+/// FailedPrecondition, with nothing returned, if a checksummed record does
+/// not decode: an unknown type, a kCompactionBase anywhere but first, or a
+/// malformed body. A kCompactionBase marker (first record only) sets
+/// base_lsn and is not returned in `records`.
 StatusOr<JournalReadResult> ReadJournal(const std::string& path);
 
 struct CompactionResult {

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/crc32.h"
-#include "core/wfa_plus.h"
 #include "core/wfit.h"
 #include "persist/codec.h"
 
@@ -22,8 +21,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr uint8_t kTunerWfit = 1;
-constexpr uint8_t kTunerWfaPlus = 2;
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4 + 4;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".wfsnap";
@@ -220,105 +217,32 @@ Status DecodeParts(Decoder* d, std::vector<std::vector<IndexId>>* members,
 // --- tuner payload ------------------------------------------------------
 
 Status EncodeTuner(const Tuner& tuner, Encoder* e) {
-  if (const Wfit* wfit = dynamic_cast<const Wfit*>(&tuner)) {
-    WfitState state = wfit->ExportState();
-    e->PutU8(kTunerWfit);
-    EncodeParts(state.instance_members, state.work_values,
-                state.current_recs, e);
-    e->PutIndexSet(state.candidate_set);
-    e->PutIndexSet(state.initial_materialized);
-    e->PutU64(state.repartitions);
-    e->PutU64(state.feedback_events);
-    EncodeSelector(state.selector, e);
-    return Status::Ok();
+  const Wfit* wfit = dynamic_cast<const Wfit*>(&tuner);
+  if (wfit == nullptr) {
+    return Status::FailedPrecondition("snapshot: tuner \"" + tuner.name() +
+                                      "\" is not snapshottable");
   }
-  if (const WfaPlus* wfa = dynamic_cast<const WfaPlus*>(&tuner)) {
-    WfaPlusState state = wfa->ExportState();
-    e->PutU8(kTunerWfaPlus);
-    EncodeParts(state.instance_members, state.work_values,
-                state.current_recs, e);
-    e->PutU64(state.feedback_events);
-    return Status::Ok();
-  }
-  return Status::FailedPrecondition("snapshot: tuner \"" + tuner.name() +
-                                    "\" is not snapshottable");
-}
-
-/// A decoded tuner payload, held until the whole file has validated.
-struct TunerPayload {
-  uint8_t kind = 0;
-  WfitState wfit;
-  WfaPlusState wfa_plus;
-};
-
-Status DecodeTuner(Decoder* d, TunerPayload* out) {
-  WFIT_RETURN_IF_ERROR(d->GetU8(&out->kind));
-  if (out->kind == kTunerWfit) {
-    WfitState& state = out->wfit;
-    WFIT_RETURN_IF_ERROR(DecodeParts(d, &state.instance_members,
-                                     &state.work_values,
-                                     &state.current_recs));
-    WFIT_RETURN_IF_ERROR(d->GetIndexSet(&state.candidate_set));
-    WFIT_RETURN_IF_ERROR(d->GetIndexSet(&state.initial_materialized));
-    WFIT_RETURN_IF_ERROR(d->GetU64(&state.repartitions));
-    WFIT_RETURN_IF_ERROR(d->GetU64(&state.feedback_events));
-    return DecodeSelector(d, &state.selector);
-  }
-  if (out->kind == kTunerWfaPlus) {
-    WfaPlusState& state = out->wfa_plus;
-    WFIT_RETURN_IF_ERROR(DecodeParts(d, &state.instance_members,
-                                     &state.work_values,
-                                     &state.current_recs));
-    return d->GetU64(&state.feedback_events);
-  }
-  return Status::InvalidArgument("snapshot: unknown tuner kind");
-}
-
-Status RestoreTuner(const TunerPayload& payload, Tuner* tuner) {
-  if (payload.kind == kTunerWfit) {
-    Wfit* wfit = dynamic_cast<Wfit*>(tuner);
-    if (wfit == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot: holds WFIT state but the service tuner is not WFIT");
-    }
-    return wfit->RestoreState(payload.wfit);
-  }
-  WfaPlus* wfa = dynamic_cast<WfaPlus*>(tuner);
-  if (wfa == nullptr) {
-    return Status::InvalidArgument(
-        "snapshot: holds WFA+ state but the service tuner is not WFA+");
-  }
-  return wfa->RestoreState(payload.wfa_plus);
-}
-
-// --- legacy overload trailer --------------------------------------------
-//
-// Builds that had an overload controller appended its state after the
-// tuner payload: u8 mode, f64 sample rate, u64 sample seed, u32 count and
-// that many u64 template fingerprints. A Normal-mode (0) trailer describes
-// a tuner that analyzed every statement, so it is skipped; a Shedding (1)
-// or Sampling (2) one is refused, and LoadLatestSnapshot falls back past
-// the file. Snapshots without a trailer are the current format.
-
-Status SkipLegacyOverloadTrailer(Decoder* d) {
-  uint8_t mode = 0;
-  WFIT_RETURN_IF_ERROR(d->GetU8(&mode));
-  if (mode != 0) {
-    return Status::InvalidArgument(
-        "snapshot: taken while the overload controller was in mode " +
-        std::to_string(mode) + "; only Normal-mode state can be resumed");
-  }
-  double rate = 0.0;
-  uint64_t seed = 0;
-  uint32_t count = 0;
-  WFIT_RETURN_IF_ERROR(d->GetDouble(&rate));
-  WFIT_RETURN_IF_ERROR(d->GetU64(&seed));
-  WFIT_RETURN_IF_ERROR(d->GetCount(&count, 8));
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t fingerprint = 0;
-    WFIT_RETURN_IF_ERROR(d->GetU64(&fingerprint));
-  }
+  WfitState state = wfit->ExportState();
+  EncodeParts(state.instance_members, state.work_values, state.current_recs,
+              e);
+  e->PutIndexSet(state.candidate_set);
+  e->PutIndexSet(state.initial_materialized);
+  e->PutU64(state.repartitions);
+  e->PutU64(state.feedback_events);
+  EncodeSelector(state.selector, e);
   return Status::Ok();
+}
+
+/// Decodes the tuner payload, held until the whole file has validated.
+Status DecodeTuner(Decoder* d, WfitState* state) {
+  WFIT_RETURN_IF_ERROR(DecodeParts(d, &state->instance_members,
+                                   &state->work_values,
+                                   &state->current_recs));
+  WFIT_RETURN_IF_ERROR(d->GetIndexSet(&state->candidate_set));
+  WFIT_RETURN_IF_ERROR(d->GetIndexSet(&state->initial_materialized));
+  WFIT_RETURN_IF_ERROR(d->GetU64(&state->repartitions));
+  WFIT_RETURN_IF_ERROR(d->GetU64(&state->feedback_events));
+  return DecodeSelector(d, &state->selector);
 }
 
 std::string EncodeHeader(const std::string& payload) {
@@ -373,13 +297,6 @@ StatusOr<uint64_t> WriteSnapshot(const std::string& dir, const Tuner& tuner,
   for (size_t i = keep; i < snapshots.size(); ++i) {
     fs::remove(snapshots[i], ec);
   }
-  // Older builds also wrote delta-* files here. Nothing reads them, and
-  // pack/unpack would carry them to every new owner, so drop them too.
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.path().filename().string().rfind("delta-", 0) == 0) {
-      fs::remove(entry.path(), ec);
-    }
-  }
   return bytes;
 }
 
@@ -410,9 +327,11 @@ Status ReadSnapshot(const std::string& path, Tuner* tuner, IndexPool* pool,
     return Status::InvalidArgument("snapshot: bad magic");
   }
   if (version != kSnapshotVersion) {
-    return Status::InvalidArgument("snapshot: version mismatch (file v" +
-                                   std::to_string(version) + ", reader v" +
-                                   std::to_string(kSnapshotVersion) + ")");
+    return Status::FailedPrecondition(
+        "snapshot " + path + ": format version " + std::to_string(version) +
+        ", this build reads only version " +
+        std::to_string(kSnapshotVersion) +
+        "; drain the tenant with the build that wrote it");
   }
   if (contents.size() - kHeaderBytes != payload_len) {
     return Status::InvalidArgument("snapshot: payload length mismatch");
@@ -429,14 +348,18 @@ Status ReadSnapshot(const std::string& path, Tuner* tuner, IndexPool* pool,
   WFIT_RETURN_IF_ERROR(d.GetU64(&decoded.journal_lsn));
   std::vector<IndexDef> defs;
   WFIT_RETURN_IF_ERROR(DecodePool(&d, pool->catalog(), &defs));
-  TunerPayload tuner_payload;
-  WFIT_RETURN_IF_ERROR(DecodeTuner(&d, &tuner_payload));
-  if (!d.done()) WFIT_RETURN_IF_ERROR(SkipLegacyOverloadTrailer(&d));
+  WfitState state;
+  WFIT_RETURN_IF_ERROR(DecodeTuner(&d, &state));
   if (!d.done()) {
     return Status::InvalidArgument("snapshot: trailing bytes");
   }
+  Wfit* wfit = dynamic_cast<Wfit*>(tuner);
+  if (wfit == nullptr) {
+    return Status::InvalidArgument(
+        "snapshot: holds WFIT state but the service tuner is not WFIT");
+  }
   WFIT_RETURN_IF_ERROR(InternPool(defs, pool));
-  WFIT_RETURN_IF_ERROR(RestoreTuner(tuner_payload, tuner));
+  WFIT_RETURN_IF_ERROR(wfit->RestoreState(state));
   *meta = decoded;
   return Status::Ok();
 }
@@ -471,7 +394,13 @@ SnapshotLoadResult LoadLatestSnapshot(const std::string& dir, Tuner* tuner,
       result.path = path;
       return result;
     }
-    ++result.skipped;  // fall back to the previous snapshot
+    if (st.code() == StatusCode::kFailedPrecondition) {
+      // Another build's format: falling back past it would resume from
+      // older state, or from none at all.
+      result.status = st;
+      return result;
+    }
+    ++result.skipped;  // corrupt: fall back to the previous snapshot
   }
   return result;
 }

@@ -58,11 +58,9 @@ std::string EncodeTenantDir(const std::string& tenant_id) {
   std::string out;
   out.reserve(tenant_id.size());
   for (char c : tenant_id) {
-    // A leading '_' is escaped even though '_' is safe elsewhere: names
-    // starting with '_' are reserved for non-tenant subtrees of the
-    // checkpoint root (e.g. "_archive" from older builds), so the encoder
-    // must never produce one. Decoding is unchanged ("%5F" was always an
-    // escape for '_').
+    // A leading '_' is escaped even though '_' is safe elsewhere: the
+    // encoder has always done so, and existing tenant directories are
+    // named by it.
     if (SafeChar(c) && !(out.empty() && c == '_')) {
       out += c;
     } else {
@@ -130,10 +128,7 @@ StatusOr<std::vector<std::string>> ListTenantIds(const std::string& root,
       // whose re-admission would then fail.
       const std::string name = it->path().filename().string();
       const std::string id = DecodeTenantDir(name);
-      if (!name.empty() && name[0] == '_') {
-        // Reserved non-tenant subtree (e.g. "_archive" from older
-        // builds): not a stray, not a tenant.
-      } else if (EncodeTenantDir(id) == name) {
+      if (EncodeTenantDir(id) == name) {
         ids.push_back(id);
       } else {
         skip();

@@ -21,9 +21,8 @@
 namespace wfit::persist {
 
 /// Percent-encodes every byte outside [A-Za-z0-9_.-] (plus '.' and '..'
-/// themselves, and a *leading* '_' — names starting with '_' are reserved
-/// for non-tenant subtrees, such as the "_archive" directory older builds
-/// wrote) so the result is a safe, reversible directory name.
+/// themselves, and a *leading* '_') so the result is a safe, reversible
+/// directory name.
 std::string EncodeTenantDir(const std::string& tenant_id);
 
 /// Inverse of EncodeTenantDir; malformed escapes decode to themselves.

@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/health.h"
+
 namespace wfit::service {
 
 uint64_t MetricsSnapshot::latency_count() const {
@@ -144,7 +146,7 @@ void ExportText(const MetricsSnapshot& s, std::ostream& os) {
         "1 if the last startup restored a snapshot");
   Counter(os, "recovery_snapshots_skipped_total",
           s.recovery_snapshots_skipped,
-          "Corrupt or mismatched snapshots skipped during recovery");
+          "Corrupt snapshots skipped during recovery");
   Counter(os, "recovery_replayed_statements_total",
           s.recovery_replayed_statements,
           "Journal statements replayed at the last startup");
@@ -197,27 +199,6 @@ std::string ExportText(const MetricsSnapshot& snapshot) {
   std::ostringstream os;
   ExportText(snapshot, os);
   return os.str();
-}
-
-std::string EscapeLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 void AccumulateCounters(MetricsSnapshot* into, const MetricsSnapshot& from) {
@@ -275,7 +256,7 @@ void TenantFamily(
   os << "# HELP wfit_tenant_" << name << " " << help << "\n"
      << "# TYPE wfit_tenant_" << name << " " << type << "\n";
   for (const auto& [id, snapshot] : tenants) {
-    os << "wfit_tenant_" << name << "{tenant=\"" << EscapeLabelValue(id)
+    os << "wfit_tenant_" << name << "{tenant=\"" << obs::EscapeLabelValue(id)
        << "\"} " << value(snapshot) << "\n";
   }
 }
@@ -324,7 +305,7 @@ void ExportTenantText(
   os << "# HELP wfit_tenant_analysis_latency_us AnalyzeQuery latency\n"
      << "# TYPE wfit_tenant_analysis_latency_us histogram\n";
   for (const auto& [id, s] : tenants) {
-    const std::string label = EscapeLabelValue(id);
+    const std::string label = obs::EscapeLabelValue(id);
     uint64_t cumulative = 0;
     for (size_t i = 0; i < s.latency_counts.size(); ++i) {
       cumulative += s.latency_counts[i];
@@ -347,7 +328,7 @@ void ExportTenantText(
   os << "# HELP wfit_tenant_stage_latency_us Per-stage statement latency\n"
      << "# TYPE wfit_tenant_stage_latency_us histogram\n";
   for (const auto& [id, s] : tenants) {
-    const std::string label = EscapeLabelValue(id);
+    const std::string label = obs::EscapeLabelValue(id);
     for (int stage = 0; stage < obs::kStageCount; ++stage) {
       const char* stage_name = obs::StageName(static_cast<obs::Stage>(stage));
       uint64_t cumulative = 0;

@@ -103,10 +103,6 @@ struct MetricsSnapshot {
 void ExportText(const MetricsSnapshot& snapshot, std::ostream& os);
 std::string ExportText(const MetricsSnapshot& snapshot);
 
-/// Escapes a Prometheus label value per the text exposition format:
-/// backslash, double-quote and newline become \\, \" and \n.
-std::string EscapeLabelValue(const std::string& value);
-
 /// Accumulates `from` into `into`: counters and histogram buckets add,
 /// watermark gauges (max_batch, queue_high_water, checkpoint recency) take
 /// the maximum, and instantaneous gauges (queue depth/capacity, snapshot

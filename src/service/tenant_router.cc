@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "obs/health.h"
 #include "obs/log.h"
 #include "persist/tenant_tree.h"
 
@@ -46,13 +47,13 @@ void ExportRouterText(const RouterMetricsSnapshot& s, std::ostream& os) {
         " of this tenant's shard\n"
      << "# TYPE wfit_tenant_evictions_total counter\n";
   for (const TenantMetricsEntry& t : s.tenants) {
-    os << "wfit_tenant_evictions_total{tenant=\"" << EscapeLabelValue(t.id)
-       << "\"} " << t.evictions << "\n";
+    os << "wfit_tenant_evictions_total{tenant=\""
+       << obs::EscapeLabelValue(t.id) << "\"} " << t.evictions << "\n";
   }
   os << "# HELP wfit_tenant_resident 1 when the tenant's shard is live\n"
      << "# TYPE wfit_tenant_resident gauge\n";
   for (const TenantMetricsEntry& t : s.tenants) {
-    os << "wfit_tenant_resident{tenant=\"" << EscapeLabelValue(t.id)
+    os << "wfit_tenant_resident{tenant=\"" << obs::EscapeLabelValue(t.id)
        << "\"} " << (t.resident ? 1 : 0) << "\n";
   }
   RouterGauge(os, "tenants_known", s.tenants_known,

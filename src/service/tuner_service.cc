@@ -79,6 +79,9 @@ Status TunerService::Recover(RecoveryStats* stats) {
 
   persist::SnapshotLoadResult loaded =
       persist::LoadLatestSnapshot(dir, tuner_.get(), pool_);
+  // Another build's snapshot: refuse before the journal writer opens, so
+  // every file stays as that build left it.
+  WFIT_RETURN_IF_ERROR(loaded.status);
   stats->snapshot_loaded = loaded.loaded;
   stats->snapshot_analyzed = loaded.meta.analyzed;
   stats->snapshots_skipped = loaded.skipped;
@@ -102,19 +105,6 @@ Status TunerService::Recover(RecoveryStats* stats) {
   // A compacted journal holds records (base_lsn, base_lsn + size]; the
   // writer and snapshot metas keep speaking absolute LSNs.
   const uint64_t journal_base = read.ok() ? read->base_lsn : 0;
-  if (read.ok()) {
-    for (const persist::JournalRecord& r : read->records) {
-      if (r.type != persist::JournalRecordType::kEpoch) continue;
-      // Only a build with the overload controller wrote epochs, and its
-      // trajectory skipped or reweighted statements that replay would now
-      // analyze in full. Refuse before the writer opens, which would
-      // otherwise be free to truncate the journal.
-      return Status::FailedPrecondition(
-          "journal " + journal_path +
-          " holds an overload epoch record (statement " +
-          std::to_string(r.seq) + "); this build cannot replay it");
-    }
-  }
   if (read.ok() && (start_lsn > journal_base + read->records.size() ||
                     start_lsn < journal_base)) {
     // Above the tail: records the snapshot references were lost. Below
@@ -158,8 +148,6 @@ Status TunerService::Recover(RecoveryStats* stats) {
           break;
         case persist::JournalRecordType::kAnalyzed:
           if (r.seq == durable) ++durable;
-          break;
-        case persist::JournalRecordType::kEpoch:  // refused above
           break;
         case persist::JournalRecordType::kCompactionBase:
           break;  // framing metadata; never surfaced in records

@@ -92,7 +92,7 @@ struct RecoveryStats {
   /// journal is then replayed from the beginning).
   bool snapshot_loaded = false;
   uint64_t snapshot_analyzed = 0;
-  /// Corrupt / version-mismatched snapshots skipped before one loaded.
+  /// Corrupt snapshots skipped before one loaded.
   uint64_t snapshots_skipped = 0;
   uint64_t replayed_statements = 0;
   uint64_t replayed_feedback = 0;
@@ -137,9 +137,12 @@ class TunerService {
   /// the journal suffix beyond it — exactly once — and opens the journal
   /// for appending. The tuner must be constructed with the same
   /// configuration (and `pool`) as the run that wrote the checkpoint; on a
-  /// fresh directory this is an ordinary cold start. Call Start() on the
-  /// result as usual. With an empty checkpoint_dir, equivalent to the
-  /// constructor (pool may then be null).
+  /// fresh directory this is an ordinary cold start. State another build
+  /// wrote (a snapshot of another format version, an intact journal record
+  /// this build cannot decode) fails with FailedPrecondition and every
+  /// file untouched. Call Start() on the result as usual. With an empty
+  /// checkpoint_dir, equivalent to the constructor (pool may then be
+  /// null).
   static StatusOr<std::unique_ptr<TunerService>> Open(
       std::unique_ptr<Tuner> tuner, IndexPool* pool,
       TunerServiceOptions options = {}, RecoveryStats* recovery = nullptr);
@@ -258,7 +261,8 @@ class TunerService {
 
   // --- persist/ integration (drain path only) ---------------------------
   /// Recovery at Open: snapshot restore + journal suffix replay. Refuses
-  /// (FailedPrecondition) a journal holding a legacy overload epoch record.
+  /// (FailedPrecondition, every file untouched) a snapshot of another
+  /// format version and a journal record that is intact but undecodable.
   Status Recover(RecoveryStats* stats);
   /// Appends one record through `fn`; a failure permanently disables
   /// journaling + checkpointing (durability degrades, service lives on).

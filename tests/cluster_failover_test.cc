@@ -385,6 +385,30 @@ TEST(ClusterFailoverTest, OneWayPartitionSuspectsButNeverKills) {
   fleet.Shutdown();
 }
 
+// Node ids are free-form (ParseNodeList accepts any), so a quote or a
+// backslash in one must reach the scrape escaped; raw, the sample line no
+// longer parses and the peer vanishes from every dashboard.
+TEST(ClusterFailoverTest, PeerIdsAreEscapedInTheScrape) {
+  MembershipOptions membership = FastMembership();
+  // Never suspect or dead during the test, so the health value is fixed.
+  membership.suspect_after_misses = 1 << 30;
+  membership.lease_ms = 600'000;
+  Fleet fleet("escaped_peer", kShortWorkload, {"a", "a\"b\\c"}, membership);
+  // Peers are tracked from the first membership tick on.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fleet.Node("a").membership()->Peers().empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const std::map<std::string, double> scrape = ScrapeOf(fleet, "a");
+  const std::string key = "wfit_node_peer_health{peer=\"a\\\"b\\\\c\"}";
+  ASSERT_TRUE(scrape.count(key)) << "no series " << key;
+  EXPECT_EQ(scrape.at(key), 0.0);  // alive
+  EXPECT_TRUE(scrape.count("wfit_node_peer_misses{peer=\"a\\\"b\\\\c\"}"));
+  fleet.Shutdown();
+}
+
 // --- 4. Deterministic chaos soak: scripted drops, tears, duplicates ---
 // --- and delays — the trajectory still matches the clean reference. ---
 

@@ -26,14 +26,12 @@
 #include <functional>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "cluster/placement.h"
 #include "common/crc32.h"
-#include "core/wfa_plus.h"
 #include "core/wfit.h"
 #include "net/frame.h"
 #include "net/wire.h"
@@ -227,11 +225,6 @@ Workload BuildWorkload(TestDb& db, size_t n) {
   return w;
 }
 
-std::vector<IndexSet> WfaParts(TestDb& db) {
-  return {IndexSet{db.Ix("t1", {"a"}), db.Ix("t1", {"b"})},
-          IndexSet{db.Ix("t2", {"x"})}};
-}
-
 std::string FreshDir(const std::string& tag) {
   const std::string dir =
       (fs::path(::testing::TempDir()) /
@@ -259,8 +252,6 @@ void PutU32At(std::string* bytes, size_t at, uint32_t v) {
   }
 }
 
-using MakeTuner = std::unique_ptr<Tuner> (*)(TestDb&);
-
 constexpr size_t kSnapshotHeader = 24;
 
 /// Recomputes a snapshot header's payload length and both CRCs over
@@ -275,54 +266,25 @@ void ResealSnapshotHeader(std::string* bytes) {
   PutU32At(bytes, 20, Crc32(std::string_view(*bytes).substr(0, 20)));
 }
 
-/// `payload` behind the [u32 len][u32 crc] journal frame header.
-std::string JournalFrame(const std::string& payload) {
-  std::string frame(8, '\0');
-  PutU32At(&frame, 0, static_cast<uint32_t>(payload.size()));
-  PutU32At(&frame, 4, Crc32(payload));
-  return frame + payload;
-}
-
-/// A snapshot of a tuner that has analyzed and taken votes, ending in the
-/// Normal-mode overload trailer older builds wrote (u8 mode, f64 rate,
-/// u64 seed, u32 count, count x u64 fingerprints).
-std::string SnapshotBytes(const std::string& dir, MakeTuner make) {
+/// A snapshot of a tuner that has analyzed and taken votes.
+std::string SnapshotBytes(const std::string& dir) {
   TestDb db;
-  std::unique_ptr<Tuner> tuner = make(db);
+  Wfit tuner(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
   Workload w = BuildWorkload(db, 40);
   for (size_t i = 0; i < w.size(); ++i) {
-    tuner->AnalyzeQuery(w[i]);
-    if (i == 20) tuner->Feedback(IndexSet{db.Ix("t1", {"a"})}, IndexSet{});
+    tuner.AnalyzeQuery(w[i]);
+    if (i == 20) tuner.Feedback(IndexSet{db.Ix("t1", {"a"})}, IndexSet{});
   }
   persist::SnapshotMeta meta;
   meta.analyzed = w.size();
   meta.journal_lsn = 2 * w.size();
   const std::string path = (fs::path(dir) / "seed.wfsnap").string();
-  Status st = persist::WriteSnapshotFile(path, *tuner, db.pool(), meta);
+  Status st = persist::WriteSnapshotFile(path, tuner, db.pool(), meta);
   WFIT_CHECK(st.ok(), st.ToString());
-  persist::Encoder trailer;
-  trailer.PutU8(0);
-  trailer.PutDouble(1.0);
-  trailer.PutU64(7);
-  trailer.PutU32(3);
-  for (uint64_t fingerprint : {1, 2, 3}) trailer.PutU64(fingerprint);
-  std::string bytes = ReadFile(path) + trailer.data();
-  ResealSnapshotHeader(&bytes);
-  return bytes;
+  return ReadFile(path);
 }
 
-std::unique_ptr<Tuner> MakeWfit(TestDb& db) {
-  return std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
-                                FastOptions());
-}
-
-std::unique_ptr<Tuner> MakeWfaPlus(TestDb& db) {
-  return std::make_unique<WfaPlus>(&db.pool(), &db.optimizer(),
-                                   WfaParts(db), IndexSet{});
-}
-
-/// A compacted journal holding every record kind, including a legacy
-/// overload epoch frame (seq, u8 mode, f64 rate, u64 seed).
+/// A compacted journal holding every record kind.
 std::string JournalBytes(const std::string& dir) {
   TestDb db;
   Workload w = BuildWorkload(db, 12);
@@ -343,13 +305,6 @@ std::string JournalBytes(const std::string& dir) {
   }
   WFIT_CHECK(writer.Sync().ok(), "journal sync");
   writer.Close();
-  persist::Encoder epoch;
-  epoch.PutU8(static_cast<uint8_t>(persist::JournalRecordType::kEpoch));
-  epoch.PutU64(w.size());
-  epoch.PutU8(2);
-  epoch.PutDouble(0.25);
-  epoch.PutU64(99);
-  WriteFile(path, ReadFile(path) + JournalFrame(epoch.data()));
   auto compacted = persist::CompactJournal(path, 4);
   WFIT_CHECK(compacted.ok(), compacted.status().ToString());
   return ReadFile(path);
@@ -409,13 +364,13 @@ net::Response SeedResponse(TestDb& db) {
 
 // --- the sweeps --------------------------------------------------------------
 
-void SweepSnapshot(const char* decoder, size_t index, MakeTuner make) {
-  const std::string dir = FreshDir(decoder);
-  const std::string seed = SnapshotBytes(dir, make);
+TEST(DecoderFuzzTest, ReadSnapshotWfit) {
+  const std::string dir = FreshDir("snapshot_wfit");
+  const std::string seed = SnapshotBytes(dir);
   ASSERT_GT(seed.size(), kSnapshotHeader);
   const std::string path = (fs::path(dir) / "case.wfsnap").string();
   Sweep(
-      decoder, index,
+      "snapshot_wfit", 1,
       [&](std::mt19937_64& rng) {
         // Half the cases mutate the header or raw file (the CRCs must
         // reject them); half mutate the payload and re-seal the header so
@@ -432,22 +387,14 @@ void SweepSnapshot(const char* decoder, size_t index, MakeTuner make) {
       [&](const MutatedCase& c) {
         WriteFile(path, c.bytes);
         TestDb db;
-        std::unique_ptr<Tuner> tuner = make(db);
+        Wfit tuner(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
         persist::SnapshotMeta meta;
-        Status st = persist::ReadSnapshot(path, tuner.get(), &db.pool(), &meta);
+        Status st = persist::ReadSnapshot(path, &tuner, &db.pool(), &meta);
         if (!c.resealed && c.bytes != seed) {
           EXPECT_FALSE(st.ok()) << "damaged snapshot accepted";
         }
       });
   fs::remove_all(dir);
-}
-
-TEST(DecoderFuzzTest, ReadSnapshotWfit) {
-  SweepSnapshot("snapshot_wfit", 1, MakeWfit);
-}
-
-TEST(DecoderFuzzTest, ReadSnapshotWfaPlus) {
-  SweepSnapshot("snapshot_wfa_plus", 2, MakeWfaPlus);
 }
 
 TEST(DecoderFuzzTest, ReadJournal) {
@@ -493,7 +440,7 @@ TEST(DecoderFuzzTest, UnpackCheckpointDir) {
   const std::string tree = (fs::path(dir) / "tree").string();
   fs::create_directories(tree);
   WriteFile((fs::path(tree) / "snapshot-00000000000000000040.wfsnap").string(),
-            SnapshotBytes(dir, MakeWfit));
+            SnapshotBytes(dir));
   WriteFile((fs::path(tree) / "journal.wfj").string(), JournalBytes(dir));
   auto packed = persist::PackCheckpointDir(tree);
   ASSERT_TRUE(packed.ok()) << packed.status().ToString();

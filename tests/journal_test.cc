@@ -105,11 +105,11 @@ TEST_F(JournalTest, AppendAndReadBack) {
   EXPECT_EQ(result->records[3].seq, 1u);
 }
 
-TEST_F(JournalTest, LegacyEpochRecordIsStillDecoded) {
-  // No writer emits kEpoch any more; build the frame in the layout older
-  // builds wrote (seq, u8 mode, f64 rate, u64 seed) so recovery can see it
-  // and refuse the journal instead of stopping replay in front of it.
-  const std::string path = TempPath("epochs.wfj");
+TEST_F(JournalTest, IntactUndecodableRecordIsRefused) {
+  // A checksummed record the reader cannot decode is another build's
+  // format, not a torn write: an unknown type, or a compaction base that
+  // is not the first record.
+  const std::string path = TempPath("undecodable.wfj");
   fs::remove(path);
   Statement s0 = db_.Bind("SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND 150");
   {
@@ -118,24 +118,33 @@ TEST_F(JournalTest, LegacyEpochRecordIsStillDecoded) {
     ASSERT_TRUE(w.AppendStatement(0, s0).ok());
     ASSERT_TRUE(w.Sync().ok());
   }
-  Encoder epoch;
-  epoch.PutU8(static_cast<uint8_t>(JournalRecordType::kEpoch));
-  epoch.PutU64(1);
-  epoch.PutU8(2);
-  epoch.PutDouble(0.25);
-  epoch.PutU64(42);
-  Encoder frame;
-  frame.PutU32(static_cast<uint32_t>(epoch.size()));
-  frame.PutU32(Crc32(epoch.data()));
-  WriteFile(path, ReadFile(path) + frame.data() + epoch.data());
+  const std::string good = ReadFile(path);
+  auto framed = [](uint8_t type) {
+    Encoder record;
+    record.PutU8(type);
+    record.PutU64(1);
+    Encoder frame;
+    frame.PutU32(static_cast<uint32_t>(record.size()));
+    frame.PutU32(Crc32(record.data()));
+    return frame.data() + record.data();
+  };
+  for (uint8_t type :
+       {uint8_t{9}, static_cast<uint8_t>(JournalRecordType::kCompactionBase)}) {
+    WriteFile(path, good + framed(type));
+    auto result = ReadJournal(path);
+    ASSERT_FALSE(result.ok()) << "type " << int{type} << " read";
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  }
 
+  // An all-zero frame header passes the CRC of an empty payload, but no
+  // writer emits an empty record: it is what a crash can leave where the
+  // file grew before its data landed, so it reads as a torn tail.
+  WriteFile(path, good + std::string(8, '\0'));
   auto result = ReadJournal(path);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->records.size(), 2u);
-  EXPECT_FALSE(result->truncated_tail);
-  EXPECT_EQ(result->records[0].type, JournalRecordType::kStatement);
-  EXPECT_EQ(result->records[1].type, JournalRecordType::kEpoch);
-  EXPECT_EQ(result->records[1].seq, 1u);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->records.size(), 1u);
+  EXPECT_TRUE(result->truncated_tail);
+  EXPECT_EQ(result->valid_bytes, good.size());
 }
 
 TEST_F(JournalTest, MissingFileIsNotFound) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/wfit.h"
+#include "obs/health.h"
 #include "service/metrics.h"
 #include "service/tenant_router.h"
 #include "tests/test_util.h"
@@ -265,11 +266,11 @@ Workload BuildWorkload(TestDb& db, size_t n) {
 }
 
 TEST(MetricsExportTest, EscapeLabelValueHandlesSpecials) {
-  EXPECT_EQ(EscapeLabelValue("plain-id_1"), "plain-id_1");
-  EXPECT_EQ(EscapeLabelValue("a\"b"), "a\\\"b");
-  EXPECT_EQ(EscapeLabelValue("a\\b"), "a\\\\b");
-  EXPECT_EQ(EscapeLabelValue("a\nb"), "a\\nb");
-  EXPECT_EQ(EscapeLabelValue("\\\"\n"), "\\\\\\\"\\n");
+  EXPECT_EQ(obs::EscapeLabelValue("plain-id_1"), "plain-id_1");
+  EXPECT_EQ(obs::EscapeLabelValue("a\"b"), "a\\\"b");
+  EXPECT_EQ(obs::EscapeLabelValue("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::EscapeLabelValue("a\nb"), "a\\nb");
+  EXPECT_EQ(obs::EscapeLabelValue("\\\"\n"), "\\\\\\\"\\n");
 }
 
 TEST(MetricsExportTest, ServiceExportMatchesExpositionGrammar) {

@@ -1,26 +1,24 @@
 // The durability headline invariant: kill the service after statement k,
 // recover from checkpoint_dir, finish the workload — the recommendation
-// trajectory is bit-for-bit identical to an uninterrupted run. Covered for
-// WFIT (auto candidate maintenance) and WFA+ (fixed stable partition),
-// with interleaved DBA feedback, with and without a usable snapshot
-// (journal-only cold start).
+// trajectory is bit-for-bit identical to an uninterrupted run. Covered with
+// interleaved DBA feedback, with and without a usable snapshot
+// (journal-only cold start). State another build wrote is refused with
+// every file untouched.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
-#include "core/wfa_plus.h"
 #include "core/wfit.h"
 #include "persist/codec.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
-#include "persist/tenant_tree.h"
 #include "service/tuner_service.h"
 #include "tests/test_util.h"
 
@@ -60,26 +58,15 @@ Workload BuildWorkload(TestDb& db, size_t n) {
   return w;
 }
 
-enum class Kind { kWfit, kWfaPlus };
-
 /// Every run interns the vote targets first, in a fixed order, so IndexIds
 /// agree across "processes" (fresh TestDb instances).
 std::vector<IndexId> SeedIds(TestDb& db) {
   return {db.Ix("t1", {"a"}), db.Ix("t2", {"x"}), db.Ix("t1", {"b"})};
 }
 
-std::unique_ptr<Tuner> MakeTuner(Kind kind, TestDb& db) {
-  if (kind == Kind::kWfit) {
-    return std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
-                                  FastOptions());
-  }
-  std::vector<IndexSet> parts{
-      IndexSet{db.Ix("t1", {"a"}), db.Ix("t1", {"b"})},
-      IndexSet{db.Ix("t2", {"x"})},
-      IndexSet{db.Ix("t3", {"v"})},
-  };
-  return std::make_unique<WfaPlus>(&db.pool(), &db.optimizer(),
-                                   std::move(parts), IndexSet{});
+std::unique_ptr<Tuner> MakeTuner(TestDb& db) {
+  return std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
+                                FastOptions());
 }
 
 struct Vote {
@@ -120,10 +107,10 @@ void Produce(TunerService& service, const Workload& w, size_t first,
   }
 }
 
-std::vector<IndexSet> ReferenceHistory(Kind kind) {
+std::vector<IndexSet> ReferenceHistory() {
   TestDb db;
   std::vector<IndexId> ids = SeedIds(db);
-  std::unique_ptr<Tuner> tuner = MakeTuner(kind, db);
+  std::unique_ptr<Tuner> tuner = MakeTuner(db);
   Workload w = BuildWorkload(db, kTotal);
   TunerService service(std::move(tuner), BaseOptions());
   service.Start();
@@ -138,13 +125,12 @@ std::vector<IndexSet> ReferenceHistory(Kind kind) {
 /// The crash + recover flow. Returns the reference-aligned suffix: the
 /// recovered run's history starting at `*out_start` (the snapshot's
 /// analyzed count, or 0 for a journal-only cold start).
-std::vector<IndexSet> CrashAndRecover(Kind kind, bool drop_snapshots,
+std::vector<IndexSet> CrashAndRecover(bool drop_snapshots,
                                       uint64_t* out_start,
                                       RecoveryStats* out_stats) {
   const std::string dir =
       (fs::path(::testing::TempDir()) /
-       ("wfit_recovery_" + std::to_string(::getpid()) + "_" +
-        std::to_string(static_cast<int>(kind)) +
+       ("wfit_recovery_" + std::to_string(::getpid()) +
         (drop_snapshots ? "_nosnap" : "")))
           .string();
   fs::remove_all(dir);
@@ -160,7 +146,7 @@ std::vector<IndexSet> CrashAndRecover(Kind kind, bool drop_snapshots,
   {
     TestDb db;
     std::vector<IndexId> ids = SeedIds(db);
-    std::unique_ptr<Tuner> tuner = MakeTuner(kind, db);
+    std::unique_ptr<Tuner> tuner = MakeTuner(db);
     Workload w = BuildWorkload(db, kTotal);
     auto service =
         TunerService::Open(std::move(tuner), &db.pool(), options);
@@ -190,7 +176,7 @@ std::vector<IndexSet> CrashAndRecover(Kind kind, bool drop_snapshots,
   // producers replay the whole workload; recovered statements are dropped.
   TestDb db;
   std::vector<IndexId> ids = SeedIds(db);
-  std::unique_ptr<Tuner> tuner = MakeTuner(kind, db);
+  std::unique_ptr<Tuner> tuner = MakeTuner(db);
   Workload w = BuildWorkload(db, kTotal);
   RecoveryStats stats;
   auto service =
@@ -210,13 +196,13 @@ std::vector<IndexSet> CrashAndRecover(Kind kind, bool drop_snapshots,
   return (*service)->History();
 }
 
-void CheckRecoveryMatchesReference(Kind kind, bool drop_snapshots) {
-  std::vector<IndexSet> reference = ReferenceHistory(kind);
+void CheckRecoveryMatchesReference(bool drop_snapshots) {
+  std::vector<IndexSet> reference = ReferenceHistory();
   ASSERT_EQ(reference.size(), kTotal);
   uint64_t start = 0;
   RecoveryStats stats;
   std::vector<IndexSet> recovered =
-      CrashAndRecover(kind, drop_snapshots, &start, &stats);
+      CrashAndRecover(drop_snapshots, &start, &stats);
   ASSERT_EQ(recovered.size(), kTotal - start);
   for (size_t i = 0; i < recovered.size(); ++i) {
     ASSERT_EQ(recovered[i], reference[start + i])
@@ -234,15 +220,11 @@ void CheckRecoveryMatchesReference(Kind kind, bool drop_snapshots) {
 }
 
 TEST(RecoveryTest, WfitBitForBitSerial) {
-  CheckRecoveryMatchesReference(Kind::kWfit, /*drop_snapshots=*/false);
-}
-
-TEST(RecoveryTest, WfaPlusBitForBitSerial) {
-  CheckRecoveryMatchesReference(Kind::kWfaPlus, /*drop_snapshots=*/false);
+  CheckRecoveryMatchesReference(/*drop_snapshots=*/false);
 }
 
 TEST(RecoveryTest, JournalOnlyColdStartReplaysEverything) {
-  CheckRecoveryMatchesReference(Kind::kWfit, /*drop_snapshots=*/true);
+  CheckRecoveryMatchesReference(/*drop_snapshots=*/true);
 }
 
 TEST(RecoveryTest, WalAheadOfAnalysisRequeuesIntakeAndKeepsVoteBoundaries) {
@@ -278,7 +260,7 @@ TEST(RecoveryTest, WalAheadOfAnalysisRequeuesIntakeAndKeepsVoteBoundaries) {
   TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
   RecoveryStats stats;
-  auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
+  auto service = TunerService::Open(MakeTuner(db), &db.pool(),
                                     options, &stats);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   EXPECT_EQ(stats.analyzed, 6u);
@@ -301,107 +283,12 @@ TEST(RecoveryTest, WalAheadOfAnalysisRequeuesIntakeAndKeepsVoteBoundaries) {
   TestDb ref_db;
   std::vector<IndexId> ref_ids = SeedIds(ref_db);
   Workload ref_w = BuildWorkload(ref_db, 10);
-  std::unique_ptr<Tuner> ref = MakeTuner(Kind::kWfit, ref_db);
+  std::unique_ptr<Tuner> ref = MakeTuner(ref_db);
   for (size_t i = 0; i < 10; ++i) {
     ref->AnalyzeQuery(ref_w[i]);
     if (i == 7) ref->Feedback(IndexSet{ref_ids[0]}, IndexSet{ref_ids[1]});
     ASSERT_EQ(history[i], ref->Recommendation())
         << "diverged at statement " << i;
-  }
-}
-
-TEST(RecoveryTest, UpgradedTreeIgnoresStrayDeltaAndArchive) {
-  // A checkpoint root written by an older build can hold a delta-snapshot
-  // file next to the snapshots and an "_archive" directory next to the
-  // tenant directories. Neither is read: recovery loads the newest
-  // snapshot and replays the journal suffix, and the archive directory is
-  // not a tenant. The first new snapshot deletes the stray delta.
-  const std::string root =
-      (fs::path(::testing::TempDir()) /
-       ("wfit_recovery_upgraded_" + std::to_string(::getpid())))
-          .string();
-  fs::remove_all(root);
-  const std::string dir = persist::TenantCheckpointDir(root, "tenant-a");
-  TunerServiceOptions options = BaseOptions();
-  options.checkpoint_dir = dir;
-  options.checkpoint_every_statements = 50;
-  options.checkpoint_on_shutdown = false;
-  {
-    TestDb db;
-    std::vector<IndexId> ids = SeedIds(db);
-    Workload w = BuildWorkload(db, kTotal);
-    auto service = TunerService::Open(MakeTuner(Kind::kWfit, db),
-                                      &db.pool(), options);
-    ASSERT_TRUE(service.ok()) << service.status().ToString();
-    (*service)->Start();
-    for (const Vote& v : MakeVotes(ids)) {
-      if (v.after < kCrashAt) {
-        (*service)->FeedbackAfter(v.after, v.plus, v.minus);
-      }
-    }
-    Produce(**service, w, 0, kCrashAt);
-    ASSERT_TRUE((*service)->WaitUntilAnalyzed(kCrashAt));
-    (*service)->Shutdown();
-  }
-  std::vector<std::string> snapshots = persist::ListSnapshots(dir);
-  ASSERT_FALSE(snapshots.empty());
-  const std::string newest = fs::path(snapshots[0]).filename().string();
-  // snapshot-<analyzed:020d>.wfsnap
-  const uint64_t newest_analyzed = std::stoull(newest.substr(9, 20));
-  // A delta chained to the newest snapshot and newer than it, as an older
-  // build named them; its bytes are garbage.
-  char delta_name[96];
-  std::snprintf(delta_name, sizeof(delta_name), "delta-%020llu-%020llu.wfdelta",
-                static_cast<unsigned long long>(newest_analyzed),
-                static_cast<unsigned long long>(kCrashAt));
-  const fs::path delta_path = fs::path(dir) / delta_name;
-  {
-    std::FILE* f = std::fopen(delta_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a delta snapshot", f);
-    std::fclose(f);
-    fs::create_directories(fs::path(root) / "_archive");
-    f = std::fopen(
-        (fs::path(root) / "_archive" / "seg-00000000000000000001.wfseg")
-            .c_str(),
-        "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not an archive segment", f);
-    std::fclose(f);
-  }
-  auto listed = persist::ListTenantIds(root);
-  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
-  EXPECT_EQ(*listed, std::vector<std::string>{"tenant-a"});
-
-  TestDb db;
-  std::vector<IndexId> ids = SeedIds(db);
-  Workload w = BuildWorkload(db, kTotal);
-  RecoveryStats stats;
-  auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
-                                    options, &stats);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  EXPECT_TRUE(stats.snapshot_loaded);
-  EXPECT_EQ(stats.snapshot_analyzed, newest_analyzed);
-  EXPECT_EQ(stats.snapshots_skipped, 0u);
-  EXPECT_EQ(stats.analyzed, kCrashAt);
-  EXPECT_EQ(stats.replayed_statements, kCrashAt - newest_analyzed);
-  (*service)->Start();
-  for (const Vote& v : MakeVotes(ids)) {
-    if (v.after >= kCrashAt) {
-      (*service)->FeedbackAfter(v.after, v.plus, v.minus);
-    }
-  }
-  Produce(**service, w, 0, kTotal);
-  ASSERT_TRUE((*service)->WaitUntilAnalyzed(kTotal));
-  (*service)->Shutdown();
-  EXPECT_NE(persist::ListSnapshots(dir).front(), snapshots.front());
-  EXPECT_FALSE(fs::exists(delta_path));
-  std::vector<IndexSet> recovered = (*service)->History();
-  std::vector<IndexSet> reference = ReferenceHistory(Kind::kWfit);
-  ASSERT_EQ(recovered.size(), kTotal - newest_analyzed);
-  for (size_t i = 0; i < recovered.size(); ++i) {
-    ASSERT_EQ(recovered[i], reference[newest_analyzed + i])
-        << "trajectory diverged at statement " << (newest_analyzed + i);
   }
 }
 
@@ -420,7 +307,7 @@ TEST(RecoveryTest, JournalDeletedAfterCheckpointStillRecovers) {
     TestDb db;
     SeedIds(db);
     Workload w = BuildWorkload(db, 40);
-    auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
+    auto service = TunerService::Open(MakeTuner(db), &db.pool(),
                                       options);
     ASSERT_TRUE(service.ok());
     (*service)->Start();
@@ -438,7 +325,7 @@ TEST(RecoveryTest, JournalDeletedAfterCheckpointStillRecovers) {
     SeedIds(db);
     Workload w = BuildWorkload(db, 60);
     RecoveryStats stats;
-    auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
+    auto service = TunerService::Open(MakeTuner(db), &db.pool(),
                                       options, &stats);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     EXPECT_TRUE(stats.snapshot_loaded);
@@ -455,69 +342,156 @@ TEST(RecoveryTest, JournalDeletedAfterCheckpointStillRecovers) {
     TestDb db;
     SeedIds(db);
     RecoveryStats stats;
-    auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
+    auto service = TunerService::Open(MakeTuner(db), &db.pool(),
                                       options, &stats);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     EXPECT_EQ(stats.analyzed, 60u);
   }
 }
 
-// A journal from a build with the overload controller may hold epoch
-// records. Their run skipped or reweighted statements that full-analysis
-// replay cannot reproduce, so recovery refuses the journal outright, and
-// leaves its bytes exactly as they were (no reopen, no tail truncation).
-TEST(RecoveryTest, JournalWithLegacyEpochRecordIsRefusedUntouched) {
+std::string ReadAll(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Every file of a checkpoint directory, by name.
+std::map<std::string, std::string> DirBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = ReadAll(entry.path());
+  }
+  return files;
+}
+
+/// Rewrites the snapshot at `path` in the layout of format version 1: a
+/// tuner-kind byte (1 = WFIT) between the pool section and the parts.
+void RewriteAsVersion1(const std::string& path) {
+  constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4 + 4;
+  const std::string payload = ReadAll(path).substr(kHeaderBytes);
+  persist::Decoder d(payload);
+  uint64_t u64 = 0;
+  uint32_t defs = 0;
+  uint32_t table = 0;
+  std::vector<uint32_t> columns;
+  ASSERT_TRUE(d.GetU64(&u64).ok() && d.GetU64(&u64).ok() &&
+              d.GetU32(&defs).ok());
+  for (uint32_t i = 0; i < defs; ++i) {
+    ASSERT_TRUE(d.GetU32(&table).ok() && d.GetU32Vector(&columns).ok());
+  }
+  const size_t pool_end = payload.size() - d.remaining();
+  const std::string v1 =
+      payload.substr(0, pool_end) + '\x01' + payload.substr(pool_end);
+  persist::Encoder header;
+  header.PutU32(persist::kSnapshotMagic);
+  header.PutU32(1);
+  header.PutU64(v1.size());
+  header.PutU32(Crc32(v1));
+  header.PutU32(Crc32(header.data()));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << header.data() << v1;
+}
+
+// A tenant an older build checkpointed: its journal is compacted, so
+// skipping its snapshots like corrupt files would leave a snapshot-less
+// journal whose base the LSN check cannot match, and recovery would
+// silently cold-start the tenant at statement 0. It is refused instead,
+// before the journal writer opens, with every file left as it was.
+TEST(RecoveryTest, OlderSnapshotVersionIsRefusedUntouched) {
   const std::string dir =
       (fs::path(::testing::TempDir()) /
-       ("wfit_recovery_epoch_" + std::to_string(::getpid())))
+       ("wfit_recovery_v1_" + std::to_string(::getpid())))
           .string();
   fs::remove_all(dir);
   TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
-  options.checkpoint_every_statements = 1u << 30;
+  options.checkpoint_every_statements = 20;
+  options.journal_compact_min_bytes = 0;
   options.checkpoint_on_shutdown = false;
   {
     TestDb db;
     SeedIds(db);
-    Workload w = BuildWorkload(db, 10);
-    auto service = TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(),
-                                      options);
+    Workload w = BuildWorkload(db, 70);
+    auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     (*service)->Start();
-    Produce(**service, w, 0, 10);
+    Produce(**service, w, 0, 70);
     (*service)->Shutdown();
   }
-  // The epoch frame in the parent layout: kEpoch, seq, u8 mode, f64 rate,
-  // u64 seed, behind [u32 length][u32 crc].
-  persist::Encoder epoch;
-  epoch.PutU8(static_cast<uint8_t>(persist::JournalRecordType::kEpoch));
-  epoch.PutU64(10);
-  epoch.PutU8(2);
-  epoch.PutDouble(0.5);
-  epoch.PutU64(7);
-  persist::Encoder frame;
-  frame.PutU32(static_cast<uint32_t>(epoch.size()));
-  frame.PutU32(Crc32(epoch.data()));
-  const fs::path journal = fs::path(dir) / "journal.wfj";
-  auto read_all = [&] {
-    std::ifstream in(journal, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  {
-    std::ofstream out(journal, std::ios::binary | std::ios::app);
-    out << frame.data() << epoch.data();
-  }
-  const std::string before = read_all();
+  auto journal =
+      persist::ReadJournal((fs::path(dir) / "journal.wfj").string());
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_GT(journal->base_lsn, 0u) << "the journal must be compacted";
+  const std::vector<std::string> snapshots = persist::ListSnapshots(dir);
+  ASSERT_FALSE(snapshots.empty());
+  for (const std::string& path : snapshots) RewriteAsVersion1(path);
+  const std::map<std::string, std::string> before = DirBytes(dir);
 
   TestDb db;
   SeedIds(db);
-  auto service =
-      TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(), options);
-  ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), StatusCode::kFailedPrecondition)
+  auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
+  ASSERT_FALSE(service.ok()) << "opened an older build's tree";
+  EXPECT_EQ(service.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(service.status().message().find("version 1"), std::string::npos)
       << service.status().ToString();
-  EXPECT_EQ(read_all(), before);
+  EXPECT_EQ(DirBytes(dir), before);
+}
+
+// A checksummed journal record this build cannot decode is another
+// build's format, not a torn write: recovery refuses the journal instead
+// of stopping replay in front of the record and letting the reopened
+// writer truncate it. Type 4 is the epoch record of builds that had an
+// overload controller (seq, u8 mode, f64 rate, u64 seed); 9 was never a
+// type.
+TEST(RecoveryTest, JournalWithUnknownRecordTypeIsRefusedUntouched) {
+  for (uint8_t type : {uint8_t{4}, uint8_t{9}}) {
+    SCOPED_TRACE("record type " + std::to_string(type));
+    const std::string dir =
+        (fs::path(::testing::TempDir()) /
+         ("wfit_recovery_type" + std::to_string(type) + "_" +
+          std::to_string(::getpid())))
+            .string();
+    fs::remove_all(dir);
+    TunerServiceOptions options = BaseOptions();
+    options.checkpoint_dir = dir;
+    options.checkpoint_every_statements = 1u << 30;
+    options.checkpoint_on_shutdown = false;
+    {
+      TestDb db;
+      SeedIds(db);
+      Workload w = BuildWorkload(db, 10);
+      auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      (*service)->Start();
+      Produce(**service, w, 0, 10);
+      (*service)->Shutdown();
+    }
+    persist::Encoder record;
+    record.PutU8(type);
+    record.PutU64(10);
+    if (type == 4) {
+      record.PutU8(2);
+      record.PutDouble(0.5);
+      record.PutU64(7);
+    }
+    persist::Encoder frame;
+    frame.PutU32(static_cast<uint32_t>(record.size()));
+    frame.PutU32(Crc32(record.data()));
+    {
+      std::ofstream out(fs::path(dir) / "journal.wfj",
+                        std::ios::binary | std::ios::app);
+      out << frame.data() << record.data();
+    }
+    const std::map<std::string, std::string> before = DirBytes(dir);
+
+    TestDb db;
+    SeedIds(db);
+    auto service = TunerService::Open(MakeTuner(db), &db.pool(), options);
+    ASSERT_FALSE(service.ok());
+    EXPECT_EQ(service.status().code(), StatusCode::kFailedPrecondition)
+        << service.status().ToString();
+    EXPECT_EQ(DirBytes(dir), before);
+  }
 }
 
 // The default path's sync schedule: a batch costs exactly two journal
@@ -538,7 +512,7 @@ TEST(RecoveryTest, DefaultPathSyncsJournalTwicePerBatch) {
   options.checkpoint_every_statements = 1u << 30;
   Workload w = BuildWorkload(db, kBatches * options.max_batch);
   auto service =
-      TunerService::Open(MakeTuner(Kind::kWfit, db), &db.pool(), options);
+      TunerService::Open(MakeTuner(db), &db.pool(), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   (*service)->Start();
   EXPECT_EQ((*service)->Metrics().journal_syncs, 0u);
@@ -566,7 +540,7 @@ TEST(RecoveryTest, FreshDirectoryIsAColdStartWithJournaling) {
   fs::remove_all(dir);
   TestDb db;
   std::vector<IndexId> ids = SeedIds(db);
-  std::unique_ptr<Tuner> tuner = MakeTuner(Kind::kWfit, db);
+  std::unique_ptr<Tuner> tuner = MakeTuner(db);
   Workload w = BuildWorkload(db, 40);
   TunerServiceOptions options = BaseOptions();
   options.checkpoint_dir = dir;
@@ -591,7 +565,7 @@ TEST(RecoveryTest, FreshDirectoryIsAColdStartWithJournaling) {
   TestDb db2;
   SeedIds(db2);
   RecoveryStats stats2;
-  auto service2 = TunerService::Open(MakeTuner(Kind::kWfit, db2),
+  auto service2 = TunerService::Open(MakeTuner(db2),
                                      &db2.pool(), options, &stats2);
   ASSERT_TRUE(service2.ok()) << service2.status().ToString();
   EXPECT_TRUE(stats2.snapshot_loaded);

@@ -129,128 +129,6 @@ TEST(SnapshotTest, WfitRoundTripContinuesIdentically) {
   EXPECT_EQ(restored.selector().universe(), original.selector().universe());
 }
 
-/// Rewrites the snapshot at `path` into the layout of a build that still
-/// had the overload controller: the same payload followed by its trailer
-/// (u8 mode, f64 sample rate, u64 sample seed, u32 count, count x u64
-/// fingerprints), under a recomputed header.
-void AppendLegacyOverloadTrailer(const std::string& path, uint8_t mode,
-                                 double sample_rate) {
-  constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4 + 4;
-  const std::string contents = ReadFile(path);
-  ASSERT_GT(contents.size(), kHeaderBytes);
-  Encoder trailer;
-  trailer.PutU8(mode);
-  trailer.PutDouble(sample_rate);
-  trailer.PutU64(987654321);
-  trailer.PutU32(3);
-  for (uint64_t fingerprint : {11, 22, 33}) trailer.PutU64(fingerprint);
-  const std::string payload = contents.substr(kHeaderBytes) + trailer.data();
-  Encoder header;
-  header.PutU32(kSnapshotMagic);
-  header.PutU32(kSnapshotVersion);
-  header.PutU64(payload.size());
-  header.PutU32(Crc32(payload));
-  header.PutU32(Crc32(header.data()));
-  WriteFile(path, header.data() + payload);
-}
-
-TEST(SnapshotTest, LegacyOverloadTrailerLoadsOnlyInNormalMode) {
-  TestDb db1;
-  Workload w1 = BuildWorkload(db1, 10);
-  Wfit original(&db1.pool(), &db1.optimizer(), IndexSet{}, FastOptions());
-  for (size_t i = 0; i < 5; ++i) original.AnalyzeQuery(w1[i]);
-  const IndexSet rec_at_5 = original.Recommendation();
-
-  // Every snapshot an older build wrote ends in the trailer. A Normal-mode
-  // one loads; a newer Sampling-mode one is skipped in its favour.
-  const std::string dir = FreshDir("legacy_trailer");
-  SnapshotMeta meta;
-  meta.analyzed = 5;
-  ASSERT_TRUE(WriteSnapshot(dir, original, db1.pool(), meta).ok());
-  AppendLegacyOverloadTrailer(ListSnapshots(dir)[0], /*mode=*/0, 1.0);
-  for (size_t i = 5; i < 10; ++i) original.AnalyzeQuery(w1[i]);
-  meta.analyzed = 10;
-  ASSERT_TRUE(WriteSnapshot(dir, original, db1.pool(), meta).ok());
-  AppendLegacyOverloadTrailer(ListSnapshots(dir)[0], /*mode=*/2, 0.25);
-
-  TestDb db2;
-  BuildWorkload(db2, 10);
-  Wfit restored(&db2.pool(), &db2.optimizer(), IndexSet{}, FastOptions());
-  SnapshotLoadResult loaded = LoadLatestSnapshot(dir, &restored, &db2.pool());
-  ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.skipped, 1u);
-  EXPECT_EQ(loaded.meta.analyzed, 5u);
-  EXPECT_EQ(restored.selector().statements_seen(), 5u);
-  EXPECT_EQ(restored.Recommendation(), rec_at_5);
-
-  // Shedding and Sampling trailers are refused before the pool or the
-  // tuner is touched, even with no older snapshot to fall back to.
-  for (int mode : {1, 2}) {
-    const std::string lone = FreshDir("legacy_trailer_mode" +
-                                      std::to_string(mode));
-    ASSERT_TRUE(WriteSnapshot(lone, original, db1.pool(), meta).ok());
-    AppendLegacyOverloadTrailer(ListSnapshots(lone)[0],
-                                static_cast<uint8_t>(mode), 0.5);
-    TestDb db3;
-    BuildWorkload(db3, 10);
-    Wfit fresh(&db3.pool(), &db3.optimizer(), IndexSet{}, FastOptions());
-    const size_t pool_size = db3.pool().size();
-    SnapshotMeta out;
-    Status st = ReadSnapshot(ListSnapshots(lone)[0], &fresh, &db3.pool(), &out);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-    EXPECT_EQ(fresh.selector().statements_seen(), 0u);
-    EXPECT_EQ(db3.pool().size(), pool_size);
-    SnapshotLoadResult none = LoadLatestSnapshot(lone, &fresh, &db3.pool());
-    EXPECT_FALSE(none.loaded);
-    EXPECT_EQ(none.skipped, 1u);
-  }
-}
-
-TEST(SnapshotTest, WfaPlusRoundTripContinuesIdentically) {
-  const std::string dir = FreshDir("wfa_roundtrip");
-  const size_t kTotal = 40;
-  const size_t kSplit = 17;
-
-  auto make_partition = [](TestDb& db) {
-    return std::vector<IndexSet>{
-        IndexSet{db.Ix("t1", {"a"}), db.Ix("t1", {"b"})},
-        IndexSet{db.Ix("t2", {"x"})},
-        IndexSet{db.Ix("t3", {"v"})},
-    };
-  };
-
-  TestDb db1;
-  std::vector<IndexSet> parts1 = make_partition(db1);
-  Workload w1 = BuildWorkload(db1, kTotal);
-  WfaPlus original(&db1.pool(), &db1.optimizer(), parts1, IndexSet{});
-  for (size_t i = 0; i < kSplit; ++i) {
-    original.AnalyzeQuery(w1[i]);
-    if (i == 8) {
-      original.Feedback(IndexSet{db1.Ix("t1", {"a"})},
-                        IndexSet{db1.Ix("t2", {"x"})});
-    }
-  }
-  SnapshotMeta meta;
-  meta.analyzed = kSplit;
-  ASSERT_TRUE(WriteSnapshot(dir, original, db1.pool(), meta).ok());
-
-  TestDb db2;
-  std::vector<IndexSet> parts2 = make_partition(db2);
-  Workload w2 = BuildWorkload(db2, kTotal);
-  WfaPlus restored(&db2.pool(), &db2.optimizer(), parts2, IndexSet{});
-  SnapshotLoadResult loaded = LoadLatestSnapshot(dir, &restored, &db2.pool());
-  ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(restored.Recommendation(), original.Recommendation());
-  EXPECT_EQ(restored.FeedbackCount(), original.FeedbackCount());
-
-  for (size_t i = kSplit; i < kTotal; ++i) {
-    original.AnalyzeQuery(w1[i]);
-    restored.AnalyzeQuery(w2[i]);
-    ASSERT_EQ(restored.Recommendation(), original.Recommendation())
-        << "diverged at statement " << i;
-  }
-}
-
 TEST(SnapshotTest, CorruptPayloadIsRejected) {
   const std::string dir = FreshDir("corrupt_payload");
   TestDb db;
@@ -297,13 +175,19 @@ TEST(SnapshotTest, VersionMismatchIsRejected) {
   crc_enc.PutU32(header_crc);
   WriteFile(path, header + crc_enc.data() + contents.substr(24));
 
+  // Another build's format is refused, not skipped like a corrupt file:
+  // LoadLatestSnapshot stops there instead of falling back past it.
   TestDb db2;
   Wfit fresh(&db2.pool(), &db2.optimizer(), IndexSet{}, FastOptions());
   SnapshotMeta out;
   Status st = ReadSnapshot(path, &fresh, &db2.pool(), &out);
   ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(st.message().find("version"), std::string::npos);
+  SnapshotLoadResult loaded = LoadLatestSnapshot(dir, &fresh, &db2.pool());
+  EXPECT_FALSE(loaded.loaded);
+  EXPECT_EQ(loaded.skipped, 0u);
+  EXPECT_EQ(loaded.status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(SnapshotTest, FallsBackToPreviousSnapshotWhenNewestIsCorrupt) {

@@ -15,6 +15,13 @@ An alerting runbook that lags the code is worse than none: a family that
 ships undocumented is invisible to the operator reading OPERATIONS.md, and
 a documented family that no longer ships sends them after a dead series.
 
+It also holds docs/DURABILITY.md to the persist/ code it specifies: the
+journal record table must list exactly the JournalRecordType values of
+src/persist/journal.h (same numbers, same names), and the snapshot
+header table's "version (currently N)" must equal kSnapshotVersion in
+src/persist/snapshot.h. A format spec that lags a version bump or a
+record type is how older-build state gets misread.
+
 Usage: check_docs.py [repo_root]
 """
 
@@ -121,6 +128,53 @@ def stale_doc_families(families, docs):
     return sorted(stale)
 
 
+def read(root, rel):
+    path = os.path.join(root, rel)
+    if not os.path.isfile(path):
+        sys.exit(f"check_docs: file missing: {rel}")
+    with open(path) as f:
+        return f.read()
+
+
+def durability_drift(root):
+    """Mismatches between docs/DURABILITY.md and the persist/ headers."""
+    errors = []
+    durability = read(root, "docs/DURABILITY.md")
+
+    journal_h = read(root, "src/persist/journal.h")
+    enum = re.search(r"enum class JournalRecordType[^{]*\{(.*?)\};",
+                     journal_h, re.S)
+    if not enum:
+        return ["no JournalRecordType enum in src/persist/journal.h"]
+    # kCompactionBase = 5 -> (5, "compaction base")
+    code = {(int(num), re.sub(r"(?<!^)([A-Z])", r" \1", name).lower())
+            for name, num in re.findall(r"\bk(\w+) = (\d+)", enum.group(1))}
+    section = re.search(r"^## Write-ahead journal.*?(?=^##? )", durability,
+                        re.S | re.M)
+    rows = re.findall(r"^\| (\d+) \| ([^|]+?) \|",
+                      section.group(0) if section else "", re.M)
+    documented = {(int(num), name.strip()) for num, name in rows}
+    for num, name in sorted(code - documented):
+        errors.append(f"journal record type {num} ({name}) missing from "
+                      "the DURABILITY.md record table")
+    for num, name in sorted(documented - code):
+        errors.append(f"DURABILITY.md lists journal record type {num} "
+                      f"({name}), which JournalRecordType does not define")
+
+    snapshot_h = read(root, "src/persist/snapshot.h")
+    version = re.search(r"kSnapshotVersion = (\d+);", snapshot_h)
+    documented_version = re.search(r"\| version \(currently (\d+)\) \|",
+                                   durability)
+    if not version or not documented_version:
+        errors.append("snapshot version not found in snapshot.h or in the "
+                      "DURABILITY.md header table")
+    elif version.group(1) != documented_version.group(1):
+        errors.append(f"DURABILITY.md says snapshot version "
+                      f"{documented_version.group(1)}, kSnapshotVersion is "
+                      f"{version.group(1)}")
+    return errors
+
+
 def main(argv):
     root = argv[1] if len(argv) > 1 else "."
     families = set()
@@ -135,17 +189,25 @@ def main(argv):
     docs = doc_text(root)
     missing = sorted(f for f in families if f not in docs)
     stale = stale_doc_families(families, doc_text(root, ["docs"]))
+    drift = durability_drift(root)
     print(f"check_docs: {len(families)} exported metric families")
     for name in missing:
         print(f"  UNDOCUMENTED  {name}")
     for name in stale:
         print(f"  NOT EXPORTED  {name}")
+    for error in drift:
+        print(f"  FORMAT DRIFT  {error}")
     if missing or stale:
         print(f"\nFAILED: {len(missing)} families missing from docs/, "
               f"{len(stale)} documented families no emitter exports — "
               "update docs/OPERATIONS.md")
+    if drift:
+        print(f"\nFAILED: docs/DURABILITY.md disagrees with src/persist/ "
+              f"in {len(drift)} place(s)")
+    if missing or stale or drift:
         return 1
-    print("PASS: every family documented, every documented family exported")
+    print("PASS: every family documented, every documented family "
+          "exported, DURABILITY.md matches the persist/ formats")
     return 0
 
 
